@@ -83,10 +83,6 @@ class CatalogEntry:
     complete: bool
     entries: Callable[..., list]
 
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.params)
-
 
 def _e(dim: int, coeffs: Mapping[int, QQ]):
     """1-based sparse coefficients to a dense tuple."""

@@ -14,22 +14,32 @@ so that the left multiplication by e_i is the matrix L_i with entries
 
 and has a solution exactly when an LR-structure exists.
 
-Structural reduction adds linear consequences of the axioms (each row
-tagged by the identity it comes from, mirroring the lemma suite), runs
-sparse Gaussian elimination, substitutes into the quadratics, and
-iterates while new linear rows keep appearing.  The reduced system is
+Structural reduction adds linear consequences of the axioms: the lemma
+suite's identities that are linear in the product, evaluated on the
+generic product whose coordinates are the unknowns, one tagged row per
+nonzero residual component.  It then runs sparse Gaussian elimination,
+substitutes into the quadratics, and iterates while new linear rows
+keep appearing.  The reduced system is
 equisolvable with the original one.  Certification feeds the residual
 polynomials to the budgeted Groebner engine and reports inconsistency,
 possible solvability, or budget exhaustion.
 """
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
-from .lie import LieAlgebra, center as lie_center
+from .lie import LieAlgebra, _sparsify, bilinear_sparse, center as lie_center
 from .lie import lower_central_series, upper_central_series
-from .linalg import QQ, Matrix, Subspace, Vector, qq
-from .lr import LRAlgebra
+from .linalg import QQ, Matrix, Subspace, qq
+from .lr import (
+    LRAlgebra,
+    ad_product_residual,
+    center_kills_derived_residual,
+    derivation_residual,
+    grading_residual,
+    ideal_residual,
+    opposite,
+)
 from .poly import (
     GroebnerResult,
     MissingAssignment,
@@ -205,193 +215,59 @@ STRUCTURAL_RULES = (
 )
 
 
-def _product_linear(n: int, u: Vector, v: Vector) -> list[dict]:
-    """Components of u.v as linear forms {var: coeff} in the unknowns."""
-    out: list[dict] = [dict() for _ in range(n)]
-    for p, cp in enumerate(u):
-        if cp == 0:
-            continue
-        for qx, cq in enumerate(v):
-            if cq == 0:
-                continue
-            c = cp * cq
-            for a in range(n):
-                w = _var(n, p, a, qx)
-                s = out[a].get(w, QQ(0)) + c
-                if s:
-                    out[a][w] = s
-                else:
-                    out[a].pop(w, None)
-    return out
+def _identity_rows(g: LieAlgebra) -> list[tuple[str, Polynomial]]:
+    """Tagged linear rows: the lemma suite's identities that are linear in
+    the product, evaluated on the generic product.
 
-
-def _membership_rows(
-    vec: list[dict], consts: list[QQ], target: Subspace
-) -> list[tuple[dict, QQ]]:
-    """Rows forcing an unknown-linear vector into a fixed subspace."""
-    n = target.ambient_dim
-    rows = []
-    if target.dim == n:
-        return rows
-    basis = target.basis_vectors()
-    pivots = target.pivots()
-    pivot_set = set(pivots)
-    for k in range(n):
-        if k in pivot_set:
-            continue
-        coeffs = dict(vec[k])
-        const = consts[k]
-        for r, p in enumerate(pivots):
-            c = basis[r][k]
-            if c == 0:
-                continue
-            for w, cw in vec[p].items():
-                s = coeffs.get(w, QQ(0)) - c * cw
-                if s:
-                    coeffs[w] = s
-                else:
-                    coeffs.pop(w, None)
-            const -= c * consts[p]
-        rows.append((coeffs, const))
-    return rows
-
-
-def _structural_rows(
-    g: LieAlgebra, include: Sequence[str]
-) -> list[tuple[str, dict, QQ]]:
+    In the generic product, component a of e_p . e_q is the unknown
+    x[p][a][q], so every residual component is an affine form in the
+    unknowns and each nonzero one becomes a row.
+    """
     n = g.dim
-    rows: list[tuple[str, dict, QQ]] = []
-    include = set(include)
-    zero_consts = [QQ(0)] * n
+    table = {
+        (p, q): {a: Polynomial.variable(_var(n, p, a, q)) for a in range(n)}
+        for p in range(n)
+        for q in range(n)
+    }
 
-    def unit(i: int) -> Vector:
-        return tuple(QQ(1) if t == i else QQ(0) for t in range(n))
+    def prod(u, v):
+        return bilinear_sparse(table, u, v)
 
-    def emit(tag: str, produced: Iterable[tuple[dict, QQ]]):
-        for coeffs, const in produced:
-            if coeffs or const:
-                rows.append((tag, coeffs, const))
+    brak = g.bracket_sparse
+    sides = (("left", prod), ("right", opposite(prod)))
+    basis = [{i: QQ(1)} for i in range(n)]
+    rows: list[tuple[str, Polynomial]] = []
 
-    if "left_derivation" in include or "right_derivation" in include:
-        tensor = {
-            (j, k): g.bracket_basis(j, k) for j in range(n) for k in range(n)
-        }
-        for i in range(n):
-            for j in range(n):
-                for k in range(j + 1, n):
-                    cjk = tensor[(j, k)]
-                    if "left_derivation" in include:
-                        for a in range(n):
-                            coeffs: dict = {}
+    def row(c) -> Polynomial:
+        return c if isinstance(c, Polynomial) else Polynomial.constant(c)
 
-                            def bump(w, c):
-                                s = coeffs.get(w, QQ(0)) + c
-                                if s:
-                                    coeffs[w] = s
-                                else:
-                                    coeffs.pop(w, None)
+    def emit(tag: str, residual) -> None:
+        rows.extend((tag, row(residual[a])) for a in sorted(residual))
 
-                            for m, c in cjk.items():
-                                bump(_var(n, i, a, m), c)
-                            for m in range(n):
-                                c = tensor[(m, k)].get(a, QQ(0))
-                                if c:
-                                    bump(_var(n, i, m, j), -c)
-                                c = tensor[(j, m)].get(a, QQ(0))
-                                if c:
-                                    bump(_var(n, i, m, k), -c)
-                            if coeffs:
-                                rows.append(("left_derivation", coeffs, QQ(0)))
-                    if "right_derivation" in include:
-                        for a in range(n):
-                            coeffs = {}
-
-                            def bump(w, c):
-                                s = coeffs.get(w, QQ(0)) + c
-                                if s:
-                                    coeffs[w] = s
-                                else:
-                                    coeffs.pop(w, None)
-
-                            for m, c in cjk.items():
-                                bump(_var(n, m, a, i), c)
-                            for m in range(n):
-                                c = tensor[(m, k)].get(a, QQ(0))
-                                if c:
-                                    bump(_var(n, j, m, i), -c)
-                                c = tensor[(j, m)].get(a, QQ(0))
-                                if c:
-                                    bump(_var(n, k, m, i), -c)
-                            if coeffs:
-                                rows.append(("right_derivation", coeffs, QQ(0)))
-
-    if (
-        "bracket_product_rule_left" in include
-        or "bracket_product_rule_right" in include
-    ):
-        ads = [g.ad_basis(i) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                adc = g.ad(
-                    tuple(
-                        g.bracket_basis(i, j).get(t, QQ(0)) for t in range(n)
+    for i in range(n):
+        for j in range(n):
+            for k in range(j + 1, n):
+                for side, act in sides:
+                    emit(
+                        f"{side}_derivation",
+                        derivation_residual(brak, act, basis[i], basis[j], basis[k]),
                     )
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            for (side, act), sign in zip(sides, (1, -1)):
+                # rows run over matrix entries (a, b): column b is the
+                # residual at e_b, entry a its component
+                cols = [
+                    ad_product_residual(brak, act, sign, basis[i], basis[j], basis[b])
+                    for b in range(n)
+                ]
+                rows.extend(
+                    (f"bracket_product_rule_{side}", row(col[a]))
+                    for a in range(n)
+                    for col in cols
+                    if a in col
                 )
-                ai, aj = ads[i], ads[j]
-                if "bracket_product_rule_left" in include:
-                    # ad[ei,ej] = [ad_i, L_j] + [L_i, ad_j], entrywise
-                    for a in range(n):
-                        for b in range(n):
-                            coeffs = {}
-
-                            def bump(w, c):
-                                s = coeffs.get(w, QQ(0)) + c
-                                if s:
-                                    coeffs[w] = s
-                                else:
-                                    coeffs.pop(w, None)
-
-                            for m in range(n):
-                                if ai.entries[a][m]:
-                                    bump(_var(n, j, m, b), -ai.entries[a][m])
-                                if ai.entries[m][b]:
-                                    bump(_var(n, j, a, m), ai.entries[m][b])
-                                if aj.entries[m][b]:
-                                    bump(_var(n, i, a, m), -aj.entries[m][b])
-                                if aj.entries[a][m]:
-                                    bump(_var(n, i, m, b), aj.entries[a][m])
-                            const = adc.entries[a][b]
-                            if coeffs or const:
-                                rows.append(
-                                    ("bracket_product_rule_left", coeffs, const)
-                                )
-                if "bracket_product_rule_right" in include:
-                    # ad[ei,ej] = -[ad_i, R_j] - [R_i, ad_j], entrywise
-                    for a in range(n):
-                        for b in range(n):
-                            coeffs = {}
-
-                            def bump(w, c):
-                                s = coeffs.get(w, QQ(0)) + c
-                                if s:
-                                    coeffs[w] = s
-                                else:
-                                    coeffs.pop(w, None)
-
-                            for m in range(n):
-                                if ai.entries[a][m]:
-                                    bump(_var(n, b, m, j), ai.entries[a][m])
-                                if ai.entries[m][b]:
-                                    bump(_var(n, m, a, j), -ai.entries[m][b])
-                                if aj.entries[m][b]:
-                                    bump(_var(n, m, a, i), aj.entries[m][b])
-                                if aj.entries[a][m]:
-                                    bump(_var(n, b, m, i), -aj.entries[a][m])
-                            const = adc.entries[a][b]
-                            if coeffs or const:
-                                rows.append(
-                                    ("bracket_product_rule_right", coeffs, const)
-                                )
 
     lcs = lower_central_series(g)
     ucs = upper_central_series(g)
@@ -406,56 +282,37 @@ def _structural_rows(
     for kind, s in series_targets:
         if s.dim == n:
             continue
-        for tagside, left in (
-            (f"left_preserves_{kind}_central", True),
-            (f"right_preserves_{kind}_central", False),
-        ):
-            if tagside not in include:
-                continue
+        for side, act in sides:
             for i in range(n):
                 for v in s.basis_vectors():
-                    vec = (
-                        _product_linear(n, unit(i), v)
-                        if left
-                        else _product_linear(n, v, unit(i))
+                    emit(
+                        f"{side}_preserves_{kind}_central",
+                        ideal_residual(act, s, basis[i], _sparsify(v)),
                     )
-                    emit(tagside, _membership_rows(vec, zero_consts, s))
 
     z = lie_center(g)
     derived = gamma(2)
-    zero = Subspace.zero(n)
-    if "center_kills_derived_left" in include:
+    for side, act in sides:
         for zv in z.basis_vectors():
             for dv in derived.basis_vectors():
-                vec = _product_linear(n, zv, dv)
                 emit(
-                    "center_kills_derived_left",
-                    _membership_rows(vec, zero_consts, zero),
-                )
-    if "center_kills_derived_right" in include:
-        for zv in z.basis_vectors():
-            for dv in derived.basis_vectors():
-                vec = _product_linear(n, dv, zv)
-                emit(
-                    "center_kills_derived_right",
-                    _membership_rows(vec, zero_consts, zero),
+                    f"center_kills_derived_{side}",
+                    center_kills_derived_residual(act, _sparsify(zv), _sparsify(dv)),
                 )
 
-    if "series_product_grading" in include:
-        top = len(lcs.terms) + 1
-        for i in range(1, top):
-            for j in range(1, top):
-                src_a, src_b = gamma(i + 1), gamma(j + 1)
-                tgt = gamma(i + j + 1)
-                if src_a.dim == 0 or src_b.dim == 0 or tgt.dim == n:
-                    continue
-                for u in src_a.basis_vectors():
-                    for v in src_b.basis_vectors():
-                        vec = _product_linear(n, u, v)
-                        emit(
-                            "series_product_grading",
-                            _membership_rows(vec, zero_consts, tgt),
-                        )
+    top = len(lcs.terms) + 1
+    for i in range(1, top):
+        for j in range(1, top):
+            src_a, src_b = gamma(i + 1), gamma(j + 1)
+            tgt = gamma(i + j + 1)
+            if src_a.dim == 0 or src_b.dim == 0 or tgt.dim == n:
+                continue
+            for u in src_a.basis_vectors():
+                for v in src_b.basis_vectors():
+                    emit(
+                        "series_product_grading",
+                        grading_residual(prod, tgt, _sparsify(u), _sparsify(v)),
+                    )
     return rows
 
 
@@ -471,10 +328,6 @@ def _linear_parts(p: Polynomial):
         else:
             return None
     return coeffs, const
-
-
-def _row_to_poly(coeffs: dict, const: QQ) -> Polynomial:
-    return Polynomial.linear(coeffs, const)
 
 
 class _Eliminator:
@@ -646,17 +499,15 @@ class ReducedSystem:
         return full
 
 
-def structural_reduce(
-    system: ConstraintSystem, include: Sequence[str] | None = None
-) -> ReducedSystem:
+def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
     """Add tagged linear consequences of the axioms, eliminate, iterate.
 
-    Every added row is a proved identity of LR-structures, so the reduced
+    The added rows are the lemma suite's identities that are linear in
+    the product (lr.derivation_residual and its neighbours), evaluated on
+    the generic product.  Each holds in every LR-algebra, so the reduced
     system has exactly the same solution set as the generated one.
     """
-    include = tuple(include) if include is not None else STRUCTURAL_RULES
-    added_raw = _structural_rows(system.g, include)
-    added = [(tag, _row_to_poly(coeffs, const)) for tag, coeffs, const in added_raw]
+    added = _identity_rows(system.g)
 
     elim = _Eliminator()
     quads: list[Polynomial] = []
@@ -667,8 +518,8 @@ def structural_reduce(
             quads.append(p)
         else:
             pending.append(lp)
-    for tag, coeffs, const in added_raw:
-        pending.append((coeffs, const))
+    for tag, p in added:
+        pending.append(_linear_parts(p))
 
     rounds = 0
     seen_quads: set = set()

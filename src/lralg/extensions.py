@@ -248,17 +248,6 @@ class LiftData:
                     acc = vec_add(acc, vec_scale(c * e, self.a_product[i][j]))
         return acc
 
-    def b_prod(self, u: Vector, v: Vector) -> Vector:
-        m = len(self.b_product)
-        acc = zero_vector(m)
-        for i, c in enumerate(u):
-            if c == 0:
-                continue
-            for j, e in enumerate(v):
-                if e != 0:
-                    acc = vec_add(acc, vec_scale(c * e, self.b_product[i][j]))
-        return acc
-
     def omega_row(self, v: Vector, j: int) -> Vector:
         """omega(v, e_j) for a base vector v."""
         p = len(self.omega[0][0]) if self.omega else 0

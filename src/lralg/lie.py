@@ -7,22 +7,9 @@ exhaustive check over basis triples, which suffices by trilinearity.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import (
-    QQ,
-    Matrix,
-    Subspace,
-    Vector,
-    nullspace,
-    qq,
-    subspace_sum,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    zero_vector,
-)
+from .linalg import QQ, Matrix, Subspace, Vector, nullspace, qq, vec_is_zero
 
 SparseVec = dict[int, QQ]
 
@@ -67,7 +54,28 @@ def _densify(n: int, sparse: SparseVec) -> Vector:
 
 
 def _sparsify(v: Vector) -> SparseVec:
-    return {k: c for k, c in enumerate(v) if c != 0}
+    return {k: c for k, c in enumerate(v) if c}
+
+
+def bilinear_sparse(
+    table: dict[tuple[int, int], SparseVec], u: SparseVec, v: SparseVec
+) -> SparseVec:
+    """The bilinear map with e_i * e_j = table[(i, j)], on sparse vectors.
+
+    Scalars may be rationals or polynomials (zero tests use truthiness),
+    so the same code serves brackets, concrete products and the generic
+    product whose coordinates are unknowns.
+    """
+    acc: SparseVec = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            entry = table.get((i, j))
+            if entry:
+                ab = a * b
+                for k, c in entry.items():
+                    t = ab * c
+                    acc[k] = acc[k] + t if k in acc else t
+    return {k: c for k, c in acc.items() if c}
 
 
 class LieAlgebra:
@@ -182,15 +190,7 @@ class LieAlgebra:
         return tuple(acc)
 
     def bracket_sparse(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        acc: SparseVec = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                entry = self.table.get((i, j))
-                if entry:
-                    ab = a * b
-                    for k, c in entry.items():
-                        acc[k] = acc.get(k, QQ(0)) + ab * c
-        return {k: c for k, c in acc.items() if c != 0}
+        return bilinear_sparse(self.table, u, v)
 
     def ad(self, x: Vector) -> Matrix:
         """Matrix of y -> [x, y] in the chosen basis."""
@@ -210,14 +210,6 @@ class LieAlgebra:
 
     def ad_basis(self, i: int) -> Matrix:
         return self.ad(tuple(QQ(1) if t == i else QQ(0) for t in range(self.dim)))
-
-    def structure_tensor(self) -> tuple:
-        """Dense c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k."""
-        n = self.dim
-        return tuple(
-            tuple(_densify(n, self.table.get((i, j), {})) for j in range(n))
-            for i in range(n)
-        )
 
     def __repr__(self):
         return f"LieAlgebra(dim {self.dim})"
@@ -260,16 +252,6 @@ def bracket_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
         for v in b.basis_vectors():
             vecs.append(g.bracket(u, v))
     return Subspace.from_vectors(g.dim, vecs)
-
-
-def is_ideal(g: LieAlgebra, s: Subspace) -> bool:
-    n = g.dim
-    for v in s.basis_vectors():
-        for i in range(n):
-            w = g.bracket(tuple(QQ(1) if t == i else QQ(0) for t in range(n)), v)
-            if not s.contains(w):
-                return False
-    return True
 
 
 # -- series --------------------------------------------------------------

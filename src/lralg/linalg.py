@@ -323,11 +323,12 @@ def matrix_is_nilpotent(m: Matrix) -> bool:
 class Subspace:
     """Subspace of QQ^n held as an RREF basis; equality is syntactic."""
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "_pivots")
 
     def __init__(self, ambient_dim: int, basis: Matrix):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_pivots", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -362,10 +363,16 @@ class Subspace:
         return self.basis.entries
 
     def pivots(self) -> tuple[int, ...]:
-        return pivot_columns(self.basis)
+        if self._pivots is None:
+            object.__setattr__(self, "_pivots", pivot_columns(self.basis))
+        return self._pivots
 
     def reduce(self, v: Vector) -> Vector:
-        """Residual of v after reduction by the basis; zero iff v is a member."""
+        """Residual of v after reduction by the basis; zero iff v is a member.
+
+        Entries of v may be rationals or polynomials: a polynomial residual
+        is the linear condition for v to lie in the subspace.
+        """
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector length {len(v)} != ambient dim {self.ambient_dim}"
@@ -373,9 +380,10 @@ class Subspace:
         res = list(v)
         for row, p in zip(self.basis.entries, self.pivots()):
             f = res[p]
-            if f != 0:
-                for j in range(self.ambient_dim):
-                    res[j] -= f * row[j]
+            if f:
+                for j, c in enumerate(row):
+                    if c:
+                        res[j] -= f * c
         return tuple(res)
 
     def contains(self, v: Vector) -> bool:

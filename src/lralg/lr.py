@@ -9,24 +9,28 @@ Axioms, for all x, y, z:
 
 All checks run over basis tuples, which is equivalent by multilinearity.
 The lemma suite re-proves, on a concrete instance, a battery of identities
-that hold in every LR-algebra; it is the cross-check used by the catalog
-and the structural constraint reductions.
+that hold in every LR-algebra; it is the cross-check used by the catalog.
+The identities among them that are linear in the product are written
+once, as functions of the product and the bracket, and are also the
+source of the structural constraint rows: constraints evaluates them on
+the generic product, whose coordinates are the unknowns.
 """
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .lie import LieAlgebra, SparseVec, _densify, _sparsify, bracket_subspaces
-from .linalg import (
-    QQ,
-    Matrix,
-    Subspace,
-    Vector,
-    matrix_is_nilpotent,
-    nullspace,
-    qq,
-    vec_is_zero,
+from .lie import (
+    LieAlgebra,
+    SparseVec,
+    _densify,
+    _sparsify,
+    bilinear_sparse,
+    bracket_subspaces,
+    lower_central_series,
+    second_derived_is_zero,
+    upper_central_series,
 )
+from .linalg import QQ, Matrix, Subspace, Vector, matrix_is_nilpotent, nullspace, qq
 
 
 class LRError(ValueError):
@@ -127,15 +131,7 @@ class LRAlgebra:
         return tuple(acc)
 
     def product_sparse(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        acc: SparseVec = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                entry = self.table.get((i, j))
-                if entry:
-                    ab = a * b
-                    for k, c in entry.items():
-                        acc[k] = acc.get(k, QQ(0)) + ab * c
-        return {k: c for k, c in acc.items() if c != 0}
+        return bilinear_sparse(self.table, u, v)
 
     def left_mult(self, x: Vector) -> Matrix:
         """Matrix of y -> x . y."""
@@ -273,17 +269,11 @@ def verify_axioms(a: LRAlgebra, collect_all: bool = True) -> VerificationReport:
                     acc[t] = acc.get(t, QQ(0)) + c * d
         return acc
 
-    def sub(u: SparseVec, v: SparseVec) -> SparseVec:
-        acc = dict(u)
-        for k, c in v.items():
-            acc[k] = acc.get(k, QQ(0)) - c
-        return {k: c for k, c in acc.items() if c != 0}
-
     for i in range(n):
         for j in range(i + 1, n):
             counts["compat"] += 1
-            res = sub(
-                sub(a.product_basis(i, j), a.product_basis(j, i)),
+            res = _sub(
+                _sub(a.product_basis(i, j), a.product_basis(j, i)),
                 g.bracket_basis(i, j),
             )
             if res:
@@ -294,7 +284,7 @@ def verify_axioms(a: LRAlgebra, collect_all: bool = True) -> VerificationReport:
                     return VerificationReport(False, tuple(violations), counts)
             for k in range(n):
                 counts["left_commute"] += 1
-                res = sub(
+                res = _sub(
                     lapply(i, a.product_basis(j, k)),
                     lapply(j, a.product_basis(i, k)),
                 )
@@ -305,7 +295,7 @@ def verify_axioms(a: LRAlgebra, collect_all: bool = True) -> VerificationReport:
                     if not collect_all:
                         return VerificationReport(False, tuple(violations), counts)
                 counts["right_commute"] += 1
-                res = sub(
+                res = _sub(
                     rapply(a.product_basis(k, i), j),
                     rapply(a.product_basis(k, j), i),
                 )
@@ -342,129 +332,159 @@ def ideal_product(a: LRAlgebra, s: Subspace, t: Subspace) -> Subspace:
     return Subspace.from_vectors(a.dim, vecs)
 
 
-def bracket_span(a: LRAlgebra, s: Subspace, t: Subspace) -> Subspace:
-    return bracket_subspaces(a.g, s, t)
+# -- identities linear in the product ------------------------------------
+#
+# Each function below is an identity that holds in every LR-algebra and
+# is linear in the product.  The product and the bracket come in as
+# bilinear maps on sparse vectors; the result is a sparse residual that
+# is zero exactly when the identity holds at the given arguments.
+# lemma_suite evaluates them with an instance's own product; the
+# structural reduction evaluates them with the generic product, whose
+# coordinates are the unknowns, so that each residual component is a
+# linear row.  Scalars are rationals or polynomials alike.
+#
+# `act` is one side of the product: the product itself, (x, v) -> x.v,
+# for left multiplications, or opposite(product), (x, v) -> v.x, for
+# right multiplications.
+
+
+def _add(u: SparseVec, v: SparseVec) -> SparseVec:
+    acc = dict(u)
+    for k, c in v.items():
+        acc[k] = acc[k] + c if k in acc else c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _sub(u: SparseVec, v: SparseVec) -> SparseVec:
+    acc = dict(u)
+    for k, c in v.items():
+        acc[k] = acc[k] - c if k in acc else -c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _modulo(s: Subspace, v: SparseVec) -> SparseVec:
+    """v reduced by the basis of s; zero iff v lies in s."""
+    if not v or not s.dim:
+        return v
+    return _sparsify(s.reduce(_densify(s.ambient_dim, v)))
+
+
+def opposite(prod):
+    """The opposite product (x, v) -> v.x, whose left side is R_x."""
+    return lambda x, v: prod(v, x)
+
+
+def derivation_residual(brak, act, x, y, z) -> SparseVec:
+    """M_x [y, z] - [M_x y, z] - [y, M_x z] with M_x v = act(x, v):
+    left and right multiplications are derivations of the bracket."""
+    return _sub(
+        act(x, brak(y, z)), _add(brak(act(x, y), z), brak(y, act(x, z)))
+    )
+
+
+def ad_product_residual(brak, act, sign, x, y, z) -> SparseVec:
+    """(ad [x, y] - sign ([ad x, M_y] + [M_x, ad y])) z with M_u v = act(u, v).
+
+    Zero with sign 1 for left multiplications (act the product) and with
+    sign -1 for right multiplications (act the opposite product).
+    """
+    rhs = _sub(brak(x, act(y, z)), act(y, brak(x, z)))
+    rhs = _sub(_add(rhs, act(x, brak(y, z))), brak(y, act(x, z)))
+    lhs = brak(brak(x, y), z)
+    return _sub(lhs, rhs) if sign > 0 else _add(lhs, rhs)
+
+
+def ideal_residual(act, s: Subspace, x: SparseVec, v: SparseVec) -> SparseVec:
+    """act(x, v) modulo s: zero for v in s when s is a term of the lower
+    or upper central series, which are two-sided ideals."""
+    return _modulo(s, act(x, v))
+
+
+def center_kills_derived_residual(act, z: SparseVec, d: SparseVec) -> SparseVec:
+    """act(z, d): zero for z central and d in the derived algebra."""
+    return act(z, d)
+
+
+def grading_residual(prod, target: Subspace, u: SparseVec, v: SparseVec) -> SparseVec:
+    """u.v modulo target: zero for u in gamma_{i+1}, v in gamma_{j+1} and
+    target gamma_{i+j+1} (lower central series)."""
+    return _modulo(target, prod(u, v))
 
 
 def is_two_sided_ideal(a: LRAlgebra, s: Subspace) -> bool:
     """A.s inside s and s.A inside s, checked on basis elements."""
-    n = a.dim
-    for v in s.basis_vectors():
-        sv = _sparsify(v)
-        for i in range(n):
-            left = a.product_sparse({i: QQ(1)}, sv)
-            if left and not s.contains(_densify(n, left)):
-                return False
-            right = a.product_sparse(sv, {i: QQ(1)})
-            if right and not s.contains(_densify(n, right)):
-                return False
-    return True
+    sides = (a.product_sparse, opposite(a.product_sparse))
+    return not any(
+        ideal_residual(act, s, {i: QQ(1)}, _sparsify(v))
+        for v in s.basis_vectors()
+        for i in range(a.dim)
+        for act in sides
+    )
 
 
 _EXHAUSTIVE_4TUPLE_CUTOFF = 20
 
 
-def lemma_suite(a: LRAlgebra, depth: int | None = None) -> VerificationReport:
+def lemma_suite(a: LRAlgebra) -> VerificationReport:
     """Re-derive, on this instance, identities valid in every LR-algebra.
 
     Exact residuals throughout; any nonzero residual is reported with the
-    tuple of basis indices (or series indices) that produced it.  For the
-    two quartic identities the check runs over a spanning set of the
-    product span / derived subalgebra once the dimension makes the raw
-    4-tuple loop unreasonable; bilinearity makes that equivalent.
+    tuple of basis indices (or series indices) that produced it.  The
+    identities linear in the product are the ones the structural
+    constraint reduction turns into rows.  For the two quartic identities
+    the check runs over a spanning set of the product span / derived
+    subalgebra once the dimension makes the raw 4-tuple loop
+    unreasonable; bilinearity makes that equivalent.
     """
-    from .lie import lower_central_series, upper_central_series
-
     n = a.dim
     g = a.g
     violations: list[Violation] = []
     counts: dict[str, int] = {}
 
-    def note(check: str, where: tuple, residual) -> None:
-        violations.append(Violation(check, where, tuple(residual)))
+    def check(name: str, where: tuple, residual: SparseVec) -> None:
+        counts[name] = counts.get(name, 0) + 1
+        if residual:
+            violations.append(Violation(name, where, _densify(n, residual)))
 
-    def bump(check: str, k: int = 1) -> None:
-        counts[check] = counts.get(check, 0) + k
+    def flag(name: str, where: tuple, failed: bool) -> None:
+        counts[name] = counts.get(name, 0) + 1
+        if failed:
+            violations.append(Violation(name, where, ()))
 
     basis = [{i: QQ(1)} for i in range(n)]
     prod = a.product_sparse
+    rprod = opposite(prod)
     brak = g.bracket_sparse
-
-    def sadd(u: SparseVec, v: SparseVec) -> SparseVec:
-        acc = dict(u)
-        for k, c in v.items():
-            acc[k] = acc.get(k, QQ(0)) + c
-        return {k: c for k, c in acc.items() if c != 0}
 
     # cyclic product identities
     for i in range(n):
         for j in range(n):
             bij = brak(basis[i], basis[j])
             for k in range(n):
-                bump("product_cycle_left")
                 acc = prod(bij, basis[k])
-                acc = sadd(acc, prod(brak(basis[j], basis[k]), basis[i]))
-                acc = sadd(acc, prod(brak(basis[k], basis[i]), basis[j]))
-                if acc:
-                    note("product_cycle_left", (i, j, k), _densify(n, acc))
-                bump("product_cycle_right")
+                acc = _add(acc, prod(brak(basis[j], basis[k]), basis[i]))
+                acc = _add(acc, prod(brak(basis[k], basis[i]), basis[j]))
+                check("product_cycle_left", (i, j, k), acc)
                 acc = prod(basis[k], bij)
-                acc = sadd(acc, prod(basis[i], brak(basis[j], basis[k])))
-                acc = sadd(acc, prod(basis[j], brak(basis[k], basis[i])))
-                if acc:
-                    note("product_cycle_right", (i, j, k), _densify(n, acc))
+                acc = _add(acc, prod(basis[i], brak(basis[j], basis[k])))
+                acc = _add(acc, prod(basis[j], brak(basis[k], basis[i])))
+                check("product_cycle_right", (i, j, k), acc)
 
-    # operator identities, applied to basis vectors: for every pair (i, j)
-    #   ad([ei,ej]) = [ad ei, L ej] + [L ei, ad ej]
-    #   ad([ei,ej]) = -[ad ei, R ej] - [R ei, ad ej]
-    def ad_apply(i: int, v: SparseVec) -> SparseVec:
-        acc: SparseVec = {}
-        for m, c in v.items():
-            entry = g.table.get((i, m))
-            if entry:
-                for t, d in entry.items():
-                    acc[t] = acc.get(t, QQ(0)) + c * d
-        return {k: c for k, c in acc.items() if c != 0}
-
-    def ad_vec_apply(x: SparseVec, v: SparseVec) -> SparseVec:
-        acc: SparseVec = {}
-        for i, c in x.items():
-            part = ad_apply(i, v)
-            for t, d in part.items():
-                acc[t] = acc.get(t, QQ(0)) + c * d
-        return {k: c for k, c in acc.items() if c != 0}
-
-    def lmul(i: int, v: SparseVec) -> SparseVec:
-        return prod({i: QQ(1)}, v)
-
-    def rmul(v: SparseVec, i: int) -> SparseVec:
-        return prod(v, {i: QQ(1)})
-
-    def sneg(v: SparseVec) -> SparseVec:
-        return {k: -c for k, c in v.items()}
-
+    # ad [x, y] from the ad and multiplication operators of x and y
     for i in range(n):
         for j in range(n):
-            cij = brak(basis[i], basis[j])
             for k in range(n):
-                ek = basis[k]
-                bump("ad_product_rule_left")
-                lhs = ad_vec_apply(cij, ek)
-                rhs = ad_apply(i, lmul(j, ek))
-                rhs = sadd(rhs, sneg(lmul(j, ad_apply(i, ek))))
-                rhs = sadd(rhs, lmul(i, ad_apply(j, ek)))
-                rhs = sadd(rhs, sneg(ad_apply(j, lmul(i, ek))))
-                res = sadd(lhs, sneg(rhs))
-                if res:
-                    note("ad_product_rule_left", (i, j, k), _densify(n, res))
-                bump("ad_product_rule_right")
-                rhs = ad_apply(i, rmul(ek, j))
-                rhs = sadd(rhs, sneg(rmul(ad_apply(i, ek), j)))
-                rhs = sadd(rhs, rmul(ad_apply(j, ek), i))
-                rhs = sadd(rhs, sneg(ad_apply(j, rmul(ek, i))))
-                res = sadd(lhs, rhs)
-                if res:
-                    note("ad_product_rule_right", (i, j, k), _densify(n, res))
+                x, y, z = basis[i], basis[j], basis[k]
+                check(
+                    "ad_product_rule_left",
+                    (i, j, k),
+                    ad_product_residual(brak, prod, 1, x, y, z),
+                )
+                check(
+                    "ad_product_rule_right",
+                    (i, j, k),
+                    ad_product_residual(brak, rprod, -1, x, y, z),
+                )
 
     # quartic identities
     if n <= _EXHAUSTIVE_4TUPLE_CUTOFF:
@@ -476,19 +496,15 @@ def lemma_suite(a: LRAlgebra, depth: int | None = None) -> VerificationReport:
         bkeys = [k for k in braks if braks[k]]
         for (i, j) in keys:
             for (u, v) in keys:
-                bump("product_square_commute")
-                res = sadd(
+                res = _sub(
                     prod(prods[(i, j)], prods[(u, v)]),
-                    sneg(prod(prods[(u, v)], prods[(i, j)])),
+                    prod(prods[(u, v)], prods[(i, j)]),
                 )
-                if res:
-                    note("product_square_commute", (i, j, u, v), _densify(n, res))
+                check("product_square_commute", (i, j, u, v), res)
         for (i, j) in bkeys:
             for (u, v) in bkeys:
-                bump("derived_brackets_vanish")
                 res = brak(braks[(i, j)], braks[(u, v)])
-                if res:
-                    note("derived_brackets_vanish", (i, j, u, v), _densify(n, res))
+                check("derived_brackets_vanish", (i, j, u, v), res)
     else:
         pspan = Subspace.from_vectors(
             n, [_densify(n, v) for v in (a.product_basis(i, j) for i in range(n) for j in range(n)) if v]
@@ -496,50 +512,39 @@ def lemma_suite(a: LRAlgebra, depth: int | None = None) -> VerificationReport:
         pb = pspan.basis_vectors()
         for si, u in enumerate(pb):
             for sj, v in enumerate(pb):
-                bump("product_square_commute")
-                res = sadd(prod(_sparsify(u), _sparsify(v)), sneg(prod(_sparsify(v), _sparsify(u))))
-                if res:
-                    note("product_square_commute", ("span", si, sj), _densify(n, res))
+                res = _sub(prod(_sparsify(u), _sparsify(v)), prod(_sparsify(v), _sparsify(u)))
+                check("product_square_commute", ("span", si, sj), res)
         dspan = bracket_subspaces(g, Subspace.full(n), Subspace.full(n))
         db = dspan.basis_vectors()
         for si, u in enumerate(db):
             for sj, v in enumerate(db):
-                bump("derived_brackets_vanish")
                 res = brak(_sparsify(u), _sparsify(v))
-                if res:
-                    note("derived_brackets_vanish", ("span", si, sj), _densify(n, res))
+                check("derived_brackets_vanish", ("span", si, sj), res)
 
     # the associated Lie algebra is solvable in two steps
-    from .lie import second_derived_is_zero
-
-    bump("two_step_solvable")
-    if not second_derived_is_zero(g):
-        note("two_step_solvable", (), ())
+    flag("two_step_solvable", (), not second_derived_is_zero(g))
 
     # series terms are two-sided ideals
     lcs = lower_central_series(g)
     ucs = upper_central_series(g)
-    if depth is None:
-        depth = max(len(lcs.terms), len(ucs.terms))
-    gammas = lcs.terms[: depth + 1]
-    zs = ucs.terms[:depth]
-    for idx, s in enumerate(gammas):
-        bump("lower_series_two_sided_ideal")
-        if not is_two_sided_ideal(a, s):
-            note("lower_series_two_sided_ideal", ("gamma", idx + 1), ())
-    for idx, s in enumerate(zs):
-        bump("upper_series_two_sided_ideal")
-        if not is_two_sided_ideal(a, s):
-            note("upper_series_two_sided_ideal", ("Z", idx + 1), ())
+    depth = max(len(lcs.terms), len(ucs.terms))
+    for idx, s in enumerate(lcs.terms[: depth + 1]):
+        ok = is_two_sided_ideal(a, s)
+        flag("lower_series_two_sided_ideal", ("gamma", idx + 1), not ok)
+    for idx, s in enumerate(ucs.terms[:depth]):
+        ok = is_two_sided_ideal(a, s)
+        flag("upper_series_two_sided_ideal", ("Z", idx + 1), not ok)
 
     # center annihilates the derived subalgebra on both sides
-    zc = center(a)
     derived = bracket_subspaces(g, Subspace.full(n), Subspace.full(n))
-    bump("center_kills_derived", 2)
-    if ideal_product(a, zc, derived).dim != 0:
-        note("center_kills_derived", ("left",), ())
-    if ideal_product(a, derived, zc).dim != 0:
-        note("center_kills_derived", ("right",), ())
+    zb = [_sparsify(v) for v in center(a).basis_vectors()]
+    db = [_sparsify(v) for v in derived.basis_vectors()]
+    for side, act in (("left", prod), ("right", rprod)):
+        flag(
+            "center_kills_derived",
+            (side,),
+            any(center_kills_derived_residual(act, z, d) for z in zb for d in db),
+        )
 
     # graded containment: gamma_{i+1} . gamma_{j+1} inside gamma_{i+j+1}
     terms = lcs.terms
@@ -550,38 +555,25 @@ def lemma_suite(a: LRAlgebra, depth: int | None = None) -> VerificationReport:
 
     for i in range(1, depth + 1):
         for j in range(1, depth + 1):
-            bump("series_product_grading")
-            pij = ideal_product(a, gamma(i + 1), gamma(j + 1))
-            if not gamma(i + j + 1).contains_subspace(pij):
-                note("series_product_grading", (i + 1, j + 1), ())
+            target = gamma(i + j + 1)
+            flag(
+                "series_product_grading",
+                (i + 1, j + 1),
+                any(
+                    grading_residual(prod, target, _sparsify(u), _sparsify(v))
+                    for u in gamma(i + 1).basis_vectors()
+                    for v in gamma(j + 1).basis_vectors()
+                ),
+            )
 
     # left and right multiplications act as bracket derivations
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                bump("left_derivation")
-                res = sadd(
-                    lmul(i, brak(basis[j], basis[k])),
-                    sneg(
-                        sadd(
-                            brak(lmul(i, basis[j]), basis[k]),
-                            brak(basis[j], lmul(i, basis[k])),
-                        )
-                    ),
-                )
-                if res:
-                    note("left_derivation", (i, j, k), _densify(n, res))
-                bump("right_derivation")
-                res = sadd(
-                    rmul(brak(basis[j], basis[k]), i),
-                    sneg(
-                        sadd(
-                            brak(rmul(basis[j], i), basis[k]),
-                            brak(basis[j], rmul(basis[k], i)),
-                        )
-                    ),
-                )
-                if res:
-                    note("right_derivation", (i, j, k), _densify(n, res))
+                x, y, z = basis[i], basis[j], basis[k]
+                res = derivation_residual(brak, prod, x, y, z)
+                check("left_derivation", (i, j, k), res)
+                res = derivation_residual(brak, rprod, x, y, z)
+                check("right_derivation", (i, j, k), res)
 
     return VerificationReport(not violations, tuple(violations), counts)

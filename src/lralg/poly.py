@@ -134,6 +134,9 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and MONO_ONE in self.terms)
 
@@ -196,8 +199,17 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
+    def __radd__(self, other) -> "Polynomial":
+        """rational + polynomial, so that sparse vectors may mix both."""
+        return Polynomial.constant(other) + self
+
+    def __rsub__(self, other) -> "Polynomial":
+        return Polynomial.constant(other) - self
+
     def scale(self, c) -> "Polynomial":
         c = qq(c)
+        if c == 1:
+            return self
         p = Polynomial.__new__(Polynomial)
         p.terms = {} if c == 0 else {m: c * x for m, x in self.terms.items()}
         return p
@@ -210,7 +222,9 @@ class Polynomial:
             p.terms = {mono_mul(m, mono): c * coeff for m, c in self.terms.items()}
         return p
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
+    def __mul__(self, other) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return self.scale(other)
         out: dict[Monomial, QQ] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -223,6 +237,8 @@ class Polynomial:
         p = Polynomial.__new__(Polynomial)
         p.terms = out
         return p
+
+    __rmul__ = scale
 
     def power(self, e: int) -> "Polynomial":
         if e < 0:

@@ -489,6 +489,23 @@ def test_criterion_08_structural_reduce_soundness():
     assert solutions_checked == 86
 
     _, red = g13_reduction()
+    assert red.stats["added_rows"] == 30721
+    by_tag: dict[str, int] = {}
+    for tag, _ in red.added:
+        by_tag[tag] = by_tag.get(tag, 0) + 1
+    assert by_tag == {
+        "bracket_product_rule_left": 6463,
+        "bracket_product_rule_right": 6463,
+        "left_derivation": 5265,
+        "right_derivation": 5265,
+        "series_product_grading": 2143,
+        "left_preserves_lower_central": 988,
+        "right_preserves_lower_central": 988,
+        "left_preserves_upper_central": 988,
+        "right_preserves_upper_central": 988,
+        "center_kills_derived_left": 585,
+        "center_kills_derived_right": 585,
+    }
     assert red.eliminated_count > 1000
     assert red.eliminated_count == 2139  # recorded implementation constant
     assert red.contradiction

@@ -63,6 +63,21 @@ def test_check_json_schema(tmp_path, capsys):
     }
     assert payload["axioms"]["violations"] == []
     assert payload["lemmas"]["ok"] is True
+    assert payload["lemmas"]["counts"] == {
+        "ad_product_rule_left": 27,
+        "ad_product_rule_right": 27,
+        "center_kills_derived": 2,
+        "derived_brackets_vanish": 4,
+        "left_derivation": 27,
+        "lower_series_two_sided_ideal": 4,
+        "product_cycle_left": 27,
+        "product_cycle_right": 27,
+        "product_square_commute": 4,
+        "right_derivation": 27,
+        "series_product_grading": 16,
+        "two_step_solvable": 1,
+        "upper_series_two_sided_ideal": 3,
+    }
 
 
 def test_check_axiom_violation_exits_1(tmp_path, capsys):

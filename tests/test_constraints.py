@@ -8,12 +8,20 @@ structural rows, elimination expressions, and residuals must all
 annihilate them.
 """
 
+import hashlib
 import random
 from fractions import Fraction as QQ
 
 import pytest
 
-from lralg.catalog import catalog_get, counterexample_g13, lie_n3, lie_n4, lie_r2
+from lralg.catalog import (
+    catalog_get,
+    counterexample_g13,
+    lie_n3,
+    lie_n3_plus_line,
+    lie_n4,
+    lie_r2,
+)
 from lralg.constraints import (
     STRUCTURAL_RULES,
     ConstraintError,
@@ -28,6 +36,7 @@ from lralg.constraints import (
     structural_reduce,
 )
 from lralg.constructions import free3_lr
+from lralg.fileformat import format_system
 from lralg.lie import abelian_lie, lie_from_table
 from lralg.lr import LRAlgebra, lr_from_table
 from lralg.poly import Polynomial
@@ -170,10 +179,27 @@ def test_reduction_reports_consistent_stats():
         assert red.eliminated[v] == Polynomial.zero()
 
 
-def test_rule_subset_is_respected():
-    s = generate_lr_system(lie_n3())
-    red = structural_reduce(s, include=("left_derivation",))
-    assert {tag for tag, _ in red.added} <= {"left_derivation"}
+# sha256 of the tags, then the rows in system-file text, of
+# structural_reduce(generate_lr_system(g)).added: pins every row, its
+# order, tag and sign.
+ADDED_ROWS_SHA256 = [
+    (lie_r2, "8095362b016c091032852b956d20de9a447a61d82b75484717f2ee4f3e2981cc"),
+    (lie_n3, "d42451d29a886431c11408d4c1c9685c3b2b315b3c9f57b975494cae35754c94"),
+    (lie_n4, "60aede557e1bf2a77f21192b17bf0d738675a7ed512681cde7775140da1b419c"),
+    (
+        lie_n3_plus_line,
+        "46d81003c29110a38c08f236822c920caa1a0bcf26dea9348c8f0ec2d519499a",
+    ),
+]
+
+
+@pytest.mark.parametrize("base, digest", ADDED_ROWS_SHA256)
+def test_added_rows_are_pinned(base, digest):
+    g = base()
+    red = structural_reduce(generate_lr_system(g))
+    text = "\n".join(t for t, _ in red.added) + "\n"
+    text += format_system(g.dim, [p for _, p in red.added])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_certify_toy_contradiction():

@@ -11,6 +11,8 @@ import time
 from fractions import Fraction as QQ
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lralg.poly import (
     MONO_KEY,
@@ -48,6 +50,28 @@ def rand_poly(rng, nvars=3, nterms=4, degree=3):
         coeff = QQ(rng.randint(-5, 5))
         p = p + Polynomial({mono(*m): coeff}) if coeff else p
     return p
+
+
+small_polys = st.dictionaries(
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(1, 2)),
+        max_size=2,
+        unique_by=lambda t: t[0],
+    ).map(lambda pairs: tuple(sorted(pairs))),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    max_size=4,
+).map(Polynomial)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fractions(min_value=-10, max_value=10, max_denominator=12), small_polys)
+def test_rational_scalars_mix_with_polynomials(c, p):
+    assert c * p == p * c == p.scale(c)
+    assert c + p == p + Polynomial.constant(c)
+    assert c - p == Polynomial.constant(c) - p
+    assert bool(p) == (not p.is_zero())
+    with pytest.raises(TypeError):
+        0.5 * p
 
 
 def test_monomial_operations():
