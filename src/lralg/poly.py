@@ -3,19 +3,30 @@
 Variables are nonnegative integer ids.  Monomials are tuples of
 (variable, exponent) pairs sorted by variable id with positive
 exponents.  The term order is graded: total degree first, ties broken
-so that a lower variable id counts as the bigger variable.
+so that a lower variable id counts as the bigger variable.  It is
+defined once, as the native sort key ``mono_key``; ``mono_compare`` and
+the reversed key of the division heap derive from it.
 
 The module provides exact arithmetic, substitution and evaluation,
 polynomial reduction, S-polynomials, and a budgeted Groebner-basis
 routine with the standard pair-pruning criteria.  The basis routine
 either finishes (possibly discovering that the ideal is the whole ring,
 in which case the basis collapses to [1]) or stops at an explicit
-budget and says so.
+budget and says so.  Its time budget is checked before each input
+insertion, each S-pair and each interreduction step.
+
+Division takes the biggest remaining term from a min-heap on the
+reversed key (heap-ordered division after Monagan and Pearce).  The
+basis is held as prepared divisors: tail, leading monomial and
+coefficient, and a bit mask of the leading monomial's variables, which
+rejects most reducers and most pair-criterion tests before any
+exponent is compared (divisibility masks after Bachmann and
+Schoenemann).  Pending pairs carry their lcm and its degree.
 """
 
 import time
 from dataclasses import dataclass, field
-from functools import cmp_to_key
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
 from .linalg import QQ, qq
@@ -81,21 +92,35 @@ def mono_coprime(a: Monomial, b: Monomial) -> bool:
     return all(v not in vb for v, _ in a)
 
 
+def mono_mask(m: Monomial) -> int:
+    """Bit v is set for each variable v of m."""
+    mask = 0
+    for v, _ in m:
+        mask |= 1 << v
+    return mask
+
+
+def mono_key(m: Monomial) -> tuple:
+    """Sort key of the graded order; ties go to the monomial with more of
+    the bigger (lower-id) variable."""
+    return (sum(e for _, e in m), tuple((-v, e) for v, e in m))
+
+
+def _heap_key(m: Monomial) -> tuple:
+    """mono_key reversed, so that a min-heap pops the biggest monomial:
+    (-degree, (v1, -e1, v2, -e2, ...)).  Negating each entry reverses the
+    lexicographic comparison because two monomials of one degree never
+    have one term sequence as a prefix of the other.  The inner tuple is
+    flat to create one object per key, not one per variable."""
+    return (-sum(e for _, e in m), tuple([x for v, e in m for x in (v, -e)]))
+
+
 def mono_compare(a: Monomial, b: Monomial) -> int:
-    """Graded order; ties go to the monomial with more of the bigger
-    (lower-id) variable."""
-    da, db = mono_degree(a), mono_degree(b)
-    if da != db:
-        return -1 if da < db else 1
-    ia, ib = dict(a), dict(b)
-    for v in sorted(set(ia) | set(ib)):
-        ea, eb = ia.get(v, 0), ib.get(v, 0)
-        if ea != eb:
-            return 1 if ea > eb else -1
-    return 0
+    ka, kb = mono_key(a), mono_key(b)
+    return (ka > kb) - (ka < kb)
 
 
-MONO_KEY = cmp_to_key(mono_compare)
+MONO_KEY = mono_key
 
 
 class Polynomial:
@@ -155,7 +180,7 @@ class Polynomial:
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise PolyError("zero polynomial has no leading term")
-        return max(self.terms, key=MONO_KEY)
+        return max(self.terms, key=mono_key)
 
     def leading_term(self) -> tuple[Monomial, QQ]:
         m = self.leading_monomial()
@@ -171,7 +196,7 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Monomial, QQ]]:
         """Terms from biggest monomial down."""
-        return sorted(self.terms.items(), key=lambda t: MONO_KEY(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: mono_key(t[0]), reverse=True)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
@@ -316,45 +341,95 @@ class Polynomial:
         return f"Polynomial({self.to_string()})"
 
 
+# A prepared divisor: the tail of a nonzero polynomial (every term but
+# the leading one), its leading monomial and coefficient, and the
+# variable mask of the leading monomial.
+Divisor = tuple[list[tuple[Monomial, QQ]], Monomial, QQ, int]
+
+
+def _prepare(g: Polynomial) -> Divisor:
+    lm, lc = g.leading_term()
+    tail = [(m, c) for m, c in g.terms.items() if m != lm]
+    return tail, lm, lc, mono_mask(lm)
+
+
 def reduce_full(f: Polynomial, basis: Iterable[Polynomial]) -> Polynomial:
     """Fully reduce f modulo the basis (remainder of multivariate division)."""
-    gs = [(g, g.leading_term()) for g in basis if not g.is_zero()]
+    return _reduce(f, [_prepare(g) for g in basis if g.terms])
+
+
+def _reduce(f: Polynomial, divisors: list[Divisor]) -> Polynomial:
+    """Divide f by the first divisor whose leading monomial divides the
+    biggest remaining term, until no term is divisible.
+
+    Terms wait in a heap; an entry whose monomial has left ``work`` is
+    stale and skipped.  A popped monomial never returns, since every term
+    a reduction step adds is smaller than the one it removes.
+    """
     work = dict(f.terms)
+    heap = [(_heap_key(m), m) for m in work]
+    heapify(heap)
     remainder: dict[Monomial, QQ] = {}
-    while work:
-        m = max(work, key=MONO_KEY)
-        c = work[m]
-        hit = None
-        for g, (lm, lc) in gs:
-            if mono_divides(lm, m):
-                hit = (g, lm, lc)
-                break
-        if hit is None:
-            del work[m]
-            remainder[m] = remainder.get(m, QQ(0)) + c
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
             continue
-        g, lm, lc = hit
-        factor = c / lc
+        outside = ~mono_mask(m)
+        exps = None
+        for tail, lm, lc, mask in divisors:
+            if mask & outside:
+                continue
+            if exps is None:
+                exps = dict(m)
+            if all(exps[v] >= e for v, e in lm):
+                break
+        else:
+            remainder[m] = c
+            continue
+        factor = c if lc == 1 else c / lc
         shift = mono_div(m, lm)
-        for gm, gc in g.terms.items():
+        for gm, gc in tail:
             t = mono_mul(gm, shift)
-            s = work.get(t, QQ(0)) - factor * gc
+            old = work.get(t)
+            if old is None:
+                work[t] = -(factor * gc)
+                heappush(heap, (_heap_key(t), t))
+                continue
+            s = old - factor * gc
             if s:
                 work[t] = s
             else:
-                work.pop(t, None)
+                del work[t]
     p = Polynomial.__new__(Polynomial)
-    p.terms = {m: c for m, c in remainder.items() if c != 0}
+    p.terms = remainder
     return p
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    lmf, lcf = f.leading_term()
-    lmg, lcg = g.leading_term()
-    l = mono_lcm(lmf, lmg)
-    return f.mul_term(mono_div(l, lmf), QQ(1) / lcf) - g.mul_term(
-        mono_div(l, lmg), QQ(1) / lcg
-    )
+    a, b = _prepare(f), _prepare(g)
+    return _s_polynomial(a, b, mono_lcm(a[1], b[1]))
+
+
+def _s_polynomial(a: Divisor, b: Divisor, l: Monomial) -> Polynomial:
+    """S-polynomial of two prepared elements whose leading monomials have
+    lcm l; the leading terms cancel, so only the tails are formed."""
+    (ta, lma, lca, _), (tb, lmb, lcb, _) = a, b
+    sa, sb = mono_div(l, lma), mono_div(l, lmb)
+    out = {mono_mul(m, sa): c if lca == 1 else c / lca for m, c in ta}
+    for m, c in tb:
+        t = mono_mul(m, sb)
+        c = c if lcb == 1 else c / lcb
+        old = out.get(t)
+        if old is None:
+            out[t] = -c
+        elif old != c:
+            out[t] = old - c
+        else:
+            del out[t]
+    p = Polynomial.__new__(Polynomial)
+    p.terms = out
+    return p
 
 
 @dataclass
@@ -368,48 +443,45 @@ class GroebnerResult:
         return any(p.is_constant() and not p.is_zero() for p in self.basis)
 
 
-def _update_pairs(
-    pairs: set[tuple[int, int]],
-    lms: list[Monomial],
-    t: int,
-) -> set[tuple[int, int]]:
+# Pending S-pairs (i, j), i < j, with the degree and the lcm of the two
+# leading monomials.
+Pairs = dict[tuple[int, int], tuple[int, Monomial]]
+
+
+def _update_pairs(pairs: Pairs, lms: list[Monomial], masks: list[int], t: int) -> Pairs:
     """Pair update with the standard pruning criteria on adding element t."""
-    lt = lms[t]
-    fresh = {i: mono_lcm(lms[i], lt) for i in range(t)}
-    # drop new pairs whose lcm is a proper multiple of another new pair's lcm
-    keep: dict[int, Monomial] = {}
-    for i, l in sorted(fresh.items(), key=lambda kv: (mono_degree(kv[1]), kv[0])):
-        redundant = False
-        for j, lj in keep.items():
-            if lj != l and mono_divides(lj, l):
-                redundant = True
+    lt, mt = lms[t], masks[t]
+    fresh = [mono_lcm(lms[i], lt) for i in range(t)]
+    # drop new pairs whose lcm is a proper multiple of another new pair's
+    # lcm; the lcm of pair (i, t) has the variables masks[i] | mt
+    keep: dict[int, tuple[int, Monomial, int]] = {}
+    for d, i in sorted((mono_degree(l), i) for i, l in enumerate(fresh)):
+        l, lmask = fresh[i], masks[i] | mt
+        for _, lj, jmask in keep.values():
+            if not jmask & ~lmask and lj != l and mono_divides(lj, l):
                 break
-        if not redundant:
-            keep[i] = l
-    # among equal lcms keep a single representative
+        else:
+            keep[i] = (d, l, lmask)
+    # among equal lcms keep a single representative, and drop pairs with
+    # coprime leading terms outright
     by_lcm: dict[Monomial, int] = {}
-    for i, l in keep.items():
-        if l not in by_lcm:
-            by_lcm[l] = i
-    kept = set(by_lcm.values())
-    # drop pairs with coprime leading terms outright
-    new_pairs = {
-        (i, t)
-        for i in kept
-        if not mono_coprime(lms[i], lt)
-    }
+    for i, (_, l, _) in keep.items():
+        by_lcm.setdefault(l, i)
+    new_pairs = {(i, t): keep[i][:2] for i in by_lcm.values() if masks[i] & mt}
     # chain criterion on the old pairs
-    survivors = set()
-    for (i, j) in pairs:
-        l = mono_lcm(lms[i], lms[j])
+    survivors = {}
+    for (i, j), dl in pairs.items():
+        l = dl[1]
         if (
-            mono_divides(lt, l)
-            and mono_lcm(lms[i], lt) != l
-            and mono_lcm(lms[j], lt) != l
+            not mt & ~(masks[i] | masks[j])
+            and mono_divides(lt, l)
+            and fresh[i] != l
+            and fresh[j] != l
         ):
             continue
-        survivors.add((i, j))
-    return survivors | new_pairs
+        survivors[(i, j)] = dl
+    survivors.update(new_pairs)
+    return survivors
 
 
 def groebner_basis(
@@ -427,6 +499,9 @@ def groebner_basis(
     basis with status "complete".  If a reduction produces a nonzero
     constant the ideal is the whole ring and the basis is [1].  An
     optional trace list receives one event tuple per S-pair processed.
+    The time budget is checked before each input insertion, each S-pair
+    and each interreduction step; a run stopped before the pair loop
+    returns the monic inputs as its basis.
     """
     t0 = time.monotonic()
     stats = {"pairs_processed": 0, "zero_reductions": 0, "max_degree_seen": 0}
@@ -434,6 +509,12 @@ def groebner_basis(
     def out(status, basis):
         stats["elapsed"] = time.monotonic() - t0
         return GroebnerResult(status, basis, stats)
+
+    def out_of_time() -> bool:
+        if time_budget is not None and time.monotonic() - t0 > time_budget:
+            stats["reason"] = "time"
+            return True
+        return False
 
     g: list[Polynomial] = []
     for p in polys:
@@ -446,34 +527,41 @@ def groebner_basis(
         g.append(p.monic())
         stats["max_degree_seen"] = max(stats["max_degree_seen"], p.degree())
 
-    lms: list[Monomial] = []
-    pairs: set[tuple[int, int]] = set()
+    # basis[k] is prepared once as divisors[k]; lms and masks repeat its
+    # leading monomial and variable mask for the pair update
     basis: list[Polynomial] = []
-    for p in g:
+    divisors: list[Divisor] = []
+    lms: list[Monomial] = []
+    masks: list[int] = []
+    pairs: Pairs = {}
+
+    def insert(p: Polynomial) -> None:
+        nonlocal pairs
+        d = _prepare(p)
         basis.append(p)
-        lms.append(p.leading_monomial())
-        pairs = _update_pairs(pairs, lms, len(basis) - 1)
+        divisors.append(d)
+        lms.append(d[1])
+        masks.append(d[3])
+        pairs = _update_pairs(pairs, lms, masks, len(basis) - 1)
+
+    for p in g:
+        if out_of_time():
+            return out("budget_exhausted", g)
+        insert(p)
 
     truncated = False
     while pairs:
-        if time_budget is not None and time.monotonic() - t0 > time_budget:
-            stats["reason"] = "time"
+        if out_of_time():
             return out("budget_exhausted", basis)
         if len(basis) > max_basis_size:
             stats["reason"] = "basis_size"
             return out("budget_exhausted", basis)
-        pair = min(
-            pairs,
-            key=lambda ij: (
-                mono_degree(mono_lcm(lms[ij[0]], lms[ij[1]])),
-                ij,
-            ),
-        )
-        pairs.discard(pair)
+        pair = min(pairs, key=lambda ij: (pairs[ij][0], ij))
+        _, l = pairs.pop(pair)
         i, j = pair
         stats["pairs_processed"] += 1
-        s = s_polynomial(basis[i], basis[j])
-        r = reduce_full(s, basis)
+        s = _s_polynomial(divisors[i], divisors[j], l)
+        r = _reduce(s, divisors)
         if r.is_zero():
             stats["zero_reductions"] += 1
             if trace is not None:
@@ -490,13 +578,9 @@ def groebner_basis(
             if trace is not None:
                 trace.append(("spair", i, j, "degree_capped", d))
             continue
-        r = r.monic()
-        basis.append(r)
-        lms.append(r.leading_monomial())
-        t = len(basis) - 1
+        insert(r.monic())
         if trace is not None:
-            trace.append(("spair", i, j, "new", t))
-        pairs = _update_pairs(pairs, lms, t)
+            trace.append(("spair", i, j, "new", len(basis) - 1))
 
     if truncated:
         stats["reason"] = "degree"
@@ -505,21 +589,27 @@ def groebner_basis(
     # interreduce: drop elements with redundant leading monomials, then
     # fully reduce each survivor against the others
     live = []
-    for k, b in enumerate(basis):
-        lm = lms[k]
-        if any(
-            k2 != k and mono_divides(lms[k2], lm) and (lms[k2] != lm or k2 < k)
-            for k2 in range(len(basis))
+    for k, lm in enumerate(lms):
+        if out_of_time():
+            return out("budget_exhausted", basis)
+        mk = masks[k]
+        if not any(
+            k2 != k
+            and not masks[k2] & ~mk
+            and mono_divides(lms[k2], lm)
+            and (lms[k2] != lm or k2 < k)
+            for k2 in range(len(lms))
         ):
-            continue
-        live.append(b)
+            live.append(k)
     reduced = []
-    for idx, b in enumerate(live):
-        others = live[:idx] + live[idx + 1 :]
-        r = reduce_full(b, others)
+    for idx, k in enumerate(live):
+        if out_of_time():
+            return out("budget_exhausted", basis)
+        others = [divisors[k2] for k2 in live[:idx] + live[idx + 1 :]]
+        r = _reduce(basis[k], others)
         if not r.is_zero():
             reduced.append(r.monic())
-    reduced.sort(key=lambda p: MONO_KEY(p.leading_monomial()))
+    reduced.sort(key=lambda p: mono_key(p.leading_monomial()))
     if any(p.is_constant() for p in reduced):
         reduced = [Polynomial.constant(1)]
     return out("complete", reduced)

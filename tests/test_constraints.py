@@ -202,6 +202,55 @@ def test_added_rows_are_pinned(base, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# sha256 of repr(trace), and the stats without "elapsed", of
+# buchberger_certify on raw or reduced systems under the solve defaults:
+# pins which S-pair is taken when and what it reduced to.
+CERTIFY_TRACES = [
+    (
+        lie_r2,
+        False,
+        "5516ebbd5cf9534758f13e7d2e6d2ee5d0c3d25fa4e4c7976cf5ff6c0e64a4f0",
+        9, 6, 2,
+    ),
+    (
+        lie_n3,
+        False,
+        "e088d206d001a28576bbb777662fd11ad0f698da4eb094a2b64c12bfd6454783",
+        113, 95, 3,
+    ),
+    (
+        lie_n3,
+        True,
+        "a345cb65ea4ed561283e1c87c4c6c00d9149fb52fdd2e6af19570fa578e4f13f",
+        23, 19, 3,
+    ),
+    (
+        lie_n4,
+        True,
+        "47b1ba7a226b172975fdec5051ad968c24927650b28a669fb2b6a6a20e6d1dda",
+        54, 42, 6,
+    ),
+]
+
+
+@pytest.mark.parametrize("base, reduced, digest, pairs, zeros, degree", CERTIFY_TRACES)
+def test_certify_traces_are_pinned(base, reduced, digest, pairs, zeros, degree):
+    system = generate_lr_system(base())
+    res = buchberger_certify(
+        structural_reduce(system) if reduced else system,
+        max_basis_size=2000,
+        time_budget=600.0,
+    )
+    assert res.status == "solutions_may_exist"
+    assert hashlib.sha256(repr(res.trace).encode()).hexdigest() == digest
+    stats = {k: v for k, v in res.groebner.stats.items() if k != "elapsed"}
+    assert stats == {
+        "pairs_processed": pairs,
+        "zero_reductions": zeros,
+        "max_degree_seen": degree,
+    }
+
+
 def test_certify_toy_contradiction():
     x = Polynomial.variable(0)
     one = Polynomial.constant(1)

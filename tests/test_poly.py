@@ -9,6 +9,7 @@ an ideal contains 1 exactly when the reduced basis is [1].
 import random
 import time
 from fractions import Fraction as QQ
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +27,12 @@ from lralg.poly import (
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_key,
     mono_mul,
     reduce_full,
     s_polynomial,
 )
+from lralg.poly import _heap_key as heap_key
 
 x, y, z = (Polynomial.variable(v) for v in (0, 1, 2))
 one = Polynomial.constant(1)
@@ -93,6 +96,38 @@ def test_monomial_order_is_graded():
     assert mono_compare(mono((0, 2)), mono((0, 1), (1, 1))) > 0
     assert mono_compare(mono((1, 2)), mono((0, 1), (2, 1))) < 0
     assert mono_compare(mono((0, 1)), mono((0, 1))) == 0
+
+
+def oracle_compare(a, b):
+    """The term order compared pairwise: degree first, then the first
+    variable (lowest id) whose exponents differ decides."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return -1 if da < db else 1
+    ia, ib = dict(a), dict(b)
+    for v in sorted(set(ia) | set(ib)):
+        ea, eb = ia.get(v, 0), ib.get(v, 0)
+        if ea != eb:
+            return 1 if ea > eb else -1
+    return 0
+
+
+def sign(a, b):
+    return (a > b) - (a < b)
+
+
+monomials = st.dictionaries(st.integers(0, 5), st.integers(1, 4), max_size=6).map(
+    lambda d: tuple(sorted(d.items()))
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(monomials, monomials)
+def test_native_keys_match_the_pairwise_order(a, b):
+    want = oracle_compare(a, b)
+    assert sign(mono_key(a), mono_key(b)) == want
+    assert mono_compare(a, b) == want
+    assert sign(heap_key(a), heap_key(b)) == -want
 
 
 def test_order_is_multiplicative():
@@ -189,6 +224,69 @@ def test_reduce_full_properties():
             assert f.evaluate(pt) == r.evaluate(pt)
 
 
+def oracle_reduce(f, basis):
+    """Multivariate division by rescanning for the biggest term, with the
+    first basis element whose leading monomial divides it as reducer."""
+    key = cmp_to_key(oracle_compare)
+    gs = [(g, max(g.terms, key=key)) for g in basis if not g.is_zero()]
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        m = max(work, key=key)
+        c = work[m]
+        hit = next(((g, lm) for g, lm in gs if mono_divides(lm, m)), None)
+        if hit is None:
+            del work[m]
+            remainder[m] = remainder.get(m, QQ(0)) + c
+            continue
+        g, lm = hit
+        factor = c / g.terms[lm]
+        shift = mono_div(m, lm)
+        for gm, gc in g.terms.items():
+            t = mono_mul(gm, shift)
+            s = work.get(t, QQ(0)) - factor * gc
+            if s:
+                work[t] = s
+            else:
+                work.pop(t, None)
+    return Polynomial({m: c for m, c in remainder.items() if c != 0})
+
+
+division_polys = st.dictionaries(
+    st.dictionaries(st.integers(0, 3), st.integers(1, 3), max_size=3).map(
+        lambda d: tuple(sorted(d.items()))
+    ),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    max_size=5,
+).map(Polynomial)
+
+
+@st.composite
+def division_bases(draw):
+    """Small bases, some with a zero element and with several elements
+    sharing a leading monomial (a scaled copy, or a copy without its
+    smallest term)."""
+    basis = draw(st.lists(division_polys, max_size=4))
+    for g in [g for g in basis if g.terms]:
+        if draw(st.booleans()):
+            basis.append(g.scale(draw(st.sampled_from([QQ(-1), QQ(2), QQ(1, 3)]))))
+        if len(g.terms) > 1 and draw(st.booleans()):
+            basis.append(Polynomial(dict(g.sorted_terms()[:-1])))
+    if draw(st.booleans()):
+        basis.insert(draw(st.integers(0, len(basis))), Polynomial.zero())
+    return draw(st.permutations(basis))
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_polys, division_bases())
+def test_reduce_full_matches_rescanning_division(f, basis):
+    want = oracle_reduce(f, basis)
+    got = reduce_full(f, basis)
+    assert got == want
+    # terms come out from the biggest down, as the rescan finds them
+    assert list(got.terms) == list(want.terms)
+
+
 def test_s_polynomial_cancels_leading_terms():
     f = x * x * y.scale(1) + z
     g = x * y * y - one
@@ -277,6 +375,21 @@ def test_groebner_budget_paths():
     r = groebner_basis(hard, time_budget=0.0)
     assert r.status == "budget_exhausted"
     assert r.stats["reason"] == "time"
+
+
+def test_time_budget_covers_input_insertion():
+    # 500 pairwise coprime quadratics: inserting them alone takes seconds,
+    # all of it in the pair update before any S-pair is processed
+    polys = [
+        Polynomial.variable(2 * i) * Polynomial.variable(2 * i + 1) - one
+        for i in range(500)
+    ]
+    t0 = time.perf_counter()
+    r = groebner_basis(polys, time_budget=0.1)
+    assert time.perf_counter() - t0 < 2.0
+    assert r.status == "budget_exhausted"
+    assert r.stats["reason"] == "time"
+    assert r.basis == polys
 
 
 def test_groebner_trace_records_events():
