@@ -84,11 +84,6 @@ class CatalogEntry:
     entries: Callable[..., list]
 
 
-def _e(dim: int, coeffs: Mapping[int, QQ]):
-    """1-based sparse coefficients to a dense tuple."""
-    return tuple(coeffs.get(k + 1, QQ(0)) for k in range(dim))
-
-
 def _r2_a1():
     return [(1, 1, (1, 0)), (2, 1, (-1, 0))]
 

@@ -321,6 +321,13 @@ def _cmd_constraints(args) -> int:
         f"# product constraints for {f.name}",
         f"# {system.nvars} variables, {len(system.polys)} generated constraints",
     ]
+    payload = {
+        "name": f.name,
+        "dim": g.dim,
+        "variables": system.nvars,
+        "generated": len(system.polys),
+    }
+    polys = system.polys
     if args.reduce:
         red = structural_reduce(system)
         header.append(
@@ -330,25 +337,11 @@ def _cmd_constraints(args) -> int:
         )
         if red.contradiction:
             header.append("# linear layer is contradictory")
-        body = format_system(g.dim, red.residual)
-        payload = {
-            "name": f.name,
-            "dim": g.dim,
-            "variables": system.nvars,
-            "generated": len(system.polys),
-            "eliminated": red.eliminated_count,
-            "contradiction": red.contradiction,
-            "polys": [line for line in body.splitlines()[1:]],
-        }
-    else:
-        body = format_system(g.dim, system.polys)
-        payload = {
-            "name": f.name,
-            "dim": g.dim,
-            "variables": system.nvars,
-            "generated": len(system.polys),
-            "polys": [line for line in body.splitlines()[1:]],
-        }
+        payload["eliminated"] = red.eliminated_count
+        payload["contradiction"] = red.contradiction
+        polys = red.residual
+    body = format_system(g.dim, polys)
+    payload["polys"] = body.splitlines()[1:]
     text = "\n".join(header) + "\n" + body
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -6,7 +6,10 @@ A product on a Lie algebra g of dimension n is a tensor of n^3 unknowns
     x[i][j][k] = coefficient of e_j in e_i . e_k
 
 so that the left multiplication by e_i is the matrix L_i with entries
-(L_i)[j][k] = x[i][j][k].  The generated system consists of
+(L_i)[j][k] = x[i][j][k] and the right one the matrix R_i with entries
+(R_i)[j][k] = x[k][j][i].  Variable ids and names of the unknowns come
+from one codec: x_index, its inverse x_triple, and x_name.  The
+generated system consists of
 
   * linear rows forcing product-minus-opposite to equal the bracket,
   * quadratic rows forcing the left multiplications to commute,
@@ -58,6 +61,24 @@ class IncompleteAssignment(ConstraintError):
         super().__init__(f"assignment is missing a value for {var_name}")
 
 
+def x_index(n: int, i: int, j: int, k: int) -> int:
+    """Variable id of x[i+1][j+1][k+1] (0-based i, j, k) when dim is n."""
+    return (i * n + j) * n + k
+
+
+def x_triple(n: int, v: int) -> tuple[int, int, int]:
+    """0-based (i, j, k) of variable id v; the inverse of x_index."""
+    i, rem = divmod(v, n * n)
+    j, k = divmod(rem, n)
+    return i, j, k
+
+
+def x_name(n: int, v: int) -> str:
+    """Variable id v written x[i][j][k], 1-based."""
+    i, j, k = x_triple(n, v)
+    return f"x[{i + 1}][{j + 1}][{k + 1}]"
+
+
 @dataclass
 class ConstraintSystem:
     """The raw polynomial system for products on a fixed Lie algebra."""
@@ -71,26 +92,19 @@ class ConstraintSystem:
         return self.g.dim ** 3
 
     def var_index(self, i: int, j: int, k: int) -> int:
-        n = self.g.dim
-        return (i * n + j) * n + k
+        return x_index(self.g.dim, i, j, k)
 
     def var_triple(self, v: int) -> tuple[int, int, int]:
-        n = self.g.dim
-        return v // (n * n), (v // n) % n, v % n
+        return x_triple(self.g.dim, v)
 
     def var_name(self, v: int) -> str:
-        i, j, k = self.var_triple(v)
-        return f"x[{i + 1}][{j + 1}][{k + 1}]"
+        return x_name(self.g.dim, v)
 
     def used_variables(self) -> set[int]:
         out: set[int] = set()
         for p in self.polys:
             out |= p.variables()
         return out
-
-
-def _var(system_dim: int, i: int, j: int, k: int) -> int:
-    return (i * system_dim + j) * system_dim + k
 
 
 def generate_lr_system(g: LieAlgebra) -> ConstraintSystem:
@@ -106,14 +120,16 @@ def generate_lr_system(g: LieAlgebra) -> ConstraintSystem:
             polys.append(p)
             tags.append(tag)
 
+    # entry (a, m) of the left and the right multiplication by e_i
+    left = [[[x_index(n, i, a, m) for m in range(n)] for a in range(n)] for i in range(n)]
+    right = [[[x_index(n, m, a, i) for m in range(n)] for a in range(n)] for i in range(n)]
+    one, minus_one = QQ(1), QQ(-1)
+
     for i in range(n):
         for j in range(i + 1, n):
             cij = g.bracket_basis(i, j)
             for k in range(n):
-                terms = {
-                    ((_var(n, i, k, j), 1),): QQ(1),
-                    ((_var(n, j, k, i), 1),): QQ(-1),
-                }
+                terms = {((left[i][k][j], 1),): one, ((left[j][k][i], 1),): minus_one}
                 c = cij.get(k, QQ(0))
                 if c:
                     terms[()] = -c
@@ -122,38 +138,24 @@ def generate_lr_system(g: LieAlgebra) -> ConstraintSystem:
     def q(v1: int, v2: int):
         return ((v1, 2),) if v1 == v2 else tuple(sorted(((v1, 1), (v2, 1))))
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            for a in range(n):
-                for b in range(n):
-                    terms: dict = {}
-                    for m in range(n):
-                        for mono, sign in (
-                            (q(_var(n, i, a, m), _var(n, j, m, b)), QQ(1)),
-                            (q(_var(n, j, a, m), _var(n, i, m, b)), QQ(-1)),
-                        ):
-                            s = terms.get(mono, QQ(0)) + sign
-                            if s:
-                                terms[mono] = s
-                            else:
-                                terms.pop(mono, None)
-                    add("left_commute", terms)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for a in range(n):
-                for b in range(n):
-                    terms = {}
-                    for m in range(n):
-                        for mono, sign in (
-                            (q(_var(n, m, a, i), _var(n, b, m, j)), QQ(1)),
-                            (q(_var(n, m, a, j), _var(n, b, m, i)), QQ(-1)),
-                        ):
-                            s = terms.get(mono, QQ(0)) + sign
-                            if s:
-                                terms[mono] = s
-                            else:
-                                terms.pop(mono, None)
-                    add("right_commute", terms)
+    for tag, ops in (("left_commute", left), ("right_commute", right)):
+        for i in range(n):
+            for j in range(i + 1, n):
+                oi, oj = ops[i], ops[j]
+                for a in range(n):
+                    for b in range(n):
+                        terms = {}
+                        for m in range(n):
+                            for mono, sign in (
+                                (q(oi[a][m], oj[m][b]), one),
+                                (q(oj[a][m], oi[m][b]), minus_one),
+                            ):
+                                s = terms.get(mono, QQ(0)) + sign
+                                if s:
+                                    terms[mono] = s
+                                else:
+                                    terms.pop(mono, None)
+                        add(tag, terms)
     return ConstraintSystem(g, polys, tags)
 
 
@@ -165,7 +167,7 @@ def assignment_from_lr(a: LRAlgebra) -> dict[int, QQ]:
         for k in range(n):
             prod = a.product_basis(i, k)
             for j in range(n):
-                out[_var(n, i, j, k)] = prod.get(j, QQ(0))
+                out[x_index(n, i, j, k)] = prod.get(j, QQ(0))
     return out
 
 
@@ -225,7 +227,7 @@ def _identity_rows(g: LieAlgebra) -> list[tuple[str, Polynomial]]:
     """
     n = g.dim
     table = {
-        (p, q): {a: Polynomial.variable(_var(n, p, a, q)) for a in range(n)}
+        (p, q): {a: Polynomial.variable(x_index(n, p, a, q)) for a in range(n)}
         for p in range(n)
         for q in range(n)
     }
@@ -330,6 +332,17 @@ def _linear_parts(p: Polynomial):
     return coeffs, const
 
 
+def _at_most_quadratic(p: Polynomial) -> bool:
+    """Degree <= 2, read off the monomial shapes (p.degree() is slower)."""
+    for m in p.terms:
+        if len(m) == 2:
+            if m[0][1] + m[1][1] > 2:
+                return False
+        elif len(m) > 2 or (m and m[0][1] > 2):
+            return False
+    return True
+
+
 class _Eliminator:
     """Sparse Gaussian elimination producing var -> affine expression."""
 
@@ -404,7 +417,8 @@ class _Eliminator:
 def _substitute_affine(
     p: Polynomial, elim: dict[int, tuple[dict, QQ]]
 ) -> Polynomial:
-    """Substitute affine expressions into a polynomial of degree <= 2."""
+    """Substitute affine expressions into a polynomial of degree <= 2
+    (structural_reduce rejects inputs of higher degree)."""
     out: dict = {}
 
     def bump(mono, c):
@@ -435,14 +449,7 @@ def _substitute_affine(
             else:
                 bump(m, c)
             continue
-        if len(m) == 1 and m[0][1] == 2:
-            v1 = v2 = m[0][0]
-        elif len(m) == 2 and m[0][1] == 1 and m[1][1] == 1:
-            v1, v2 = m[0][0], m[1][0]
-        else:
-            return p.substitute(
-                {v: Polynomial.linear(e[0], e[1]) for v, e in elim.items()}
-            )
+        v1, v2 = m[0][0], m[-1][0]  # x^2 (one pair) or x*y (two pairs)
         if v1 not in elim and v2 not in elim:
             bump(m, c)
             continue
@@ -506,15 +513,21 @@ def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
     the product (lr.derivation_residual and its neighbours), evaluated on
     the generic product.  Each holds in every LR-algebra, so the reduced
     system has exactly the same solution set as the generated one.
+    Constraints of degree above 2 raise ConstraintError.
     """
     added = _identity_rows(system.g)
 
     elim = _Eliminator()
     quads: list[Polynomial] = []
     pending: list[tuple[dict, QQ]] = []
-    for p in system.polys:
+    for idx, (p, tag) in enumerate(zip(system.polys, system.tags)):
         lp = _linear_parts(p)
         if lp is None:
+            if not _at_most_quadratic(p):
+                raise ConstraintError(
+                    f"constraint {idx} ({tag}) has degree {p.degree()}; "
+                    "structural reduction takes degree at most 2"
+                )
             quads.append(p)
         else:
             pending.append(lp)

@@ -22,7 +22,7 @@ Polynomial system files:
 
 One polynomial per line over the product unknowns x[i][j][k] (the
 coefficient of e_j in e_i . e_k, all indices 1-based), written largest
-term first in the graded order.
+term first in the graded order.  The dimension is at most 64.
 
 Extension files:
 
@@ -38,18 +38,31 @@ phi matrices act on the kernel (rows separated by semicolons); omega
 values are kernel vectors over the symbols a<k>.  Omitted omega pairs
 are zero and the (j,i) value is implied by antisymmetry.
 
-All parse failures raise ParseError carrying 1-based line and column.
+The three formats share one grammar.  Comments are cut and blank lines
+skipped.  A size line (dim, kernel, base) holds a positive integer and
+nothing else, at most once per file.  An entry line ([i,j], (i,j),
+omega (i,j)) has its indices checked against the size before its vector
+is read, and a pair given twice must agree; in the antisymmetric
+sections (brackets, omega) the diagonal is zero and (j,i) must be the
+negative of (i,j).  All parse failures raise ParseError carrying 1-based
+line and column.
 """
 
 import re
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Sequence
 
+from .constraints import x_index, x_name
 from .extensions import ExtensionData
-from .lie import LieAlgebra, SparseVec, lie_from_table
+from .lie import LieAlgebra, SparseVec, _sparsify, lie_from_table
 from .linalg import QQ, Matrix, Vector
 from .lr import LRAlgebra, lr_from_table
-from .poly import Polynomial
+from .poly import Polynomial, signed_sum
+
+# Largest dimension of a polynomial system file.  A system keeps a bit
+# per unknown x[i][j][k] in its variable masks, so dim^3 bits each.
+MAX_SYSTEM_DIM = 64
 
 
 class ParseError(ValueError):
@@ -63,9 +76,14 @@ class MissingSection(ValueError):
     pass
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
+def _content_lines(text: str):
+    """(line number, body) of each line with content left once its
+    comment is cut."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        cut = raw.find("#")
+        body = raw if cut < 0 else raw[:cut]
+        if body.strip():
+            yield line_no, body
 
 
 class _Scanner:
@@ -128,9 +146,32 @@ class _Scanner:
         return QQ(sign * num)
 
 
-def _parse_vector(
-    sc: _Scanner, dim: int, prefix: str
-) -> Vector:
+_SIZE_NOUNS = {"dim": "dimension", "kernel": "kernel size", "base": "base size"}
+
+
+def _size_line(
+    body: str, line_no: int, keyword: str, earlier: int | None, cap: int | None = None
+) -> int:
+    """`<keyword> N`: a positive integer (at most cap) with nothing after
+    it.  earlier is the value of a previous line with this keyword."""
+    if earlier is not None:
+        raise ParseError(line_no, 1, f"duplicate {keyword} line")
+    noun = _SIZE_NOUNS[keyword]
+    sc = _Scanner(body, line_no)
+    sc.pos = body.index(keyword) + len(keyword)
+    sc.skip_ws()
+    at = sc.pos
+    n = sc.integer()
+    if n <= 0:
+        sc.fail(f"{noun} must be positive")
+    if cap is not None and n > cap:
+        sc.fail(f"{noun} {n} is above the cap of {cap}", at)
+    if not sc.done():
+        sc.fail(f"unexpected text after {noun}")
+    return n
+
+
+def _parse_vector(sc: _Scanner, dim: int, prefix: str) -> Vector:
     """Sum of terms: [sign] [rational [*]] <prefix><index>."""
     out = [QQ(0)] * dim
     first = True
@@ -165,32 +206,80 @@ def _parse_vector(
     return tuple(out)
 
 
-def _format_vector(v, prefix: str = "e") -> str:
+def _format_vector(v: SparseVec, prefix: str = "e") -> str:
     parts = []
-    for idx, c in enumerate(v):
-        if c == 0:
-            continue
-        sym = f"{prefix}{idx + 1}"
+    for idx in sorted(v):
+        c, sym = v[idx], f"{prefix}{idx + 1}"
         if c == 1:
-            piece = sym
+            parts.append(sym)
         elif c == -1:
-            piece = f"-{sym}"
-        else:
-            piece = f"{c}*{sym}"
-        parts.append(piece)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for piece in parts[1:]:
-        if piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out
+            parts.append(f"-{sym}")
+        elif c:
+            parts.append(f"{c}*{sym}")
+    return signed_sum(parts) if parts else "0"
 
 
-_BRACKET_RE = re.compile(r"^\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*=")
-_PRODUCT_RE = re.compile(r"^\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*=")
+@dataclass(frozen=True)
+class _Section:
+    """One kind of indexed entry line, `<label> = <vector>`."""
+
+    label: str  # the pair (i, j) written out, through str.format
+    pattern: re.Pattern
+    antisymmetric: bool
+    prefix: str = "e"
+
+
+_BRACKETS = _Section("[{},{}]", re.compile(r"^\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*="), True)
+_PRODUCTS = _Section("({},{})", re.compile(r"^\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*="), False)
+_OMEGA = _Section(
+    "omega ({},{})", re.compile(r"^\s*omega\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*="), True, "a"
+)
+
+
+class _Table:
+    """The entries of one section as they are read, checked for conflicts."""
+
+    def __init__(self, section: _Section):
+        self.section = section
+        self.values: dict[tuple[int, int], Vector] = {}
+        self.entries: list[tuple[int, int, Vector]] = []
+
+    def read(self, m: re.Match, body: str, line_no: int, size: int, vec_size: int):
+        """Add the entry line matched by m: indices in 1..size, pointing
+        at the first index when one is not, then the vector."""
+        i, j = int(m.group(1)), int(m.group(2))
+        if not (1 <= i <= size and 1 <= j <= size):
+            raise ParseError(line_no, m.start(1) + 1, f"index out of range 1..{size}")
+        sc = _Scanner(body, line_no)
+        sc.pos = m.end()
+        self.add(line_no, i, j, _parse_vector(sc, vec_size, self.section.prefix))
+
+    def add(self, line_no: int, i: int, j: int, v: Vector):
+        """A pair given twice must agree; an antisymmetric section also
+        has a zero diagonal and (j,i) = -(i,j)."""
+        label = self.section.label
+        name = label.format(i, j)
+        if self.section.antisymmetric and i == j and any(v):
+            raise ParseError(line_no, 1, f"{name} must be zero by antisymmetry")
+        if self.values.get((i, j), v) != v:
+            raise ParseError(line_no, 1, f"conflicting value for {name}")
+        if self.section.antisymmetric:
+            neg, other = tuple(-c for c in v), label.format(j, i)
+            if self.values.get((j, i), neg) != neg:
+                raise ParseError(line_no, 1, f"{name} contradicts {other} under antisymmetry")
+        self.values[(i, j)] = v
+        self.entries.append((i, j, v))
+
+
+def _entry_lines(section: _Section, n: int, value) -> list[str]:
+    """One line per pair with a nonzero value(i, j) (0-based, sparse), in
+    index order; an antisymmetric section lists i < j only."""
+    return [
+        f"{section.label.format(i + 1, j + 1)} = {_format_vector(v, section.prefix)}"
+        for i in range(n)
+        for j in range(i + 1 if section.antisymmetric else 0, n)
+        if (v := value(i, j))
+    ]
 
 
 @dataclass
@@ -214,96 +303,37 @@ class AlgebraFile:
 def parse_algebra_text(text: str) -> AlgebraFile:
     name: str | None = None
     dim: int | None = None
-    brackets: list[tuple[int, int, Vector]] = []
-    products: list[tuple[int, int, Vector]] | None = None
-    bracket_seen: dict[tuple[int, int], Vector] = {}
-    product_seen: dict[tuple[int, int], Vector] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        body = _strip_comment(raw)
-        if not body.strip():
-            continue
+    brackets = _Table(_BRACKETS)
+    products: _Table | None = None
+    for line_no, body in _content_lines(text):
         stripped = body.strip()
         if stripped.startswith("algebra"):
-            rest = stripped[len("algebra") :].strip()
-            if not rest:
+            name = stripped[len("algebra") :].strip()
+            if not name:
                 raise ParseError(line_no, len(body) + 1, "missing algebra name")
-            name = rest
-            continue
-        if stripped.startswith("dim"):
-            sc = _Scanner(body, line_no)
-            sc.pos = body.index("dim") + 3
-            dim = sc.integer()
-            if dim <= 0:
-                sc.fail("dimension must be positive")
-            if not sc.done():
-                sc.fail("unexpected text after dimension")
-            continue
-        if stripped == "product":
+        elif stripped.startswith("dim"):
+            dim = _size_line(body, line_no, "dim", dim)
+        elif stripped == "product":
             if products is not None:
                 raise ParseError(line_no, 1, "duplicate product section")
-            products = []
-            continue
-        m = _BRACKET_RE.match(body)
-        if m:
+            products = _Table(_PRODUCTS)
+        elif m := (_BRACKETS.pattern.match(body) or _PRODUCTS.pattern.match(body)):
             if dim is None:
                 raise ParseError(line_no, 1, "dim must come before entries")
-            if products is not None:
+            bracket = m.re is _BRACKETS.pattern
+            if bracket and products is not None:
                 raise ParseError(
                     line_no, 1, "bracket entries must precede the product section"
                 )
-            i, j = int(m.group(1)), int(m.group(2))
-            if not (1 <= i <= dim and 1 <= j <= dim):
-                raise ParseError(
-                    line_no, m.start(1) + 1, f"index out of range 1..{dim}"
-                )
-            sc = _Scanner(body, line_no)
-            sc.pos = m.end()
-            v = _parse_vector(sc, dim, "e")
-            if i == j and any(c != 0 for c in v):
-                raise ParseError(
-                    line_no, 1, f"[{i},{i}] must be zero by antisymmetry"
-                )
-            if bracket_seen.get((i, j), v) != v:
-                raise ParseError(
-                    line_no, 1, f"conflicting value for [{i},{j}]"
-                )
-            neg = tuple(-c for c in v)
-            if bracket_seen.get((j, i), neg) != neg:
-                raise ParseError(
-                    line_no,
-                    1,
-                    f"[{i},{j}] contradicts [{j},{i}] under antisymmetry",
-                )
-            bracket_seen[(i, j)] = v
-            brackets.append((i, j, v))
-            continue
-        m = _PRODUCT_RE.match(body)
-        if m:
-            if dim is None:
-                raise ParseError(line_no, 1, "dim must come before entries")
-            if products is None:
-                raise ParseError(
-                    line_no, 1, "product entries require a product section"
-                )
-            i, j = int(m.group(1)), int(m.group(2))
-            if not (1 <= i <= dim and 1 <= j <= dim):
-                raise ParseError(
-                    line_no, m.start(1) + 1, f"index out of range 1..{dim}"
-                )
-            sc = _Scanner(body, line_no)
-            sc.pos = m.end()
-            v = _parse_vector(sc, dim, "e")
-            if product_seen.get((i, j), v) != v:
-                raise ParseError(
-                    line_no, 1, f"conflicting value for ({i},{j})"
-                )
-            product_seen[(i, j)] = v
-            products.append((i, j, v))
-            continue
-        raise ParseError(line_no, 1, f"unrecognized line: {stripped!r}")
+            if not bracket and products is None:
+                raise ParseError(line_no, 1, "product entries require a product section")
+            (brackets if bracket else products).read(m, body, line_no, dim, dim)
+        else:
+            raise ParseError(line_no, 1, f"unrecognized line: {stripped!r}")
     if dim is None:
         raise ParseError(1, 1, "missing dim line")
-    return AlgebraFile(name or "unnamed", dim, brackets, products)
+    products = None if products is None else products.entries
+    return AlgebraFile(name or "unnamed", dim, brackets.entries, products)
 
 
 def parse_algebra_file(path) -> AlgebraFile:
@@ -318,22 +348,11 @@ def format_algebra(
 ) -> str:
     """Canonical text: brackets for i < j only, then the product section
     when an LR-structure is supplied, all in index order."""
-    n = g.dim
-    lines = [f"algebra {name}", f"dim {n}"]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = g.bracket_basis(i, j)
-            if v:
-                dense = tuple(v.get(k, QQ(0)) for k in range(n))
-                lines.append(f"[{i + 1},{j + 1}] = {_format_vector(dense)}")
+    lines = [f"algebra {name}", f"dim {g.dim}"]
+    lines += _entry_lines(_BRACKETS, g.dim, g.bracket_basis)
     if a is not None:
         lines.append("product")
-        for i in range(n):
-            for j in range(n):
-                v = a.product_basis(i, j)
-                if v:
-                    dense = tuple(v.get(k, QQ(0)) for k in range(n))
-                    lines.append(f"({i + 1},{j + 1}) = {_format_vector(dense)}")
+        lines += _entry_lines(_PRODUCTS, g.dim, a.product_basis)
     return "\n".join(lines) + "\n"
 
 
@@ -357,7 +376,7 @@ def _parse_poly_line(body: str, line_no: int, dim: int) -> Polynomial:
             if not (1 <= idx <= dim):
                 sc.fail(f"variable index {idx} out of range 1..{dim}", at)
         sc.pos = m.end()
-        var = ((i - 1) * dim + (j - 1)) * dim + (k - 1)
+        var = x_index(dim, i - 1, j - 1, k - 1)
         exp = 1
         if sc.take("^"):
             exp = sc.integer()
@@ -409,32 +428,19 @@ class SystemFile:
     polys: list[Polynomial]
 
     def var_name(self, v: int) -> str:
-        n = self.dim
-        i, rem = divmod(v, n * n)
-        j, k = divmod(rem, n)
-        return f"x[{i + 1}][{j + 1}][{k + 1}]"
+        return x_name(self.dim, v)
 
 
 def parse_system_text(text: str) -> SystemFile:
     dim: int | None = None
     polys: list[Polynomial] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        body = _strip_comment(raw)
-        if not body.strip():
-            continue
-        stripped = body.strip()
-        if stripped.startswith("dim"):
-            if dim is not None:
-                raise ParseError(line_no, 1, "duplicate dim line")
-            sc = _Scanner(body, line_no)
-            sc.pos = body.index("dim") + 3
-            dim = sc.integer()
-            if dim <= 0:
-                sc.fail("dimension must be positive")
-            continue
-        if dim is None:
+    for line_no, body in _content_lines(text):
+        if body.lstrip().startswith("dim"):
+            dim = _size_line(body, line_no, "dim", dim, MAX_SYSTEM_DIM)
+        elif dim is None:
             raise ParseError(line_no, 1, "dim must come before polynomials")
-        polys.append(_parse_poly_line(body, line_no, dim))
+        else:
+            polys.append(_parse_poly_line(body, line_no, dim))
     if dim is None:
         raise ParseError(1, 1, "missing dim line")
     return SystemFile(dim, polys)
@@ -446,15 +452,8 @@ def parse_system_file(path) -> SystemFile:
 
 
 def format_system(dim: int, polys: Sequence[Polynomial]) -> str:
-    def namer(v: int) -> str:
-        i, rem = divmod(v, dim * dim)
-        j, k = divmod(rem, dim)
-        return f"x[{i + 1}][{j + 1}][{k + 1}]"
-
-    lines = [f"dim {dim}"]
-    for p in polys:
-        lines.append(p.to_string(namer))
-    return "\n".join(lines) + "\n"
+    namer = cache(partial(x_name, dim))  # a variable's name is built once
+    return "\n".join([f"dim {dim}", *(p.to_string(namer) for p in polys)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +461,6 @@ def format_system(dim: int, polys: Sequence[Polynomial]) -> str:
 
 
 _PHI_RE = re.compile(r"^\s*phi\s+(\d+)\s*=\s*\[")
-_OMEGA_RE = re.compile(r"^\s*omega\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*=")
-_KV_RE = re.compile(r"^\s*(kernel|base)\s+(\d+)\s*$")
 
 
 def _parse_matrix(sc: _Scanner, size: int) -> Matrix:
@@ -489,53 +486,30 @@ def parse_extension_text(text: str):
     name = "unnamed"
     a_dim: int | None = None
     b_dim: int | None = None
-    brackets: list[tuple[int, int, Vector]] = []
+    brackets = _Table(_BRACKETS)
+    omegas = _Table(_OMEGA)
     phis: dict[int, Matrix] = {}
-    omegas: dict[tuple[int, int], Vector] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        body = _strip_comment(raw)
-        if not body.strip():
-            continue
+    for line_no, body in _content_lines(text):
         stripped = body.strip()
         if stripped.startswith("extension"):
-            rest = stripped[len("extension") :].strip()
-            if rest:
-                name = rest
-            continue
-        m = _KV_RE.match(body)
-        if m:
-            val = int(m.group(2))
-            if val <= 0:
-                raise ParseError(line_no, m.start(2) + 1, "size must be positive")
-            if m.group(1) == "kernel":
-                a_dim = val
-            else:
-                b_dim = val
-            continue
-        m = _BRACKET_RE.match(body)
-        if m:
+            name = stripped[len("extension") :].strip() or name
+        elif stripped.startswith("kernel"):
+            a_dim = _size_line(body, line_no, "kernel", a_dim)
+        elif stripped.startswith("base"):
+            b_dim = _size_line(body, line_no, "base", b_dim)
+        elif m := _BRACKETS.pattern.match(body):
             if b_dim is None:
                 raise ParseError(line_no, 1, "base size must come before brackets")
-            i, j = int(m.group(1)), int(m.group(2))
-            if not (1 <= i <= b_dim and 1 <= j <= b_dim):
-                raise ParseError(
-                    line_no, m.start(1) + 1, f"index out of range 1..{b_dim}"
-                )
-            sc = _Scanner(body, line_no)
-            sc.pos = m.end()
-            brackets.append((i, j, _parse_vector(sc, b_dim, "e")))
-            continue
-        m = _PHI_RE.match(body)
-        if m:
+            brackets.read(m, body, line_no, b_dim, b_dim)
+        elif m := _PHI_RE.match(body):
             if a_dim is None or b_dim is None:
                 raise ParseError(
                     line_no, 1, "kernel and base sizes must come before phi"
                 )
             i = int(m.group(1))
             if not (1 <= i <= b_dim):
-                raise ParseError(
-                    line_no, m.start(1) + 1, f"phi index out of range 1..{b_dim}"
-                )
+                at = m.start(1) + 1
+                raise ParseError(line_no, at, f"phi index out of range 1..{b_dim}")
             if i in phis:
                 raise ParseError(line_no, 1, f"duplicate phi {i}")
             sc = _Scanner(body, line_no)
@@ -543,46 +517,25 @@ def parse_extension_text(text: str):
             phis[i] = _parse_matrix(sc, a_dim)
             if not sc.done():
                 sc.fail("unexpected text after matrix")
-            continue
-        m = _OMEGA_RE.match(body)
-        if m:
+        elif m := _OMEGA.pattern.match(body):
             if a_dim is None or b_dim is None:
                 raise ParseError(
                     line_no, 1, "kernel and base sizes must come before omega"
                 )
-            i, j = int(m.group(1)), int(m.group(2))
-            if not (1 <= i <= b_dim and 1 <= j <= b_dim):
-                raise ParseError(
-                    line_no, m.start(1) + 1, f"index out of range 1..{b_dim}"
-                )
-            sc = _Scanner(body, line_no)
-            sc.pos = m.end()
-            val = _parse_vector(sc, a_dim, "a")
-            for key, vec in (((i, j), val), ((j, i), tuple(-c for c in val))):
-                if key in omegas and omegas[key] != vec:
-                    raise ParseError(
-                        line_no, 1, f"omega value conflicts at {key}"
-                    )
-                omegas[key] = vec
-            continue
-        raise ParseError(line_no, 1, f"unrecognized line: {stripped!r}")
+            omegas.read(m, body, line_no, b_dim, a_dim)
+        else:
+            raise ParseError(line_no, 1, f"unrecognized line: {stripped!r}")
     if a_dim is None:
         raise ParseError(1, 1, "missing kernel line")
     if b_dim is None:
         raise ParseError(1, 1, "missing base line")
-    for i in range(1, b_dim + 1):
-        if i not in phis:
-            phis[i] = Matrix.zero(a_dim, a_dim)
-    base = lie_from_table(b_dim, brackets)
-    zero = tuple(QQ(0) for _ in range(a_dim))
-    omega = tuple(
-        tuple(omegas.get((i + 1, j + 1), zero) for j in range(b_dim))
-        for i in range(b_dim)
-    )
-    data = ExtensionData(
-        a_dim, base, tuple(phis[i] for i in range(1, b_dim + 1)), omega
-    )
-    return name, data
+    zero = (QQ(0),) * a_dim
+    omega = [[zero] * b_dim for _ in range(b_dim)]
+    for i, j, v in omegas.entries:
+        omega[i - 1][j - 1] = v
+        omega[j - 1][i - 1] = tuple(-c for c in v)
+    phi = tuple(phis.get(i, Matrix.zero(a_dim, a_dim)) for i in range(1, b_dim + 1))
+    return name, ExtensionData(a_dim, lie_from_table(b_dim, brackets.entries), phi, omega)
 
 
 def parse_extension_file(path):
@@ -591,25 +544,14 @@ def parse_extension_file(path):
 
 
 def format_extension(name: str, d: ExtensionData) -> str:
-    lines = [f"extension {name}", f"kernel {d.a_dim}", f"base {d.b.dim}"]
     m = d.b.dim
-    for i in range(m):
-        for j in range(i + 1, m):
-            v = d.b.bracket_basis(i, j)
-            if v:
-                dense = tuple(v.get(k, QQ(0)) for k in range(m))
-                lines.append(f"[{i + 1},{j + 1}] = {_format_vector(dense)}")
+    lines = [f"extension {name}", f"kernel {d.a_dim}", f"base {m}"]
+    lines += _entry_lines(_BRACKETS, m, d.b.bracket_basis)
     for i in range(m):
         if not d.phi[i].is_zero():
             rows = "; ".join(
                 ", ".join(str(c) for c in row) for row in d.phi[i].entries
             )
             lines.append(f"phi {i + 1} = [{rows}]")
-    for i in range(m):
-        for j in range(i + 1, m):
-            v = d.omega[i][j]
-            if any(c != 0 for c in v):
-                lines.append(
-                    f"omega ({i + 1},{j + 1}) = {_format_vector(v, 'a')}"
-                )
+    lines += _entry_lines(_OMEGA, m, lambda i, j: _sparsify(d.omega[i][j]))
     return "\n".join(lines) + "\n"

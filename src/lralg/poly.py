@@ -13,7 +13,8 @@ routine with the standard pair-pruning criteria.  The basis routine
 either finishes (possibly discovering that the ideal is the whole ring,
 in which case the basis collapses to [1]) or stops at an explicit
 budget and says so.  Its time budget is checked before each input
-insertion, each S-pair and each interreduction step.
+insertion, each S-pair and each interreduction step, and inside each
+reduction.
 
 Division takes the biggest remaining term from a min-heap on the
 reversed key (heap-ordered division after Monagan and Pearce).  The
@@ -121,6 +122,14 @@ def mono_compare(a: Monomial, b: Monomial) -> int:
 
 
 MONO_KEY = mono_key
+
+
+def signed_sum(parts: list[str]) -> str:
+    """Nonempty terms, each written with its own sign, as `a + b - c`."""
+    out = parts[0]
+    for piece in parts[1:]:
+        out += f" - {piece[1:]}" if piece[0] == "-" else f" + {piece}"
+    return out
 
 
 class Polynomial:
@@ -239,14 +248,6 @@ class Polynomial:
         p.terms = {} if c == 0 else {m: c * x for m, x in self.terms.items()}
         return p
 
-    def mul_term(self, mono: Monomial, coeff: QQ) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        if coeff == 0:
-            p.terms = {}
-        else:
-            p.terms = {mono_mul(m, mono): c * coeff for m, c in self.terms.items()}
-        return p
-
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
             return self.scale(other)
@@ -316,10 +317,7 @@ class Polynomial:
         namer = namer or (lambda v: f"x{v}")
         parts = []
         for m, c in self.sorted_terms():
-            factors = []
-            for v, e in m:
-                factors.append(namer(v) if e == 1 else f"{namer(v)}^{e}")
-            body = " * ".join(factors)
+            body = " * ".join([namer(v) if e == 1 else f"{namer(v)}^{e}" for v, e in m])
             if not body:
                 piece = str(c)
             elif c == 1:
@@ -329,13 +327,7 @@ class Polynomial:
             else:
                 piece = f"{c} * {body}"
             parts.append(piece)
-        out = parts[0]
-        for piece in parts[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+        return signed_sum(parts)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_string()})"
@@ -358,19 +350,27 @@ def reduce_full(f: Polynomial, basis: Iterable[Polynomial]) -> Polynomial:
     return _reduce(f, [_prepare(g) for g in basis if g.terms])
 
 
-def _reduce(f: Polynomial, divisors: list[Divisor]) -> Polynomial:
+def _reduce(
+    f: Polynomial, divisors: list[Divisor], deadline: float | None = None
+) -> Polynomial | None:
     """Divide f by the first divisor whose leading monomial divides the
     biggest remaining term, until no term is divisible.
 
     Terms wait in a heap; an entry whose monomial has left ``work`` is
     stale and skipped.  A popped monomial never returns, since every term
-    a reduction step adds is smaller than the one it removes.
+    a reduction step adds is smaller than the one it removes.  With a
+    deadline (a ``time.monotonic()`` value) the clock is read every 1024
+    pops, and None is returned once the deadline has passed.
     """
     work = dict(f.terms)
     heap = [(_heap_key(m), m) for m in work]
     heapify(heap)
     remainder: dict[Monomial, QQ] = {}
+    pops = 0
     while heap:
+        pops += 1
+        if not pops & 1023 and deadline is not None and time.monotonic() > deadline:
+            return None
         m = heappop(heap)[1]
         c = work.pop(m, None)
         if c is None:
@@ -500,21 +500,24 @@ def groebner_basis(
     constant the ideal is the whole ring and the basis is [1].  An
     optional trace list receives one event tuple per S-pair processed.
     The time budget is checked before each input insertion, each S-pair
-    and each interreduction step; a run stopped before the pair loop
-    returns the monic inputs as its basis.
+    and each interreduction step, and every 1024 terms inside a
+    reduction; a run stopped before the pair loop returns the monic
+    inputs as its basis.
     """
     t0 = time.monotonic()
+    deadline = None if time_budget is None else t0 + time_budget
     stats = {"pairs_processed": 0, "zero_reductions": 0, "max_degree_seen": 0}
 
     def out(status, basis):
         stats["elapsed"] = time.monotonic() - t0
         return GroebnerResult(status, basis, stats)
 
+    def exhausted(reason: str, basis):
+        stats["reason"] = reason
+        return out("budget_exhausted", basis)
+
     def out_of_time() -> bool:
-        if time_budget is not None and time.monotonic() - t0 > time_budget:
-            stats["reason"] = "time"
-            return True
-        return False
+        return deadline is not None and time.monotonic() > deadline
 
     g: list[Polynomial] = []
     for p in polys:
@@ -546,22 +549,23 @@ def groebner_basis(
 
     for p in g:
         if out_of_time():
-            return out("budget_exhausted", g)
+            return exhausted("time", g)
         insert(p)
 
     truncated = False
     while pairs:
         if out_of_time():
-            return out("budget_exhausted", basis)
+            return exhausted("time", basis)
         if len(basis) > max_basis_size:
-            stats["reason"] = "basis_size"
-            return out("budget_exhausted", basis)
+            return exhausted("basis_size", basis)
         pair = min(pairs, key=lambda ij: (pairs[ij][0], ij))
         _, l = pairs.pop(pair)
         i, j = pair
         stats["pairs_processed"] += 1
         s = _s_polynomial(divisors[i], divisors[j], l)
-        r = _reduce(s, divisors)
+        r = _reduce(s, divisors, deadline)
+        if r is None:
+            return exhausted("time", basis)
         if r.is_zero():
             stats["zero_reductions"] += 1
             if trace is not None:
@@ -583,15 +587,14 @@ def groebner_basis(
             trace.append(("spair", i, j, "new", len(basis) - 1))
 
     if truncated:
-        stats["reason"] = "degree"
-        return out("budget_exhausted", basis)
+        return exhausted("degree", basis)
 
     # interreduce: drop elements with redundant leading monomials, then
     # fully reduce each survivor against the others
     live = []
     for k, lm in enumerate(lms):
         if out_of_time():
-            return out("budget_exhausted", basis)
+            return exhausted("time", basis)
         mk = masks[k]
         if not any(
             k2 != k
@@ -603,10 +606,10 @@ def groebner_basis(
             live.append(k)
     reduced = []
     for idx, k in enumerate(live):
-        if out_of_time():
-            return out("budget_exhausted", basis)
         others = [divisors[k2] for k2 in live[:idx] + live[idx + 1 :]]
-        r = _reduce(basis[k], others)
+        r = None if out_of_time() else _reduce(basis[k], others, deadline)
+        if r is None:
+            return exhausted("time", basis)
         if not r.is_zero():
             reduced.append(r.monic())
     reduced.sort(key=lambda p: mono_key(p.leading_monomial()))

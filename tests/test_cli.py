@@ -6,6 +6,7 @@ by round-tripping the tool's own dump output through tmp_path.
 """
 
 import json
+import time
 
 import pytest
 
@@ -434,6 +435,19 @@ def test_solve_consistent_and_budget(tmp_path, capsys):
 
     code, out, err = run(capsys, "solve", str(raw), "--max-degree", "1")
     assert out.strip() == "budget_exhausted"
+
+
+def test_solve_time_budget_holds_inside_one_reduction(tmp_path, capsys):
+    # the one S-polynomial needs about 3.3e7 division steps
+    path = tmp_path / "power.txt"
+    path.write_text(
+        "dim 3\nx[1][1][1]^100000000 - 1\nx[1][1][1]^3 - 2\n", encoding="utf-8"
+    )
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "solve", str(path), "--time-budget", "1", "--json")
+    assert time.monotonic() - t0 < 3
+    assert code == 0
+    assert json.loads(out)["status"] == "budget_exhausted"
 
 
 # ---------------------------------------------------------------------------

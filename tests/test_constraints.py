@@ -179,6 +179,18 @@ def test_reduction_reports_consistent_stats():
         assert red.eliminated[v] == Polynomial.zero()
 
 
+@pytest.mark.parametrize("mono", [((1, 2), (4, 1)), ((4, 3),)])
+def test_structural_reduce_rejects_degree_above_two(mono):
+    cubic = Polynomial({mono: QQ(1)}) + Polynomial.variable(2)
+    system = ConstraintSystem(
+        lie_n3(),
+        [Polynomial.variable(0) - Polynomial.constant(1), cubic],
+        ["compatibility", "hand_built"],
+    )
+    with pytest.raises(ConstraintError, match=r"constraint 1 \(hand_built\) has degree 3"):
+        structural_reduce(system)
+
+
 # sha256 of the tags, then the rows in system-file text, of
 # structural_reduce(generate_lr_system(g)).added: pins every row, its
 # order, tag and sign.

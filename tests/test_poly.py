@@ -392,6 +392,31 @@ def test_time_budget_covers_input_insertion():
     assert r.basis == polys
 
 
+def power(v, e):
+    return Polynomial({((v, e),): QQ(1)})
+
+
+@pytest.mark.parametrize(
+    "polys, pairs",
+    [
+        # the one S-polynomial reduces x^99999997 by x^3 - 2
+        ([power(0, 100_000_000) - one, power(0, 3) - 2 * one], 1),
+        # coprime leading terms, so no S-pair: interreduction divides the
+        # tail x^100000000 of the first element by x^3 - 2
+        ([power(1, 100_000_001) + power(0, 100_000_000), power(0, 3) - 2 * one], 0),
+    ],
+)
+def test_time_budget_holds_inside_one_reduction(polys, pairs):
+    t0 = time.perf_counter()
+    r = groebner_basis(polys, time_budget=0.2)
+    assert time.perf_counter() - t0 < 2.0
+    assert r.status == "budget_exhausted"
+    assert r.stats["reason"] == "time"
+    assert r.stats["pairs_processed"] == pairs
+    # with no deadline, division runs past many clock-check points to its end
+    assert reduce_full(power(0, 30_000), [polys[1]]) == Polynomial.constant(2**10_000)
+
+
 def test_groebner_trace_records_events():
     trace = []
     r = groebner_basis([x * x, x - one], trace=trace)
