@@ -39,8 +39,11 @@ values are kernel vectors over the symbols a<k>.  Omitted omega pairs
 are zero and the (j,i) value is implied by antisymmetry.
 
 The three formats share one grammar.  Comments are cut and blank lines
-skipped.  A size line (dim, kernel, base) holds a positive integer and
-nothing else, at most once per file.  An entry line ([i,j], (i,j),
+skipped.  A header line is known by its whole first word: a name line
+(algebra, extension) needs a name after it, and a size line (dim,
+kernel, base) holds a positive integer and nothing else, at most once
+per file.  A number is a run of decimal digits as int() reads them, so
+a superscript digit is not one.  An entry line ([i,j], (i,j),
 omega (i,j)) has its indices checked against the size before its vector
 is read, and a pair given twice must agree; in the antisymmetric
 sections (brackets, omega) the diagonal is zero and (j,i) must be the
@@ -51,14 +54,14 @@ line and column.
 import re
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .constraints import x_index, x_name
 from .extensions import ExtensionData
 from .lie import LieAlgebra, SparseVec, _sparsify, lie_from_table
 from .linalg import QQ, Matrix, Vector
 from .lr import LRAlgebra, lr_from_table
-from .poly import Polynomial, signed_sum
+from .poly import MONO_ONE, Polynomial, signed_sum
 
 # Largest dimension of a polynomial system file.  A system keeps a bit
 # per unknown x[i][j][k] in its variable masks, so dim^3 bits each.
@@ -76,14 +79,33 @@ class MissingSection(ValueError):
     pass
 
 
-def _content_lines(text: str):
+# The one digit rule: a number is a run of what int() accepts.
+_DIGITS = re.compile(r"\d+")
+
+
+def _content_lines(chunks: Iterable[str]):
     """(line number, body) of each line with content left once its
-    comment is cut."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    comment is cut.  A chunk is a whole text or one line of an open
+    file; either ends where a line does, so lines are numbered alike."""
+    lines = (raw for chunk in chunks for raw in chunk.splitlines())
+    for line_no, raw in enumerate(lines, start=1):
         cut = raw.find("#")
         body = raw if cut < 0 else raw[:cut]
         if body.strip():
             yield line_no, body
+
+
+def _first_word(body: str) -> str:
+    """The word a header line is dispatched on."""
+    return body.split(None, 1)[0]
+
+
+def _name_line(body: str, line_no: int, keyword: str) -> str:
+    """`<keyword> NAME`: the rest of the line, which must not be empty."""
+    name = body.strip()[len(keyword) :].strip()
+    if not name:
+        raise ParseError(line_no, len(body) + 1, f"missing {keyword} name")
+    return name
 
 
 class _Scanner:
@@ -122,12 +144,11 @@ class _Scanner:
 
     def integer(self) -> int:
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected a number", start)
-        return int(self.text[start : self.pos])
+        m = _DIGITS.match(self.text, self.pos)
+        if m is None:
+            self.fail("expected a number")
+        self.pos = m.end()
+        return int(m.group())
 
     def rational(self) -> QQ:
         self.skip_ws()
@@ -190,8 +211,7 @@ def _parse_vector(sc: _Scanner, dim: int, prefix: str) -> Vector:
             sc.fail("expected '+' or '-' between terms")
         sc.skip_ws()
         coeff = QQ(1)
-        ch = sc.peek()
-        if ch.isdigit():
+        if _DIGITS.match(sc.text, sc.pos):
             coeff = sc.rational()
             sc.take("*")
         sc.skip_ws()
@@ -305,14 +325,12 @@ def parse_algebra_text(text: str) -> AlgebraFile:
     dim: int | None = None
     brackets = _Table(_BRACKETS)
     products: _Table | None = None
-    for line_no, body in _content_lines(text):
-        stripped = body.strip()
-        if stripped.startswith("algebra"):
-            name = stripped[len("algebra") :].strip()
-            if not name:
-                raise ParseError(line_no, len(body) + 1, "missing algebra name")
-        elif stripped.startswith("dim"):
-            dim = _size_line(body, line_no, "dim", dim)
+    for line_no, body in _content_lines((text,)):
+        stripped, word = body.strip(), _first_word(body)
+        if word == "algebra":
+            name = _name_line(body, line_no, word)
+        elif word == "dim":
+            dim = _size_line(body, line_no, word, dim)
         elif stripped == "product":
             if products is not None:
                 raise ParseError(line_no, 1, "duplicate product section")
@@ -360,66 +378,116 @@ def format_algebra(
 # polynomial system files
 
 
-_XVAR_RE = re.compile(r"x\[\s*(\d+)\s*\]\[\s*(\d+)\s*\]\[\s*(\d+)\s*\]")
+# A factor x[i][j][k] or x[i][j][k]^e.  The exponent's digits may be
+# missing here, so that a term stops past the '^' and the error points
+# where the number should be; likewise a denominator's after '/'.
+_FACTOR = r"x\[\s*\d+\s*\]\[\s*\d+\s*\]\[\s*\d+\s*\](?:[ \t]*\^[ \t]*\d*)?"
+_NEXT = r"[ \t]*(?:\*[ \t]*)?"
+# One term: sign, then a coefficient p or p/q or else a variable, then
+# the factors, each after an optional '*'.  The first two factors have
+# their own groups, as most monomials are read from them alone; any
+# later ones are read from the rest.  No two blank runs can split the
+# same blanks, so a long run is read in linear time.
+_TERM_RE = re.compile(
+    rf"[ \t]*(?:(?P<sign>[-+])[ \t]*)?(?:(?P<num>\d+)(?:[ \t]*/[ \t]*(?P<den>\d*))?|(?=x))"
+    rf"(?:{_NEXT}(?P<f1>{_FACTOR}))?(?:{_NEXT}(?P<f2>{_FACTOR}))?"
+    rf"(?P<rest>(?:{_NEXT}{_FACTOR})*)[ \t]*"
+)
+_REST_RE = re.compile(rf"{_NEXT}({_FACTOR})")
+_SIGN_RE = re.compile(r"[ \t]*(?:[-+][ \t]*)?")
+_BLANK_RE = re.compile(r"[ \t]*")
+
+_ONE, _MINUS_ONE = QQ(1), QQ(-1)
+
+# A parse keeps one (variable, exponent) pair per distinct factor text,
+# checked when it is first read.
+FactorCache = dict[str, tuple[int, int]]
 
 
-def _parse_poly_line(body: str, line_no: int, dim: int) -> Polynomial:
-    sc = _Scanner(body, line_no)
+def _read_factor(
+    text: str, at: int, line_no: int, dim: int, cache: FactorCache
+) -> tuple[int, int]:
+    """The pair of a factor not yet in the cache, which starts at column
+    at + 1: indices in 1..dim and a positive exponent."""
+    i, j, k, *e = map(int, _DIGITS.findall(text))
+    for idx in (i, j, k):
+        if not 1 <= idx <= dim:
+            raise ParseError(line_no, at + 1, f"variable index {idx} out of range 1..{dim}")
+    if "^" in text and not e:
+        raise ParseError(line_no, at + len(text) + 1, "expected a number")
+    exp = e[0] if e else 1
+    if exp <= 0:
+        raise ParseError(line_no, at + 1, "exponent must be positive")
+    pair = cache[text] = (x_index(dim, i - 1, j - 1, k - 1), exp)
+    return pair
 
-    def factor(factors: dict[int, int]):
-        at = sc.pos
-        m = _XVAR_RE.match(sc.text, sc.pos)
-        if not m:
-            sc.fail("malformed variable, expected x[i][j][k]", at)
-        i, j, k = (int(m.group(t)) for t in (1, 2, 3))
-        for idx in (i, j, k):
-            if not (1 <= idx <= dim):
-                sc.fail(f"variable index {idx} out of range 1..{dim}", at)
-        sc.pos = m.end()
-        var = x_index(dim, i - 1, j - 1, k - 1)
-        exp = 1
-        if sc.take("^"):
-            exp = sc.integer()
-            if exp <= 0:
-                sc.fail("exponent must be positive", at)
-        factors[var] = factors.get(var, 0) + exp
 
+def _parse_poly_line(body: str, line_no: int, dim: int, cache: FactorCache) -> Polynomial:
+    """Sum of terms, each read by one match of _TERM_RE.  Where a term
+    stops, the line ends or the next term's sign follows; anything else
+    is the error of the grammar at that point."""
     terms: dict = {}
-    first = True
-    while not sc.done():
-        sign = QQ(1)
-        if sc.take("-"):
-            sign = QQ(-1)
-        elif sc.take("+"):
-            pass
-        elif not first:
-            sc.fail("expected '+' or '-' between terms")
-        first = False
-        sc.skip_ws()
-        coeff = QQ(1)
-        factors: dict[int, int] = {}
-        if sc.peek().isdigit():
-            coeff = sc.rational()
-        elif sc.peek() == "x":
-            factor(factors)
+    pos, end = 0, len(body)
+    while True:
+        m = _TERM_RE.match(body, pos)
+        if m is None:
+            at = _SIGN_RE.match(body, pos).end()
+            raise ParseError(line_no, at + 1, "expected a coefficient or a variable")
+        sign, num, den, f1, f2, rest = m.groups()
+        if num is None:
+            coeff = _MINUS_ONE if sign == "-" else _ONE
         else:
-            sc.fail("expected a coefficient or a variable")
-        while True:
-            sc.skip_ws()
-            if sc.take("*"):
-                sc.skip_ws()
-                factor(factors)
-            elif sc.peek() == "x":
-                factor(factors)
+            if den is None:
+                coeff = QQ(int(num))
+            elif den == "":
+                raise ParseError(line_no, m.start("den") + 1, "expected a number")
+            elif int(den) == 0:
+                raise ParseError(line_no, m.start("num") + 1, "zero denominator")
             else:
-                break
-        mono = tuple(sorted(factors.items()))
-        val = terms.get(mono, QQ(0)) + sign * coeff
+                coeff = QQ(int(num), int(den))
+            if sign == "-":
+                coeff = -coeff
+        if f1 is None:
+            mono = MONO_ONE
+        else:
+            a = cache.get(f1) or _read_factor(f1, m.start("f1"), line_no, dim, cache)
+            if f2 is None:
+                mono = (a,)
+            else:
+                b = cache.get(f2) or _read_factor(f2, m.start("f2"), line_no, dim, cache)
+                if rest or a[0] == b[0]:
+                    pairs = [a, b]
+                    for r in _REST_RE.finditer(body, m.start("rest"), m.end("rest")):
+                        t = r.group(1)
+                        pairs.append(
+                            cache.get(t) or _read_factor(t, r.start(1), line_no, dim, cache)
+                        )
+                    exps: dict[int, int] = {}
+                    for v, e in pairs:
+                        exps[v] = exps.get(v, 0) + e
+                    mono = tuple(sorted(exps.items()))
+                else:
+                    mono = (a, b) if a[0] < b[0] else (b, a)
+        old = terms.get(mono)
+        val = coeff if old is None else old + coeff
         if val:
             terms[mono] = val
         else:
             terms.pop(mono, None)
-    return Polynomial(terms)
+        pos = m.end()
+        if pos == end:
+            break
+        ch = body[pos]
+        if ch == "*":
+            at = _BLANK_RE.match(body, pos + 1).end()
+            raise ParseError(line_no, at + 1, "malformed variable, expected x[i][j][k]")
+        if ch == "x":
+            raise ParseError(line_no, pos + 1, "malformed variable, expected x[i][j][k]")
+        if ch not in "+-":
+            raise ParseError(line_no, pos + 1, "expected '+' or '-' between terms")
+    p = Polynomial.__new__(Polynomial)
+    p.terms = terms
+    return p
 
 
 @dataclass
@@ -432,23 +500,36 @@ class SystemFile:
 
 
 def parse_system_text(text: str) -> SystemFile:
+    return _parse_system_lines((text,))
+
+
+def _parse_system_lines(chunks: Iterable[str]) -> SystemFile:
     dim: int | None = None
     polys: list[Polynomial] = []
-    for line_no, body in _content_lines(text):
-        if body.lstrip().startswith("dim"):
+    cache: FactorCache = {}
+    for line_no, body in _content_lines(chunks):
+        if _first_word(body) == "dim":
             dim = _size_line(body, line_no, "dim", dim, MAX_SYSTEM_DIM)
         elif dim is None:
             raise ParseError(line_no, 1, "dim must come before polynomials")
         else:
-            polys.append(_parse_poly_line(body, line_no, dim))
+            polys.append(_parse_poly_line(body, line_no, dim, cache))
     if dim is None:
         raise ParseError(1, 1, "missing dim line")
     return SystemFile(dim, polys)
 
 
 def parse_system_file(path) -> SystemFile:
+    """Reads the file a line at a time, so neither its whole text nor a
+    list of its lines is held beside the polynomials.  A file that fails
+    is read again whole, so it fails as its text does: a decoding error
+    anywhere in it comes before a parse error, at its byte offset."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_system_text(fh.read())
+        try:
+            return _parse_system_lines(fh)
+        except (ParseError, UnicodeDecodeError):
+            fh.seek(0)
+            return parse_system_text(fh.read())
 
 
 def format_system(dim: int, polys: Sequence[Polynomial]) -> str:
@@ -489,14 +570,14 @@ def parse_extension_text(text: str):
     brackets = _Table(_BRACKETS)
     omegas = _Table(_OMEGA)
     phis: dict[int, Matrix] = {}
-    for line_no, body in _content_lines(text):
-        stripped = body.strip()
-        if stripped.startswith("extension"):
-            name = stripped[len("extension") :].strip() or name
-        elif stripped.startswith("kernel"):
-            a_dim = _size_line(body, line_no, "kernel", a_dim)
-        elif stripped.startswith("base"):
-            b_dim = _size_line(body, line_no, "base", b_dim)
+    for line_no, body in _content_lines((text,)):
+        stripped, word = body.strip(), _first_word(body)
+        if word == "extension":
+            name = _name_line(body, line_no, word)
+        elif word == "kernel":
+            a_dim = _size_line(body, line_no, word, a_dim)
+        elif word == "base":
+            b_dim = _size_line(body, line_no, word, b_dim)
         elif m := _BRACKETS.pattern.match(body):
             if b_dim is None:
                 raise ParseError(line_no, 1, "base size must come before brackets")

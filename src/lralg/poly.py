@@ -198,10 +198,7 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        _, c = self.leading_term()
-        if c == 1:
-            return self
-        return self.scale(QQ(1) / c)
+        return _monic(self, self.leading_monomial())
 
     def sorted_terms(self) -> list[tuple[Monomial, QQ]]:
         """Terms from biggest monomial down."""
@@ -339,10 +336,18 @@ class Polynomial:
 Divisor = tuple[list[tuple[Monomial, QQ]], Monomial, QQ, int]
 
 
-def _prepare(g: Polynomial) -> Divisor:
-    lm, lc = g.leading_term()
+def _prepare(g: Polynomial, lm: Monomial | None = None) -> Divisor:
+    """g as a divisor; lm, when given, is its leading monomial."""
+    if lm is None:
+        lm = g.leading_monomial()
     tail = [(m, c) for m, c in g.terms.items() if m != lm]
-    return tail, lm, lc, mono_mask(lm)
+    return tail, lm, g.terms[lm], mono_mask(lm)
+
+
+def _monic(p: Polynomial, lm: Monomial) -> Polynomial:
+    """p.monic() for p with leading monomial lm."""
+    c = p.terms[lm]
+    return p if c == 1 else p.scale(QQ(1) / c)
 
 
 def reduce_full(f: Polynomial, basis: Iterable[Polynomial]) -> Polynomial:
@@ -519,7 +524,9 @@ def groebner_basis(
     def out_of_time() -> bool:
         return deadline is not None and time.monotonic() > deadline
 
-    g: list[Polynomial] = []
+    # each input and each remainder has its leading monomial found once;
+    # as the order is graded, its degree is the polynomial's
+    g: list[tuple[Polynomial, Monomial]] = []
     for p in polys:
         if p.is_zero():
             continue
@@ -527,8 +534,9 @@ def groebner_basis(
             if trace is not None:
                 trace.append(("input_constant", str(p.constant_value())))
             return out("complete", [Polynomial.constant(1)])
-        g.append(p.monic())
-        stats["max_degree_seen"] = max(stats["max_degree_seen"], p.degree())
+        lm = p.leading_monomial()
+        g.append((_monic(p, lm), lm))
+        stats["max_degree_seen"] = max(stats["max_degree_seen"], mono_degree(lm))
 
     # basis[k] is prepared once as divisors[k]; lms and masks repeat its
     # leading monomial and variable mask for the pair update
@@ -538,19 +546,19 @@ def groebner_basis(
     masks: list[int] = []
     pairs: Pairs = {}
 
-    def insert(p: Polynomial) -> None:
+    def insert(p: Polynomial, lm: Monomial) -> None:
         nonlocal pairs
-        d = _prepare(p)
+        d = _prepare(p, lm)
         basis.append(p)
         divisors.append(d)
         lms.append(d[1])
         masks.append(d[3])
         pairs = _update_pairs(pairs, lms, masks, len(basis) - 1)
 
-    for p in g:
+    for p, lm in g:
         if out_of_time():
-            return exhausted("time", g)
-        insert(p)
+            return exhausted("time", [p for p, _ in g])
+        insert(p, lm)
 
     truncated = False
     while pairs:
@@ -575,14 +583,15 @@ def groebner_basis(
             if trace is not None:
                 trace.append(("spair", i, j, "constant", str(r.constant_value())))
             return out("complete", [Polynomial.constant(1)])
-        d = r.degree()
+        lm = r.leading_monomial()
+        d = mono_degree(lm)
         stats["max_degree_seen"] = max(stats["max_degree_seen"], d)
         if max_degree is not None and d > max_degree:
             truncated = True
             if trace is not None:
                 trace.append(("spair", i, j, "degree_capped", d))
             continue
-        insert(r.monic())
+        insert(_monic(r, lm), lm)
         if trace is not None:
             trace.append(("spair", i, j, "new", len(basis) - 1))
 

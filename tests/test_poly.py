@@ -377,6 +377,16 @@ def test_groebner_budget_paths():
     assert r.stats["reason"] == "time"
 
 
+def test_exhausted_basis_is_monic():
+    # a stopped run returns the monic inputs and remainders found so far
+    gens = [2 * x + y + z, 3 * x * y + y * z + z * x, x * y * z - one]
+    for budget in ({"max_basis_size": 3}, {"max_degree": 2}, {"time_budget": 0.0}):
+        r = groebner_basis(gens, **budget)
+        assert r.status == "budget_exhausted"
+        assert len(r.basis) > (3 if "max_basis_size" in budget else 2)
+        assert all(p.leading_term()[1] == 1 for p in r.basis)
+
+
 def test_time_budget_covers_input_insertion():
     # 500 pairwise coprime quadratics: inserting them alone takes seconds,
     # all of it in the pair update before any S-pair is processed
