@@ -273,10 +273,7 @@ def _identity_rows(g: LieAlgebra) -> list[tuple[str, Polynomial]]:
 
     lcs = lower_central_series(g)
     ucs = upper_central_series(g)
-
-    def gamma(k1: int) -> Subspace:
-        terms = lcs.terms
-        return terms[min(k1 - 1, len(terms) - 1)]
+    gamma = lcs.term
 
     series_targets = [("lower", s) for s in lcs.terms[1:]] + [
         ("upper", s) for s in ucs.terms

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .lie import LieAlgebra, SparseVec
-from .linalg import QQ, Matrix, Subspace, qq
-from .lr import LRAlgebra, lr_from_table, verify_axioms
+from .lie import LieAlgebra, SparseVec, _densify, basis_action, sparse_sub
+from .linalg import QQ, Matrix, qq
+from .lr import LRAlgebra, lr_from_table
 
 
 class SpecViolation(ValueError):
@@ -164,16 +164,13 @@ def halved_adjoint_lr(g: LieAlgebra) -> LRAlgebra:
         if i > j:
             continue
         for m in range(n):
-            w = g.bracket_sparse({m: QQ(1)}, v)
-            if w:
+            if basis_action(g.table, m, v, True):
                 raise NotTwoStepNilpotent((m + 1, (i + 1, j + 1)))
-    entries = []
     half = QQ(1, 2)
-    for (i, j), v in sorted(g.table.items()):
-        vec = [QQ(0)] * n
-        for k, c in v.items():
-            vec[k] = half * c
-        entries.append((i + 1, j + 1, tuple(vec)))
+    entries = [
+        (i + 1, j + 1, _densify(n, {k: half * c for k, c in v.items()}))
+        for (i, j), v in sorted(g.table.items())
+    ]
     return lr_from_table(g, entries)
 
 
@@ -276,19 +273,8 @@ def free3_lr(n: int) -> LRAlgebra:
     entries = []
 
     def emit(row: int, col: int, sv: SparseVec):
-        if not sv:
-            return
-        vec = [QQ(0)] * dim
-        for t, c in sv.items():
-            vec[t] = vec[t] + c
-        entries.append((row + 1, col + 1, tuple(vec)))
-
-    def scombine(*parts: tuple[QQ, SparseVec]) -> SparseVec:
-        acc: SparseVec = {}
-        for sign, sv in parts:
-            for t, c in sv.items():
-                acc[t] = acc.get(t, QQ(0)) + sign * c
-        return {t: c for t, c in acc.items() if c != 0}
+        if sv:
+            entries.append((row + 1, col + 1, _densify(dim, sv)))
 
     for (i, j) in b.pairs:  # i < j
         emit(b.x(j), b.x(i), {b.y(i, j): QQ(-1)})
@@ -302,13 +288,9 @@ def free3_lr(n: int) -> LRAlgebra:
     for i in range(1, n + 1):
         for (j, k) in b.pairs:
             if j < i < k:
-                emit(
-                    b.y(j, k),
-                    b.x(i),
-                    scombine((QQ(1), b.zvec(k, j, i)), (QQ(-1), b.zvec(i, j, k))),
-                )
+                emit(b.y(j, k), b.x(i), sparse_sub(b.zvec(k, j, i), b.zvec(i, j, k)))
             elif i <= j:
-                emit(b.y(j, k), b.x(i), scombine((QQ(-1), b.zvec(i, j, k))))
+                emit(b.y(j, k), b.x(i), sparse_sub({}, b.zvec(i, j, k)))
             # k <= i: zero
     return lr_from_table(g, entries)
 

@@ -26,10 +26,11 @@ from .linalg import (
     QQ,
     Matrix,
     Vector,
+    combination,
     qq,
+    unit_vector,
     vec_add,
     vec_is_zero,
-    vec_scale,
     vec_sub,
     zero_vector,
 )
@@ -59,23 +60,39 @@ class LiftConditionsFailed(ExtensionError):
         super().__init__(f"lift conditions failed: {', '.join(checks)}")
 
 
-def _as_omega(a_dim: int, b_dim: int, omega) -> tuple:
-    if omega is None:
-        z = zero_vector(a_dim)
-        return tuple(tuple(z for _ in range(b_dim)) for _ in range(b_dim))
+def _tensor(what: str, size: int, length: int, value) -> tuple:
+    """A size x size table of length-`length` vectors, read from nested
+    sequences and checked for shape; None is the zero table."""
+    if value is None:
+        z = zero_vector(length)
+        return tuple(tuple(z for _ in range(size)) for _ in range(size))
+    if len(value) != size or any(len(row) != size for row in value):
+        raise ExtensionError(f"{what} must be a {size}x{size} table of vectors")
     rows = []
-    for i in range(b_dim):
-        row = []
-        for j in range(b_dim):
-            v = tuple(qq(x) for x in omega[i][j])
-            if len(v) != a_dim:
+    for i, row in enumerate(value):
+        vecs = tuple(tuple(qq(x) for x in vec) for vec in row)
+        for j, v in enumerate(vecs):
+            if len(v) != length:
                 raise ExtensionError(
-                    f"cochain value at ({i + 1}, {j + 1}) has length {len(v)}, "
-                    f"expected {a_dim}"
+                    f"{what} value at ({i + 1}, {j + 1}) has length {len(v)}, "
+                    f"expected {length}"
                 )
-            row.append(v)
-        rows.append(tuple(row))
+        rows.append(vecs)
     return tuple(rows)
+
+
+def _bilinear(tensor, u: Vector, v: Vector) -> Vector:
+    """The sum of u_i v_j tensor[i][j] over a dense table of vectors."""
+    acc = [QQ(0)] * (len(tensor[0][0]) if tensor else 0)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                if b:
+                    ab = a * b
+                    for k, c in enumerate(tensor[i][j]):
+                        if c:
+                            acc[k] += ab * c
+    return tuple(acc)
 
 
 @dataclass(frozen=True)
@@ -92,26 +109,14 @@ class ExtensionData:
             if m.rows != self.a_dim or m.cols != self.a_dim:
                 raise ExtensionError("phi matrices must act on the kernel")
         object.__setattr__(
-            self, "omega", _as_omega(self.a_dim, self.b.dim, self.omega)
+            self, "omega", _tensor("cochain", self.b.dim, self.a_dim, self.omega)
         )
 
     def phi_of(self, x: Vector) -> Matrix:
-        acc = Matrix.zero(self.a_dim, self.a_dim)
-        for i, c in enumerate(x):
-            if c != 0:
-                acc = acc + self.phi[i].scale(c)
-        return acc
+        return combination(self.phi, x)
 
     def omega_of(self, x: Vector, y: Vector) -> Vector:
-        acc = zero_vector(self.a_dim)
-        for i, c in enumerate(x):
-            if c == 0:
-                continue
-            for j, d in enumerate(y):
-                if d == 0:
-                    continue
-                acc = vec_add(acc, vec_scale(c * d, self.omega[i][j]))
-        return acc
+        return _bilinear(self.omega, x, y)
 
 
 def validate_extension(d: ExtensionData) -> VerificationReport:
@@ -143,23 +148,20 @@ def validate_extension(d: ExtensionData) -> VerificationReport:
             if not vec_is_zero(res):
                 note("omega_antisymmetric", (i, j), res)
 
-    def omega_vec(v: SparseVec, k: int) -> Vector:
-        acc = zero_vector(d.a_dim)
-        for t, c in v.items():
-            acc = vec_add(acc, vec_scale(c, d.omega[t][k]))
-        return acc
+    unit = [unit_vector(m, i) for i in range(m)]
+
+    def omega_at(i, j, k):  # Omega([e_i, e_j], e_k)
+        return d.omega_of(_densify(m, d.b.bracket_basis(i, j)), unit[k])
 
     for i in range(m):
         for j in range(i + 1, m):
-            cij = d.b.bracket_basis(i, j)
             for k in range(j + 1, m):
                 counts["omega_cocycle"] += 1
                 lhs = d.phi[i].apply(d.omega[j][k])
                 lhs = vec_sub(lhs, d.phi[j].apply(d.omega[i][k]))
                 lhs = vec_add(lhs, d.phi[k].apply(d.omega[i][j]))
-                rhs = omega_vec(cij, k)
-                rhs = vec_sub(rhs, omega_vec(d.b.bracket_basis(i, k), j))
-                rhs = vec_add(rhs, omega_vec(d.b.bracket_basis(j, k), i))
+                rhs = vec_sub(omega_at(i, j, k), omega_at(i, k, j))
+                rhs = vec_add(rhs, omega_at(j, k, i))
                 res = vec_sub(lhs, rhs)
                 if not vec_is_zero(res):
                     note("omega_cocycle", (i, j, k), res)
@@ -176,23 +178,16 @@ def extension_lie_algebra(d: ExtensionData) -> LieAlgebra:
         )
     p, m = d.a_dim, d.b.dim
     n = p + m
-    entries = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            vec = list(zero_vector(n))
-            for t, c in enumerate(d.omega[i][j]):
-                vec[t] = c
-            for t, c in d.b.bracket_basis(i, j).items():
-                vec[p + t] = c
-            entries.append((p + i + 1, p + j + 1, tuple(vec)))
+    entries = [
+        (p + i + 1, p + j + 1, d.omega[i][j] + _densify(m, d.b.bracket_basis(i, j)))
+        for i in range(m)
+        for j in range(i + 1, m)
+    ]
     for i in range(m):
         for j in range(p):
             col = d.phi[i].column(j)
-            if any(c != 0 for c in col):
-                vec = list(zero_vector(n))
-                for t, c in enumerate(col):
-                    vec[t] = c
-                entries.append((p + i + 1, j + 1, tuple(vec)))
+            if any(col):
+                entries.append((p + i + 1, j + 1, col + zero_vector(m)))
     return LieAlgebra.from_table(n, entries)
 
 
@@ -218,53 +213,13 @@ class LiftData:
         zmat = Matrix.zero(p, p)
         phi1 = tuple(phi1) if phi1 is not None else tuple(zmat for _ in range(m))
         phi2 = tuple(phi2) if phi2 is not None else tuple(zmat for _ in range(m))
-        om = _as_omega(p, m, omega)
-        zp = zero_vector(p)
-        zm = zero_vector(m)
-        if a_product is None:
-            a_product = tuple(tuple(zp for _ in range(p)) for _ in range(p))
-        else:
-            a_product = tuple(
-                tuple(tuple(qq(x) for x in a_product[i][j]) for j in range(p))
-                for i in range(p)
-            )
-        if b_product is None:
-            b_product = tuple(tuple(zm for _ in range(m)) for _ in range(m))
-        else:
-            b_product = tuple(
-                tuple(tuple(qq(x) for x in b_product[i][j]) for j in range(m))
-                for i in range(m)
-            )
-        return cls(phi1, phi2, om, a_product, b_product)
-
-    def a_prod(self, u: Vector, v: Vector) -> Vector:
-        p = len(self.a_product)
-        acc = zero_vector(p)
-        for i, c in enumerate(u):
-            if c == 0:
-                continue
-            for j, e in enumerate(v):
-                if e != 0:
-                    acc = vec_add(acc, vec_scale(c * e, self.a_product[i][j]))
-        return acc
-
-    def omega_row(self, v: Vector, j: int) -> Vector:
-        """omega(v, e_j) for a base vector v."""
-        p = len(self.omega[0][0]) if self.omega else 0
-        acc = zero_vector(p)
-        for t, c in enumerate(v):
-            if c != 0:
-                acc = vec_add(acc, vec_scale(c, self.omega[t][j]))
-        return acc
-
-    def omega_col(self, i: int, v: Vector) -> Vector:
-        """omega(e_i, v) for a base vector v."""
-        p = len(self.omega[0][0]) if self.omega else 0
-        acc = zero_vector(p)
-        for t, c in enumerate(v):
-            if c != 0:
-                acc = vec_add(acc, vec_scale(c, self.omega[i][t]))
-        return acc
+        return cls(
+            phi1,
+            phi2,
+            _tensor("cochain", m, p, omega),
+            _tensor("kernel product", p, p, a_product),
+            _tensor("base product", m, m, b_product),
+        )
 
 
 CONDITION_NAMES = (
@@ -300,8 +255,8 @@ def verify_lift_conditions(d: ExtensionData, l: LiftData) -> VerificationReport:
     def bump(check):
         counts[check] = counts.get(check, 0) + 1
 
-    aunit = [tuple(QQ(1) if t == i else QQ(0) for t in range(p)) for i in range(p)]
-    bunit = [tuple(QQ(1) if t == i else QQ(0) for t in range(m)) for i in range(m)]
+    aunit = [unit_vector(p, i) for i in range(p)]
+    bunit = [unit_vector(m, i) for i in range(m)]
 
     # prechecks: kernel product commutative associative, base product LR
     for i in range(p):
@@ -315,17 +270,17 @@ def verify_lift_conditions(d: ExtensionData, l: LiftData) -> VerificationReport:
             for k in range(p):
                 bump("kernel_product_associative")
                 res = vec_sub(
-                    l.a_prod(l.a_product[i][j], aunit[k]),
-                    l.a_prod(aunit[i], l.a_product[j][k]),
+                    _bilinear(l.a_product, l.a_product[i][j], aunit[k]),
+                    _bilinear(l.a_product, aunit[i], l.a_product[j][k]),
                 )
                 if not vec_is_zero(res):
                     note("kernel_product_associative", (i, j, k), res)
-    base_table: dict[tuple[int, int], SparseVec] = {}
-    for i in range(m):
-        for j in range(m):
-            sv = _sparsify(l.b_product[i][j])
-            if sv:
-                base_table[(i, j)] = sv
+    base_table = {
+        (i, j): sv
+        for i in range(m)
+        for j in range(m)
+        if (sv := _sparsify(l.b_product[i][j]))
+    }
     base_lr = LRAlgebra(d.b, base_table)
     base_report = verify_axioms(base_lr)
     bump("base_product_lr")
@@ -367,8 +322,8 @@ def verify_lift_conditions(d: ExtensionData, l: LiftData) -> VerificationReport:
                     phi2[x].apply(l.omega[y][z]), phi2[y].apply(l.omega[x][z])
                 )
                 rhs = vec_sub(
-                    l.omega_col(y, l.b_product[x][z]),
-                    l.omega_col(x, l.b_product[y][z]),
+                    _bilinear(l.omega, bunit[y], l.b_product[x][z]),
+                    _bilinear(l.omega, bunit[x], l.b_product[y][z]),
                 )
                 res = vec_sub(lhs, rhs)
                 if not vec_is_zero(res):
@@ -378,27 +333,21 @@ def verify_lift_conditions(d: ExtensionData, l: LiftData) -> VerificationReport:
                     phi1[z].apply(l.omega[x][y]), phi1[y].apply(l.omega[x][z])
                 )
                 rhs = vec_sub(
-                    l.omega_row(l.b_product[x][z], y),
-                    l.omega_row(l.b_product[x][y], z),
+                    _bilinear(l.omega, l.b_product[x][z], bunit[y]),
+                    _bilinear(l.omega, l.b_product[x][y], bunit[z]),
                 )
                 res = vec_sub(lhs, rhs)
                 if not vec_is_zero(res):
                     note("phi1_omega_exchange", (x, y, z), res)
 
-    def phi_of_vec(mats: tuple[Matrix, ...], v: Vector) -> Matrix:
-        acc = Matrix.zero(p, p)
-        for t, c in enumerate(v):
-            if c != 0:
-                acc = acc + mats[t].scale(c)
-        return acc
-
     for y in range(m):
         for z in range(m):
-            phi1_yz = phi_of_vec(phi1, l.b_product[y][z])
+            phi1_yz = combination(phi1, l.b_product[y][z])
             for a in range(p):
                 bump("phi1_product_rule")
                 lhs = vec_add(
-                    l.a_prod(aunit[a], l.omega[y][z]), phi1_yz.apply(aunit[a])
+                    _bilinear(l.a_product, aunit[a], l.omega[y][z]),
+                    phi1_yz.apply(aunit[a]),
                 )
                 rhs = phi2[y].apply(phi1[z].apply(aunit[a]))
                 res = vec_sub(lhs, rhs)
@@ -406,11 +355,12 @@ def verify_lift_conditions(d: ExtensionData, l: LiftData) -> VerificationReport:
                     note("phi1_product_rule", (a, y, z), res)
     for x in range(m):
         for y in range(m):
-            phi2_xy = phi_of_vec(phi2, l.b_product[x][y])
+            phi2_xy = combination(phi2, l.b_product[x][y])
             for c in range(p):
                 bump("phi2_product_rule")
                 lhs = vec_add(
-                    l.a_prod(l.omega[x][y], aunit[c]), phi2_xy.apply(aunit[c])
+                    _bilinear(l.a_product, l.omega[x][y], aunit[c]),
+                    phi2_xy.apply(aunit[c]),
                 )
                 rhs = phi1[y].apply(phi2[x].apply(aunit[c]))
                 res = vec_sub(lhs, rhs)
@@ -422,28 +372,28 @@ def verify_lift_conditions(d: ExtensionData, l: LiftData) -> VerificationReport:
                 bump("phi2_kernel_bimodule")
                 res = vec_sub(
                     phi2[y].apply(l.a_product[a][c]),
-                    l.a_prod(aunit[a], phi2[y].apply(aunit[c])),
+                    _bilinear(l.a_product, aunit[a], phi2[y].apply(aunit[c])),
                 )
                 if not vec_is_zero(res):
                     note("phi2_kernel_bimodule", (y, a, c), res)
                 bump("phi1_kernel_symmetry")
                 res = vec_sub(
-                    l.a_prod(aunit[a], phi1[y].apply(aunit[c])),
-                    l.a_prod(aunit[c], phi1[y].apply(aunit[a])),
+                    _bilinear(l.a_product, aunit[a], phi1[y].apply(aunit[c])),
+                    _bilinear(l.a_product, aunit[c], phi1[y].apply(aunit[a])),
                 )
                 if not vec_is_zero(res):
                     note("phi1_kernel_symmetry", (y, a, c), res)
                 bump("phi1_kernel_bimodule")
                 res = vec_sub(
                     phi1[y].apply(l.a_product[a][c]),
-                    l.a_prod(phi1[y].apply(aunit[a]), aunit[c]),
+                    _bilinear(l.a_product, phi1[y].apply(aunit[a]), aunit[c]),
                 )
                 if not vec_is_zero(res):
                     note("phi1_kernel_bimodule", (y, a, c), res)
                 bump("phi2_kernel_symmetry")
                 res = vec_sub(
-                    l.a_prod(phi2[y].apply(aunit[c]), aunit[a]),
-                    l.a_prod(phi2[y].apply(aunit[a]), aunit[c]),
+                    _bilinear(l.a_product, phi2[y].apply(aunit[c]), aunit[a]),
+                    _bilinear(l.a_product, phi2[y].apply(aunit[a]), aunit[c]),
                 )
                 if not vec_is_zero(res):
                     note("phi2_kernel_symmetry", (y, c, a), res)
@@ -455,40 +405,24 @@ def lift_product_tensor(d: ExtensionData, l: LiftData) -> dict[tuple[int, int], 
     p, m = d.a_dim, d.b.dim
     table: dict[tuple[int, int], SparseVec] = {}
 
-    def put(i, j, vec):
-        sv = _sparsify(tuple(vec))
+    def put(i, j, kernel, base=()):
+        sv = {t: c for t, c in enumerate(kernel) if c}
+        sv.update((p + t, c) for t, c in enumerate(base) if c)
         if sv:
             table[(i, j)] = sv
 
-    n = p + m
     for i in range(p):
         for j in range(p):
-            vec = list(zero_vector(n))
-            for t, c in enumerate(l.a_product[i][j]):
-                vec[t] = c
-            put(i, j, vec)
+            put(i, j, l.a_product[i][j])
     for i in range(p):
         for j in range(m):
-            col = l.phi1[j].column(i)
-            vec = list(zero_vector(n))
-            for t, c in enumerate(col):
-                vec[t] = c
-            put(i, p + j, vec)
+            put(i, p + j, l.phi1[j].column(i))
     for i in range(m):
         for j in range(p):
-            col = l.phi2[i].column(j)
-            vec = list(zero_vector(n))
-            for t, c in enumerate(col):
-                vec[t] = c
-            put(p + i, j, vec)
+            put(p + i, j, l.phi2[i].column(j))
     for i in range(m):
         for j in range(m):
-            vec = list(zero_vector(n))
-            for t, c in enumerate(l.omega[i][j]):
-                vec[t] = c
-            for t, c in enumerate(l.b_product[i][j]):
-                vec[p + t] = c
-            put(p + i, p + j, vec)
+            put(p + i, p + j, l.omega[i][j], l.b_product[i][j])
     return table
 
 
@@ -546,15 +480,9 @@ def invertible_generator_lift(d: ExtensionData, e: Vector) -> LRAlgebra:
         phie_inv = phie.inverse()
     except ZeroDivisionError:
         raise NotInvertible("phi(e) is singular") from None
-    eunit = [tuple(QQ(1) if t == i else QQ(0) for t in range(m)) for i in range(m)]
-    omega = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            w = d.omega_of(e, eunit[j])
-            row.append(phie_inv.apply(d.phi[i].apply(w)))
-        omega.append(tuple(row))
-    l = LiftData.build(d, phi2=d.phi, omega=tuple(omega))
+    w = [d.omega_of(e, unit_vector(m, j)) for j in range(m)]
+    omega = [[phie_inv.apply(d.phi[i].apply(w[j])) for j in range(m)] for i in range(m)]
+    l = LiftData.build(d, phi2=d.phi, omega=omega)
     return lift_product(d, l)
 
 
@@ -580,10 +508,7 @@ def random_abelian_extension(rng, a_dim: int, b_dim: int):
         powers.append(powers[-1] @ base_mat)
     phis = [base_mat]
     for _ in range(b_dim - 1):
-        acc = Matrix.zero(a_dim, a_dim)
-        for pw in powers:
-            acc = acc + pw.scale(QQ(rng.randint(-2, 2)))
-        phis.append(acc)
+        phis.append(combination(powers, [QQ(rng.randint(-2, 2)) for _ in powers]))
     h = Matrix([[QQ(rng.randint(-3, 3)) for _ in range(b_dim)] for _ in range(a_dim)])
     omega_raw = [
         [tuple(phis[i].apply(h.column(j))) for j in range(b_dim)]

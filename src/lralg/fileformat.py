@@ -40,15 +40,15 @@ are zero and the (j,i) value is implied by antisymmetry.
 
 The three formats share one grammar.  Comments are cut and blank lines
 skipped.  A header line is known by its whole first word: a name line
-(algebra, extension) needs a name after it, and a size line (dim,
-kernel, base) holds a positive integer and nothing else, at most once
-per file.  A number is a run of decimal digits as int() reads them, so
-a superscript digit is not one.  An entry line ([i,j], (i,j),
-omega (i,j)) has its indices checked against the size before its vector
-is read, and a pair given twice must agree; in the antisymmetric
-sections (brackets, omega) the diagonal is zero and (j,i) must be the
-negative of (i,j).  All parse failures raise ParseError carrying 1-based
-line and column.
+(algebra, extension) needs a name after it, a size line (dim, kernel,
+base) holds a positive integer and nothing else, and each header line
+comes at most once per file.  A number is a run of decimal digits as
+int() reads them, so a superscript digit is not one.  An entry line
+([i,j], (i,j), omega (i,j)) has its indices checked against the size
+before its vector is read, and a pair given twice must agree; in the
+antisymmetric sections (brackets, omega) the diagonal is zero and (j,i)
+must be the negative of (i,j).  All parse failures raise ParseError
+carrying 1-based line and column.
 """
 
 import re
@@ -100,8 +100,11 @@ def _first_word(body: str) -> str:
     return body.split(None, 1)[0]
 
 
-def _name_line(body: str, line_no: int, keyword: str) -> str:
-    """`<keyword> NAME`: the rest of the line, which must not be empty."""
+def _name_line(body: str, line_no: int, keyword: str, earlier: str | None) -> str:
+    """`<keyword> NAME`: the rest of the line, which must not be empty.
+    earlier is the name of a previous line with this keyword."""
+    if earlier is not None:
+        raise ParseError(line_no, 1, f"duplicate {keyword} line")
     name = body.strip()[len(keyword) :].strip()
     if not name:
         raise ParseError(line_no, len(body) + 1, f"missing {keyword} name")
@@ -328,7 +331,7 @@ def parse_algebra_text(text: str) -> AlgebraFile:
     for line_no, body in _content_lines((text,)):
         stripped, word = body.strip(), _first_word(body)
         if word == "algebra":
-            name = _name_line(body, line_no, word)
+            name = _name_line(body, line_no, word, name)
         elif word == "dim":
             dim = _size_line(body, line_no, word, dim)
         elif stripped == "product":
@@ -564,7 +567,7 @@ def _parse_matrix(sc: _Scanner, size: int) -> Matrix:
 
 def parse_extension_text(text: str):
     """Returns (name, ExtensionData)."""
-    name = "unnamed"
+    name: str | None = None
     a_dim: int | None = None
     b_dim: int | None = None
     brackets = _Table(_BRACKETS)
@@ -573,7 +576,7 @@ def parse_extension_text(text: str):
     for line_no, body in _content_lines((text,)):
         stripped, word = body.strip(), _first_word(body)
         if word == "extension":
-            name = _name_line(body, line_no, word)
+            name = _name_line(body, line_no, word, name)
         elif word == "kernel":
             a_dim = _size_line(body, line_no, word, a_dim)
         elif word == "base":
@@ -616,7 +619,8 @@ def parse_extension_text(text: str):
         omega[i - 1][j - 1] = v
         omega[j - 1][i - 1] = tuple(-c for c in v)
     phi = tuple(phis.get(i, Matrix.zero(a_dim, a_dim)) for i in range(1, b_dim + 1))
-    return name, ExtensionData(a_dim, lie_from_table(b_dim, brackets.entries), phi, omega)
+    b = lie_from_table(b_dim, brackets.entries)
+    return name or "unnamed", ExtensionData(a_dim, b, phi, omega)
 
 
 def parse_extension_file(path):

@@ -78,6 +78,99 @@ def bilinear_sparse(
     return {k: c for k, c in acc.items() if c}
 
 
+def basis_action(
+    table: dict[tuple[int, int], SparseVec], i: int, v: SparseVec, left: bool
+) -> SparseVec:
+    """e_i * v (left) or v * e_i (right) on a sparse v.
+
+    bilinear_sparse with {i: 1} as one argument, without paying a multiply
+    by that unit coefficient on every term.
+    """
+    acc: SparseVec = {}
+    for m, c in v.items():
+        entry = table.get((i, m) if left else (m, i))
+        if entry:
+            for k, d in entry.items():
+                t = c * d
+                acc[k] = acc[k] + t if k in acc else t
+    return {k: c for k, c in acc.items() if c}
+
+
+def basis_operator(
+    table: dict[tuple[int, int], SparseVec], n: int, i: int, left: bool
+) -> Matrix:
+    """Matrix of v -> e_i * v (left) or v -> v * e_i (right): its columns
+    are the table entries."""
+    return Matrix.from_columns(
+        [_densify(n, table.get((i, j) if left else (j, i), {})) for j in range(n)]
+    )
+
+
+def vector_operator(
+    table: dict[tuple[int, int], SparseVec], n: int, x: Vector, left: bool
+) -> Matrix:
+    """Matrix of v -> x * v (left) or v -> v * x (right); column j is
+    x * e_j or e_j * x."""
+    xs = _sparsify(x)
+    return Matrix.from_columns(
+        [_densify(n, basis_action(table, j, xs, not left)) for j in range(n)]
+    )
+
+
+def sparse_add(u: SparseVec, v: SparseVec) -> SparseVec:
+    acc = dict(u)
+    for k, c in v.items():
+        acc[k] = acc[k] + c if k in acc else c
+    return {k: c for k, c in acc.items() if c}
+
+
+def sparse_sub(u: SparseVec, v: SparseVec) -> SparseVec:
+    acc = dict(u)
+    for k, c in v.items():
+        acc[k] = acc[k] - c if k in acc else -c
+    return {k: c for k, c in acc.items() if c}
+
+
+def table_from_entries(dim: int, entries, what: str, placements) -> dict:
+    """Sparse table from 1-based entries (i, j, vector), checked for range
+    and length; what ("bracket" or "product") names the pair in errors.
+
+    placements(i, j, v) gives the (key, sparse value) pairs that the
+    0-based entry fixes; a key fixed twice to different values raises
+    AntisymmetryConflict.
+    """
+    table: dict[tuple[int, int], SparseVec] = {}
+    seen: dict[tuple[int, int], SparseVec] = {}
+    for i1, j1, vec in entries:
+        i, j = i1 - 1, j1 - 1
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise IndexOutOfRange(
+                f"{what} pair ({i1}, {j1}) out of range for dim {dim}"
+            )
+        v = tuple(qq(x) for x in vec)
+        if len(v) != dim:
+            raise IndexOutOfRange(
+                f"{what} value for ({i1}, {j1}) has length {len(v)}, expected {dim}"
+            )
+        for key, val in placements(i, j, v):
+            if key in seen and seen[key] != val:
+                raise AntisymmetryConflict(*key)
+            seen[key] = val
+            if val:
+                table[key] = val
+    return table
+
+
+def _antisymmetric(i: int, j: int, v: Vector):
+    """A bracket entry fixes (i, j) and its negative at (j, i)."""
+    if i == j:
+        if not vec_is_zero(v):
+            raise AntisymmetryConflict(i, j)
+        return ()
+    sv = _sparsify(v)
+    return (((i, j), sv), ((j, i), {k: -c for k, c in sv.items()}))
+
+
 class LieAlgebra:
     """dim + bracket tensor; immutable once built."""
 
@@ -112,31 +205,7 @@ class LieAlgebra:
         antisymmetry.  Supplying both orientations is allowed when they are
         consistent, otherwise AntisymmetryConflict.
         """
-        table: dict[tuple[int, int], SparseVec] = {}
-        seen: dict[tuple[int, int], SparseVec] = {}
-        for i1, j1, vec in entries:
-            i, j = i1 - 1, j1 - 1
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise IndexOutOfRange(
-                    f"bracket pair ({i1}, {j1}) out of range for dim {dim}"
-                )
-            v = tuple(qq(x) for x in vec)
-            if len(v) != dim:
-                raise IndexOutOfRange(
-                    f"bracket value for ({i1}, {j1}) has length {len(v)}, expected {dim}"
-                )
-            if i == j:
-                if not vec_is_zero(v):
-                    raise AntisymmetryConflict(i, j)
-                continue
-            sv = _sparsify(v)
-            neg = {k: -c for k, c in sv.items()}
-            for key, val in (((i, j), sv), ((j, i), neg)):
-                if key in seen and seen[key] != val:
-                    raise AntisymmetryConflict(*key)
-                seen[key] = val
-                if val:
-                    table[key] = val
+        table = table_from_entries(dim, entries, "bracket", _antisymmetric)
         if basis_names is not None:
             names = tuple(basis_names)
             if len(names) != dim:
@@ -146,22 +215,16 @@ class LieAlgebra:
         return cls(dim, table, names)
 
     def _check_jacobi(self):
-        n = self.dim
+        n, t = self.dim, self.table
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
+                    # [[e_u, e_v], e_w] summed over the cyclic shifts
                     acc: SparseVec = {}
                     for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.table.get((u, v))
-                        if not inner:
-                            continue
-                        for m, c in inner.items():
-                            outer = self.table.get((m, w))
-                            if not outer:
-                                continue
-                            for t, d in outer.items():
-                                acc[t] = acc.get(t, QQ(0)) + c * d
-                    if any(c != 0 for c in acc.values()):
+                        uvw = basis_action(t, w, t.get((u, v), {}), False)
+                        acc = sparse_add(acc, uvw)
+                    if acc:
                         raise JacobiViolation(i, j, k, _densify(n, acc))
 
     # -- brackets ------------------------------------------------------
@@ -175,41 +238,17 @@ class LieAlgebra:
         n = self.dim
         if len(u) != n or len(v) != n:
             raise IndexOutOfRange("vector length differs from dim")
-        acc = [QQ(0)] * n
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                entry = self.table.get((i, j))
-                if entry:
-                    ab = a * b
-                    for k, c in entry.items():
-                        acc[k] += ab * c
-        return tuple(acc)
+        return _densify(n, bilinear_sparse(self.table, _sparsify(u), _sparsify(v)))
 
     def bracket_sparse(self, u: SparseVec, v: SparseVec) -> SparseVec:
         return bilinear_sparse(self.table, u, v)
 
     def ad(self, x: Vector) -> Matrix:
         """Matrix of y -> [x, y] in the chosen basis."""
-        n = self.dim
-        cols = []
-        for j in range(n):
-            col = [QQ(0)] * n
-            for i, a in enumerate(x):
-                if a == 0:
-                    continue
-                entry = self.table.get((i, j))
-                if entry:
-                    for k, c in entry.items():
-                        col[k] += a * c
-            cols.append(tuple(col))
-        return Matrix.from_columns(cols)
+        return vector_operator(self.table, self.dim, x, True)
 
     def ad_basis(self, i: int) -> Matrix:
-        return self.ad(tuple(QQ(1) if t == i else QQ(0) for t in range(self.dim)))
+        return basis_operator(self.table, self.dim, i, True)
 
     def __repr__(self):
         return f"LieAlgebra(dim {self.dim})"
@@ -247,10 +286,12 @@ def direct_sum_with_abelian(g: LieAlgebra, extra: int) -> LieAlgebra:
 
 def bracket_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of [a, b]."""
-    vecs = []
-    for u in a.basis_vectors():
-        for v in b.basis_vectors():
-            vecs.append(g.bracket(u, v))
+    bs = [_sparsify(v) for v in b.basis_vectors()]
+    vecs = [
+        _densify(g.dim, bilinear_sparse(g.table, _sparsify(u), v))
+        for u in a.basis_vectors()
+        for v in bs
+    ]
     return Subspace.from_vectors(g.dim, vecs)
 
 
@@ -270,6 +311,11 @@ class SeriesReport:
         if self.stabilized and len(ds) >= 2:
             return ds[:-1]
         return ds
+
+    def term(self, k: int) -> Subspace:
+        """The k-th term, 1-based; the series is stabilized past its
+        recorded tail."""
+        return self.terms[min(k - 1, len(self.terms) - 1)]
 
 
 def _run_series(first: Subspace, step) -> SeriesReport:

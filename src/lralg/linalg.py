@@ -232,6 +232,22 @@ class Matrix:
         return Matrix([row[n:] for row in red.entries])
 
 
+def combination(mats: Sequence[Matrix], coeffs: Sequence) -> Matrix:
+    """The sum of c_t M_t over matrices of one shape; zero coefficients
+    are skipped, so the empty sum is the zero matrix."""
+    if len(mats) != len(coeffs):
+        raise DimensionMismatch(f"{len(coeffs)} coefficients for {len(mats)} matrices")
+    rows, cols = (mats[0].rows, mats[0].cols) if mats else (0, 0)
+    acc = [[QQ(0)] * cols for _ in range(rows)]
+    for m, c in zip(mats, coeffs):
+        if c:
+            for row, mrow in zip(acc, m.entries):
+                for k, e in enumerate(mrow):
+                    if e:
+                        row[k] += c * e
+    return Matrix(acc)
+
+
 def rref(m: Matrix) -> Matrix:
     """Reduced row echelon form.  Canonical: pivots 1, pivot columns cleared."""
     a = [list(row) for row in m.entries]

@@ -24,13 +24,18 @@ from .lie import (
     SparseVec,
     _densify,
     _sparsify,
+    basis_action,
+    basis_operator,
     bilinear_sparse,
     bracket_subspaces,
     lower_central_series,
-    second_derived_is_zero,
+    sparse_add as _add,
+    sparse_sub as _sub,
+    table_from_entries,
     upper_central_series,
+    vector_operator,
 )
-from .linalg import QQ, Matrix, Subspace, Vector, matrix_is_nilpotent, nullspace, qq
+from .linalg import QQ, Matrix, Subspace, Vector, matrix_is_nilpotent, nullspace
 
 
 class LRError(ValueError):
@@ -115,67 +120,25 @@ class LRAlgebra:
         return self.table.get((i, j), {})
 
     def product(self, u: Vector, v: Vector) -> Vector:
-        n = self.dim
-        acc = [QQ(0)] * n
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                entry = self.table.get((i, j))
-                if entry:
-                    ab = a * b
-                    for k, c in entry.items():
-                        acc[k] += ab * c
-        return tuple(acc)
+        uv = bilinear_sparse(self.table, _sparsify(u), _sparsify(v))
+        return _densify(self.dim, uv)
 
     def product_sparse(self, u: SparseVec, v: SparseVec) -> SparseVec:
         return bilinear_sparse(self.table, u, v)
 
     def left_mult(self, x: Vector) -> Matrix:
         """Matrix of y -> x . y."""
-        n = self.dim
-        cols = []
-        for j in range(n):
-            col = [QQ(0)] * n
-            for i, a in enumerate(x):
-                if a == 0:
-                    continue
-                entry = self.table.get((i, j))
-                if entry:
-                    for k, c in entry.items():
-                        col[k] += a * c
-            cols.append(tuple(col))
-        return Matrix.from_columns(cols)
+        return vector_operator(self.table, self.dim, x, True)
 
     def right_mult(self, x: Vector) -> Matrix:
         """Matrix of y -> y . x."""
-        n = self.dim
-        cols = []
-        for j in range(n):
-            col = [QQ(0)] * n
-            for i, a in enumerate(x):
-                if a == 0:
-                    continue
-                entry = self.table.get((j, i))
-                if entry:
-                    for k, c in entry.items():
-                        col[k] += a * c
-            cols.append(tuple(col))
-        return Matrix.from_columns(cols)
+        return vector_operator(self.table, self.dim, x, False)
 
     def left_mult_basis(self, i: int) -> Matrix:
-        n = self.dim
-        return Matrix.from_columns(
-            [_densify(n, self.table.get((i, j), {})) for j in range(n)]
-        )
+        return basis_operator(self.table, self.dim, i, True)
 
     def right_mult_basis(self, i: int) -> Matrix:
-        n = self.dim
-        return Matrix.from_columns(
-            [_densify(n, self.table.get((j, i), {})) for j in range(n)]
-        )
+        return basis_operator(self.table, self.dim, i, False)
 
     def product_tensor(self) -> tuple:
         n = self.dim
@@ -208,28 +171,9 @@ def lr_from_table(
     validate=False the table is only checked for shape, so callers can run
     verify_axioms themselves for a full report.
     """
-    n = g.dim
-    table: dict[tuple[int, int], SparseVec] = {}
-    seen: dict[tuple[int, int], SparseVec] = {}
-    from .lie import AntisymmetryConflict, IndexOutOfRange
-
-    for i1, j1, vec in entries:
-        i, j = i1 - 1, j1 - 1
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexOutOfRange(
-                f"product pair ({i1}, {j1}) out of range for dim {n}"
-            )
-        v = tuple(qq(x) for x in vec)
-        if len(v) != n:
-            raise IndexOutOfRange(
-                f"product value for ({i1}, {j1}) has length {len(v)}, expected {n}"
-            )
-        sv = _sparsify(v)
-        if (i, j) in seen and seen[(i, j)] != sv:
-            raise AntisymmetryConflict(i, j)
-        seen[(i, j)] = sv
-        if sv:
-            table[(i, j)] = sv
+    table = table_from_entries(
+        g.dim, entries, "product", lambda i, j, v: (((i, j), _sparsify(v)),)
+    )
     a = LRAlgebra(g, table)
     if validate:
         report = verify_axioms(a, collect_all=False)
@@ -246,28 +190,9 @@ def lr_from_table(
 
 def verify_axioms(a: LRAlgebra, collect_all: bool = True) -> VerificationReport:
     """Check LR1, LR2 and bracket compatibility over all basis tuples."""
-    n = a.dim
-    g = a.g
+    n, g, t = a.dim, a.g, a.table
     violations: list[Violation] = []
     counts = {"left_commute": 0, "right_commute": 0, "compat": 0}
-
-    def lapply(i: int, v: SparseVec) -> SparseVec:
-        acc: SparseVec = {}
-        for m, c in v.items():
-            entry = a.table.get((i, m))
-            if entry:
-                for k, d in entry.items():
-                    acc[k] = acc.get(k, QQ(0)) + c * d
-        return acc
-
-    def rapply(v: SparseVec, k: int) -> SparseVec:
-        acc: SparseVec = {}
-        for m, c in v.items():
-            entry = a.table.get((m, k))
-            if entry:
-                for t, d in entry.items():
-                    acc[t] = acc.get(t, QQ(0)) + c * d
-        return acc
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -285,8 +210,8 @@ def verify_axioms(a: LRAlgebra, collect_all: bool = True) -> VerificationReport:
             for k in range(n):
                 counts["left_commute"] += 1
                 res = _sub(
-                    lapply(i, a.product_basis(j, k)),
-                    lapply(j, a.product_basis(i, k)),
+                    basis_action(t, i, a.product_basis(j, k), True),
+                    basis_action(t, j, a.product_basis(i, k), True),
                 )
                 if res:
                     violations.append(
@@ -296,8 +221,8 @@ def verify_axioms(a: LRAlgebra, collect_all: bool = True) -> VerificationReport:
                         return VerificationReport(False, tuple(violations), counts)
                 counts["right_commute"] += 1
                 res = _sub(
-                    rapply(a.product_basis(k, i), j),
-                    rapply(a.product_basis(k, j), i),
+                    basis_action(t, j, a.product_basis(k, i), False),
+                    basis_action(t, i, a.product_basis(k, j), False),
                 )
                 if res:
                     violations.append(
@@ -346,20 +271,6 @@ def ideal_product(a: LRAlgebra, s: Subspace, t: Subspace) -> Subspace:
 # `act` is one side of the product: the product itself, (x, v) -> x.v,
 # for left multiplications, or opposite(product), (x, v) -> v.x, for
 # right multiplications.
-
-
-def _add(u: SparseVec, v: SparseVec) -> SparseVec:
-    acc = dict(u)
-    for k, c in v.items():
-        acc[k] = acc[k] + c if k in acc else c
-    return {k: c for k, c in acc.items() if c}
-
-
-def _sub(u: SparseVec, v: SparseVec) -> SparseVec:
-    acc = dict(u)
-    for k, c in v.items():
-        acc[k] = acc[k] - c if k in acc else -c
-    return {k: c for k, c in acc.items() if c}
 
 
 def _modulo(s: Subspace, v: SparseVec) -> SparseVec:
@@ -486,6 +397,9 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
                     ad_product_residual(brak, rprod, -1, x, y, z),
                 )
 
+    lcs = lower_central_series(g)
+    derived = lcs.term(2)
+
     # quartic identities
     if n <= _EXHAUSTIVE_4TUPLE_CUTOFF:
         prods = {
@@ -514,18 +428,16 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
             for sj, v in enumerate(pb):
                 res = _sub(prod(_sparsify(u), _sparsify(v)), prod(_sparsify(v), _sparsify(u)))
                 check("product_square_commute", ("span", si, sj), res)
-        dspan = bracket_subspaces(g, Subspace.full(n), Subspace.full(n))
-        db = dspan.basis_vectors()
+        db = derived.basis_vectors()
         for si, u in enumerate(db):
             for sj, v in enumerate(db):
                 res = brak(_sparsify(u), _sparsify(v))
                 check("derived_brackets_vanish", ("span", si, sj), res)
 
     # the associated Lie algebra is solvable in two steps
-    flag("two_step_solvable", (), not second_derived_is_zero(g))
+    flag("two_step_solvable", (), bracket_subspaces(g, derived, derived).dim != 0)
 
     # series terms are two-sided ideals
-    lcs = lower_central_series(g)
     ucs = upper_central_series(g)
     depth = max(len(lcs.terms), len(ucs.terms))
     for idx, s in enumerate(lcs.terms[: depth + 1]):
@@ -536,7 +448,6 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
         flag("upper_series_two_sided_ideal", ("Z", idx + 1), not ok)
 
     # center annihilates the derived subalgebra on both sides
-    derived = bracket_subspaces(g, Subspace.full(n), Subspace.full(n))
     zb = [_sparsify(v) for v in center(a).basis_vectors()]
     db = [_sparsify(v) for v in derived.basis_vectors()]
     for side, act in (("left", prod), ("right", rprod)):
@@ -547,12 +458,7 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
         )
 
     # graded containment: gamma_{i+1} . gamma_{j+1} inside gamma_{i+j+1}
-    terms = lcs.terms
-
-    def gamma(k: int) -> Subspace:
-        # series is stabilized past its recorded tail
-        return terms[min(k - 1, len(terms) - 1)]
-
+    gamma = lcs.term
     for i in range(1, depth + 1):
         for j in range(1, depth + 1):
             target = gamma(i + j + 1)

@@ -107,6 +107,30 @@ def test_extension_data_shape_validation():
         )
 
 
+def _vectors(length, size):
+    return [[(QQ(1),) * length for _ in range(size)] for _ in range(size)]
+
+
+@pytest.mark.parametrize(
+    "tensor, value, message",
+    [
+        # kernel and base are both 2-dimensional
+        ("omega", _vectors(3, 2), "cochain value at (1, 1) has length 3, expected 2"),
+        ("a_product", _vectors(1, 2), "kernel product value at (1, 1) has length 1"),
+        ("b_product", _vectors(3, 2), "base product value at (1, 1) has length 3"),
+        ("b_product", _vectors(2, 3), "base product must be a 2x2 table of vectors"),
+    ],
+    ids=["omega", "a_product", "b_product", "b_product_rows"],
+)
+def test_lift_data_build_checks_tensor_shapes(tensor, value, message):
+    d, _ = random_abelian_extension(random.Random(8), 2, 2)
+    with pytest.raises(ExtensionError) as err:
+        LiftData.build(d, **{tensor: value})
+    assert str(err.value).startswith(message)
+    built = LiftData.build(d, **{tensor: _vectors(2, 2)})
+    assert getattr(built, tensor)[1][0] == (QQ(1), QQ(1))
+
+
 def test_forward_generator_data_validates():
     rng = random.Random(404)
     for _ in range(10):

@@ -315,6 +315,14 @@ GRAMMAR_CASES = [
     ("system", "dim5\nx[1][1][1]\n", 1, 1, "dim must come before polynomials"),
     ("extension", "extension e\nkernel2\nbase 1\n", 2, 1, "unrecognized line: 'kernel2'"),
     ("extension", "extension\nkernel 1\nbase 1\n", 1, 10, "missing extension name"),
+    ("algebra", "algebra a\nalgebra b\ndim 2\n", 2, 1, "duplicate algebra line"),
+    (
+        "extension",
+        "extension e\nkernel 1\nbase 1\nextension f\n",
+        4,
+        1,
+        "duplicate extension line",
+    ),
 ]
 
 # parser and the command that reads the format

@@ -10,6 +10,8 @@ import random
 from fractions import Fraction as QQ
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lralg.catalog import catalog_get, lie_n3, lie_r2
 from lralg.constructions import free3_lr, free4_two_gen_lr
@@ -93,14 +95,30 @@ def test_product_minus_opposite_is_bracket():
             assert tuple(x - y for x, y in zip(uv, vu)) == a.g.bracket(u, v)
 
 
-def test_left_right_mult_matrices_match_products():
-    a = free3_lr(3)
-    rng = random.Random(29)
-    for _ in range(10):
-        x = tuple(QQ(rng.randint(-2, 2)) for _ in range(a.dim))
-        y = tuple(QQ(rng.randint(-2, 2)) for _ in range(a.dim))
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+SAMPLES = sample_instances()  # free3_lr(3) among them
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_left_right_mult_matrices_match_products(data):
+    """The operator matrices, the products and the brackets all come from
+    one structure-constant core; they must agree on arbitrary vectors."""
+    for a in SAMPLES:
+        n = a.dim
+        zero = (QQ(0),) * n
+        vectors = st.one_of(st.just(zero), st.tuples(*[RATIONALS] * n))
+        x, y = data.draw(vectors), data.draw(vectors)
         assert a.left_mult(x).apply(y) == a.product(x, y)
         assert a.right_mult(x).apply(y) == a.product(y, x)
+        assert a.g.ad(x).apply(y) == a.g.bracket(x, y)
+        for i in range(n):
+            e = tuple(QQ(int(t == i)) for t in range(n))
+            assert a.left_mult_basis(i) == a.left_mult(e)
+            assert a.right_mult_basis(i) == a.right_mult(e)
+            assert a.g.ad_basis(i) == a.g.ad(e)
 
 
 def heisenberg_a3():
