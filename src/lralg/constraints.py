@@ -109,7 +109,11 @@ class ConstraintSystem:
 
 def generate_lr_system(g: LieAlgebra) -> ConstraintSystem:
     """Compatibility rows, then commuting left multiplications, then
-    commuting right multiplications, in a fixed deterministic order."""
+    commuting right multiplications, in a fixed deterministic order.
+
+    A commute row is a sum of 2n products of unknowns with coefficient
+    +1 or -1.  It is summed in ints, then each coefficient becomes the
+    one Fraction this call keeps for its value."""
     n = g.dim
     polys: list[Polynomial] = []
     tags: list[str] = []
@@ -135,27 +139,44 @@ def generate_lr_system(g: LieAlgebra) -> ConstraintSystem:
                     terms[()] = -c
                 add("compatibility", terms)
 
-    def q(v1: int, v2: int):
-        return ((v1, 2),) if v1 == v2 else tuple(sorted(((v1, 1), (v2, 1))))
+    # the pairs of x_v and x_v^2, shared by every monomial that uses them
+    nv = n ** 3
+    lin = [(v, 1) for v in range(nv)]
+    sq = [((v, 2),) for v in range(nv)]
+    fractions = {s: QQ(s) for s in range(-n, n + 1)}
 
     for tag, ops in (("left_commute", left), ("right_commute", right)):
+        # cols[i][b][m] is entry (m, b) of the operator of e_i
+        cols = [[list(col) for col in zip(*op)] for op in ops]
         for i in range(n):
             for j in range(i + 1, n):
-                oi, oj = ops[i], ops[j]
-                for a in range(n):
-                    for b in range(n):
-                        terms = {}
-                        for m in range(n):
-                            for mono, sign in (
-                                (q(oi[a][m], oj[m][b]), one),
-                                (q(oj[a][m], oi[m][b]), minus_one),
-                            ):
-                                s = terms.get(mono, QQ(0)) + sign
-                                if s:
-                                    terms[mono] = s
-                                else:
-                                    terms.pop(mono, None)
-                        add(tag, terms)
+                for row_i, row_j in zip(ops[i], ops[j]):
+                    for col_i, col_j in zip(cols[i], cols[j]):
+                        # entry (a, b) of oi oj - oj oi, summed over m
+                        terms: dict = {}
+                        get = terms.get
+                        for v1, v2, w1, w2 in zip(row_i, col_j, row_j, col_i):
+                            mono = sq[v1] if v1 == v2 else (
+                                (lin[v1], lin[v2]) if v1 < v2 else (lin[v2], lin[v1])
+                            )
+                            s = get(mono, 0) + 1
+                            if s:
+                                terms[mono] = s
+                            else:
+                                del terms[mono]
+                            mono = sq[w1] if w1 == w2 else (
+                                (lin[w1], lin[w2]) if w1 < w2 else (lin[w2], lin[w1])
+                            )
+                            s = get(mono, 0) - 1
+                            if s:
+                                terms[mono] = s
+                            else:
+                                del terms[mono]
+                        if terms:
+                            p = Polynomial.__new__(Polynomial)
+                            p.terms = {mono: fractions[s] for mono, s in terms.items()}
+                            polys.append(p)
+                            tags.append(tag)
     return ConstraintSystem(g, polys, tags)
 
 
@@ -411,11 +432,18 @@ class _Eliminator:
         return done
 
 
+def _zero_forms(elim: dict[int, tuple[dict, QQ]]) -> set[int]:
+    """The variables whose affine expression is 0."""
+    return {v for v, (ec, ek) in elim.items() if not ec and not ek}
+
+
 def _substitute_affine(
-    p: Polynomial, elim: dict[int, tuple[dict, QQ]]
+    p: Polynomial, elim: dict[int, tuple[dict, QQ]], zero: set[int]
 ) -> Polynomial:
     """Substitute affine expressions into a polynomial of degree <= 2
-    (structural_reduce rejects inputs of higher degree)."""
+    (structural_reduce rejects inputs of higher degree).  ``zero`` is
+    _zero_forms(elim); a monomial with a factor in it contributes nothing
+    and is skipped before any expansion."""
     out: dict = {}
 
     def bump(mono, c):
@@ -435,18 +463,19 @@ def _substitute_affine(
         if m == ():
             bump((), c)
             continue
+        v1, v2 = m[0][0], m[-1][0]  # x, x^2 (one pair) or x*y (two pairs)
+        if v1 in zero or v2 in zero:
+            continue
         if len(m) == 1 and m[0][1] == 1:
-            v = m[0][0]
-            if v in elim:
-                ec, ek = elim[v]
-                for v2, c2 in ec.items():
-                    bump(((v2, 1),), c * c2)
+            if v1 in elim:
+                ec, ek = elim[v1]
+                for u, d in ec.items():
+                    bump(((u, 1),), c * d)
                 if ek:
                     bump((), c * ek)
             else:
                 bump(m, c)
             continue
-        v1, v2 = m[0][0], m[-1][0]  # x^2 (one pair) or x*y (two pairs)
         if v1 not in elim and v2 not in elim:
             bump(m, c)
             continue
@@ -544,9 +573,10 @@ def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
         if elim.contradiction:
             break
         table = elim.finalize()
+        zero = _zero_forms(table)
         next_quads: list[Polynomial] = []
         for p in quads:
-            r = _substitute_affine(p, table)
+            r = _substitute_affine(p, table, zero)
             if r.is_zero():
                 continue
             lp = _linear_parts(r)

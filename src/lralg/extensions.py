@@ -81,6 +81,17 @@ def _tensor(what: str, size: int, length: int, value) -> tuple:
     return tuple(rows)
 
 
+def _phi_matrices(phi, p: int, m: int) -> tuple[Matrix, ...]:
+    """phi as a tuple, checked to hold one p x p matrix per basis vector
+    of an m-dimensional base."""
+    phi = tuple(phi)
+    if len(phi) != m:
+        raise ExtensionError("need one phi matrix per base basis vector")
+    if any(mat.rows != p or mat.cols != p for mat in phi):
+        raise ExtensionError("phi matrices must act on the kernel")
+    return phi
+
+
 def _bilinear(tensor, u: Vector, v: Vector) -> Vector:
     """The sum of u_i v_j tensor[i][j] over a dense table of vectors."""
     acc = [QQ(0)] * (len(tensor[0][0]) if tensor else 0)
@@ -103,11 +114,7 @@ class ExtensionData:
     omega: tuple
 
     def __post_init__(self):
-        if len(self.phi) != self.b.dim:
-            raise ExtensionError("need one phi matrix per base basis vector")
-        for m in self.phi:
-            if m.rows != self.a_dim or m.cols != self.a_dim:
-                raise ExtensionError("phi matrices must act on the kernel")
+        _phi_matrices(self.phi, self.a_dim, self.b.dim)
         object.__setattr__(
             self, "omega", _tensor("cochain", self.b.dim, self.a_dim, self.omega)
         )
@@ -210,12 +217,10 @@ class LiftData:
         b_product=None,
     ) -> "LiftData":
         p, m = d.a_dim, d.b.dim
-        zmat = Matrix.zero(p, p)
-        phi1 = tuple(phi1) if phi1 is not None else tuple(zmat for _ in range(m))
-        phi2 = tuple(phi2) if phi2 is not None else tuple(zmat for _ in range(m))
+        zero = (Matrix.zero(p, p),) * m
         return cls(
-            phi1,
-            phi2,
+            _phi_matrices(zero if phi1 is None else phi1, p, m),
+            _phi_matrices(zero if phi2 is None else phi2, p, m),
             _tensor("cochain", m, p, omega),
             _tensor("kernel product", p, p, a_product),
             _tensor("base product", m, m, b_product),

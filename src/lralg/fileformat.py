@@ -391,14 +391,24 @@ _NEXT = r"[ \t]*(?:\*[ \t]*)?"
 # their own groups, as most monomials are read from them alone; any
 # later ones are read from the rest.  No two blank runs can split the
 # same blanks, so a long run is read in linear time.
-_TERM_RE = re.compile(
+_TERM = (
     rf"[ \t]*(?:(?P<sign>[-+])[ \t]*)?(?:(?P<num>\d+)(?:[ \t]*/[ \t]*(?P<den>\d*))?|(?=x))"
     rf"(?:{_NEXT}(?P<f1>{_FACTOR}))?(?:{_NEXT}(?P<f2>{_FACTOR}))?"
     rf"(?P<rest>(?:{_NEXT}{_FACTOR})*)[ \t]*"
 )
-_REST_RE = re.compile(rf"{_NEXT}({_FACTOR})")
-_SIGN_RE = re.compile(r"[ \t]*(?:[-+][ \t]*)?")
-_BLANK_RE = re.compile(r"[ \t]*")
+
+
+@cache
+def _term_patterns() -> tuple[re.Pattern, ...]:
+    """The term, rest-of-factors, sign and blank patterns, compiled on the
+    first system parse, so that importing lralg compiles none of them."""
+    return (
+        re.compile(_TERM),
+        re.compile(rf"{_NEXT}({_FACTOR})"),
+        re.compile(r"[ \t]*(?:[-+][ \t]*)?"),
+        re.compile(r"[ \t]*"),
+    )
+
 
 _ONE, _MINUS_ONE = QQ(1), QQ(-1)
 
@@ -425,16 +435,20 @@ def _read_factor(
     return pair
 
 
-def _parse_poly_line(body: str, line_no: int, dim: int, cache: FactorCache) -> Polynomial:
-    """Sum of terms, each read by one match of _TERM_RE.  Where a term
-    stops, the line ends or the next term's sign follows; anything else
-    is the error of the grammar at that point."""
+def _parse_poly_line(
+    body: str, line_no: int, dim: int, cache: FactorCache, patterns: tuple
+) -> Polynomial:
+    """Sum of terms, each read by one match of the term pattern.  Where a
+    term stops, the line ends or the next term's sign follows; anything
+    else is the error of the grammar at that point.  ``patterns`` is
+    _term_patterns()."""
+    term_re, rest_re, sign_re, blank_re = patterns
     terms: dict = {}
     pos, end = 0, len(body)
     while True:
-        m = _TERM_RE.match(body, pos)
+        m = term_re.match(body, pos)
         if m is None:
-            at = _SIGN_RE.match(body, pos).end()
+            at = sign_re.match(body, pos).end()
             raise ParseError(line_no, at + 1, "expected a coefficient or a variable")
         sign, num, den, f1, f2, rest = m.groups()
         if num is None:
@@ -460,7 +474,7 @@ def _parse_poly_line(body: str, line_no: int, dim: int, cache: FactorCache) -> P
                 b = cache.get(f2) or _read_factor(f2, m.start("f2"), line_no, dim, cache)
                 if rest or a[0] == b[0]:
                     pairs = [a, b]
-                    for r in _REST_RE.finditer(body, m.start("rest"), m.end("rest")):
+                    for r in rest_re.finditer(body, m.start("rest"), m.end("rest")):
                         t = r.group(1)
                         pairs.append(
                             cache.get(t) or _read_factor(t, r.start(1), line_no, dim, cache)
@@ -482,7 +496,7 @@ def _parse_poly_line(body: str, line_no: int, dim: int, cache: FactorCache) -> P
             break
         ch = body[pos]
         if ch == "*":
-            at = _BLANK_RE.match(body, pos + 1).end()
+            at = blank_re.match(body, pos + 1).end()
             raise ParseError(line_no, at + 1, "malformed variable, expected x[i][j][k]")
         if ch == "x":
             raise ParseError(line_no, pos + 1, "malformed variable, expected x[i][j][k]")
@@ -510,13 +524,14 @@ def _parse_system_lines(chunks: Iterable[str]) -> SystemFile:
     dim: int | None = None
     polys: list[Polynomial] = []
     cache: FactorCache = {}
+    patterns = _term_patterns()
     for line_no, body in _content_lines(chunks):
         if _first_word(body) == "dim":
             dim = _size_line(body, line_no, "dim", dim, MAX_SYSTEM_DIM)
         elif dim is None:
             raise ParseError(line_no, 1, "dim must come before polynomials")
         else:
-            polys.append(_parse_poly_line(body, line_no, dim, cache))
+            polys.append(_parse_poly_line(body, line_no, dim, cache, patterns))
     if dim is None:
         raise ParseError(1, 1, "missing dim line")
     return SystemFile(dim, polys)

@@ -13,6 +13,8 @@ import random
 from fractions import Fraction as QQ
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lralg.catalog import (
     catalog_get,
@@ -35,7 +37,8 @@ from lralg.constraints import (
     lr_fingerprint,
     structural_reduce,
 )
-from lralg.constructions import free3_lr
+from lralg.constraints import _substitute_affine, _zero_forms, x_index
+from lralg.constructions import free3_lie, free3_lr, free4_two_gen_lie
 from lralg.fileformat import format_system
 from lralg.lie import abelian_lie, lie_from_table
 from lralg.lr import LRAlgebra, lr_from_table
@@ -106,6 +109,84 @@ def test_evaluate_candidate_input_validation():
         evaluate_candidate(s, other)
     with pytest.raises(IncompleteAssignment):
         evaluate_candidate(s, {0: QQ(1)})
+
+
+def oracle_lr_system(g):
+    """generate_lr_system as first written: every row summed in Fractions
+    through Polynomial's own constructor."""
+    n = g.dim
+    polys, tags = [], []
+
+    def add(tag, terms):
+        p = Polynomial(terms)
+        if not p.is_zero():
+            polys.append(p)
+            tags.append(tag)
+
+    left = [[[x_index(n, i, a, m) for m in range(n)] for a in range(n)] for i in range(n)]
+    right = [[[x_index(n, m, a, i) for m in range(n)] for a in range(n)] for i in range(n)]
+    one, minus_one = QQ(1), QQ(-1)
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            cij = g.bracket_basis(i, j)
+            for k in range(n):
+                terms = {((left[i][k][j], 1),): one, ((left[j][k][i], 1),): minus_one}
+                c = cij.get(k, QQ(0))
+                if c:
+                    terms[()] = -c
+                add("compatibility", terms)
+
+    def q(v1, v2):
+        return ((v1, 2),) if v1 == v2 else tuple(sorted(((v1, 1), (v2, 1))))
+
+    for tag, ops in (("left_commute", left), ("right_commute", right)):
+        for i in range(n):
+            for j in range(i + 1, n):
+                oi, oj = ops[i], ops[j]
+                for a in range(n):
+                    for b in range(n):
+                        terms = {}
+                        for m in range(n):
+                            for mono, sign in (
+                                (q(oi[a][m], oj[m][b]), one),
+                                (q(oj[a][m], oi[m][b]), minus_one),
+                            ):
+                                s = terms.get(mono, QQ(0)) + sign
+                                if s:
+                                    terms[mono] = s
+                                else:
+                                    terms.pop(mono, None)
+                        add(tag, terms)
+    return polys, tags
+
+
+@pytest.mark.parametrize(
+    "base",
+    [lie_r2, lie_n3, lie_n4, lie_n3_plus_line, lambda: free3_lie(3), free4_two_gen_lie],
+    ids=["r2", "n3", "n4", "n3r", "free3_3", "free4_2gen"],
+)
+def test_generated_system_matches_the_fraction_oracle(base):
+    g = base()
+    s = generate_lr_system(g)
+    want_polys, want_tags = oracle_lr_system(g)
+    assert s.tags == want_tags
+    assert len(s.polys) == len(want_polys)
+    for got, want in zip(s.polys, want_polys):
+        # the order of the terms is pinned too: it is the order of the file
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(c) is QQ for c in got.terms.values())
+
+
+# sha256 of the tags, then the rows in system-file text, of
+# generate_lr_system(counterexample_g13()): the body of the raw g13 file.
+G13_SYSTEM_SHA256 = "af1e40bba924ed4391faa584eb5ca50f7023bfc6049e7f38cbe34f5fd968184c"
+
+
+def test_g13_system_is_pinned():
+    s = generate_lr_system(counterexample_g13())
+    text = "\n".join(s.tags) + "\n" + format_system(13, s.polys)
+    assert hashlib.sha256(text.encode()).hexdigest() == G13_SYSTEM_SHA256
 
 
 def test_assignment_from_lr_reads_the_tensor():
@@ -189,6 +270,69 @@ def test_structural_reduce_rejects_degree_above_two(mono):
     )
     with pytest.raises(ConstraintError, match=r"constraint 1 \(hand_built\) has degree 3"):
         structural_reduce(system)
+
+
+NVARS = 6
+NONZERO = st.fractions(-3, 3, max_denominator=3).filter(bool)
+
+
+@st.composite
+def affine_tables(draw):
+    """An elimination table over variables 0..5, as finalize leaves it:
+    each eliminated variable maps to an affine form in the free ones.
+    Variable 0 is always free; a form is 0, a nonzero constant, one free
+    variable with or without a constant, or any affine form."""
+    kinds = [draw(st.sampled_from(["free", "zero", "constant", "one", "affine"]))
+             for _ in range(NVARS - 1)]
+    free = [0] + [v for v, k in enumerate(kinds, 1) if k == "free"]
+    table = {}
+    for v, kind in enumerate(kinds, 1):
+        if kind == "zero":
+            table[v] = ({}, QQ(0))
+        elif kind == "constant":
+            table[v] = ({}, draw(NONZERO))
+        elif kind == "one":
+            table[v] = ({draw(st.sampled_from(free)): draw(NONZERO)},
+                        draw(st.sampled_from([QQ(0), QQ(1), QQ(-2, 3)])))
+        elif kind == "affine":
+            coeffs = draw(st.dictionaries(st.sampled_from(free), NONZERO))
+            table[v] = (coeffs, draw(NONZERO | st.just(QQ(0))))
+    return table
+
+
+@st.composite
+def quadratics(draw):
+    """A polynomial of degree <= 2 over variables 0..5: constants, linear
+    terms, squares and products of two distinct variables."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        picked = draw(st.lists(st.integers(0, NVARS - 1), max_size=2))
+        exps = {}
+        for v in picked:
+            exps[v] = exps.get(v, 0) + 1
+        terms[tuple(sorted(exps.items()))] = draw(NONZERO)
+    return Polynomial(terms)
+
+
+def oracle_substitute(p, table):
+    """Each eliminated variable replaced by its affine Polynomial, and the
+    result multiplied out with Polynomial arithmetic."""
+    out = Polynomial.zero()
+    for mono, c in p.terms.items():
+        term = Polynomial.constant(c)
+        for v, e in mono:
+            factor = Polynomial.linear(*table[v]) if v in table else Polynomial.variable(v)
+            for _ in range(e):
+                term = term * factor
+        out = out + term
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_tables(), quadratics())
+def test_substitute_affine_matches_polynomial_arithmetic(table, p):
+    got = _substitute_affine(p, table, _zero_forms(table))
+    assert got.terms == oracle_substitute(p, table).terms
 
 
 # sha256 of the tags, then the rows in system-file text, of

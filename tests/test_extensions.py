@@ -111,24 +111,46 @@ def _vectors(length, size):
     return [[(QQ(1),) * length for _ in range(size)] for _ in range(size)]
 
 
+def _matrices(size, count):
+    return [Matrix.identity(size) for _ in range(count)]
+
+
+def _frozen(value):
+    """Nested lists as the nested tuples that LiftData holds."""
+    return tuple(map(_frozen, value)) if isinstance(value, list) else value
+
+
 @pytest.mark.parametrize(
-    "tensor, value, message",
+    "arg, value, message",
     [
         # kernel and base are both 2-dimensional
         ("omega", _vectors(3, 2), "cochain value at (1, 1) has length 3, expected 2"),
         ("a_product", _vectors(1, 2), "kernel product value at (1, 1) has length 1"),
         ("b_product", _vectors(3, 2), "base product value at (1, 1) has length 3"),
         ("b_product", _vectors(2, 3), "base product must be a 2x2 table of vectors"),
+        ("phi1", _matrices(2, 1), "need one phi matrix per base basis vector"),
+        ("phi1", _matrices(1, 2), "phi matrices must act on the kernel"),
+        ("phi2", _matrices(2, 1), "need one phi matrix per base basis vector"),
+        ("phi2", _matrices(1, 2), "phi matrices must act on the kernel"),
     ],
-    ids=["omega", "a_product", "b_product", "b_product_rows"],
+    ids=[
+        "omega",
+        "a_product",
+        "b_product",
+        "b_product_rows",
+        "phi1_count",
+        "phi1_shape",
+        "phi2_count",
+        "phi2_shape",
+    ],
 )
-def test_lift_data_build_checks_tensor_shapes(tensor, value, message):
+def test_lift_data_build_checks_tensor_shapes(arg, value, message):
     d, _ = random_abelian_extension(random.Random(8), 2, 2)
     with pytest.raises(ExtensionError) as err:
-        LiftData.build(d, **{tensor: value})
+        LiftData.build(d, **{arg: value})
     assert str(err.value).startswith(message)
-    built = LiftData.build(d, **{tensor: _vectors(2, 2)})
-    assert getattr(built, tensor)[1][0] == (QQ(1), QQ(1))
+    good = _matrices(2, 2) if arg.startswith("phi") else _vectors(2, 2)
+    assert getattr(LiftData.build(d, **{arg: good}), arg) == _frozen(good)
 
 
 def test_forward_generator_data_validates():
