@@ -781,13 +781,12 @@ def _det_poly(entries: list[list[Polynomial]]) -> Polynomial:
     return acc
 
 
-def iso_search(
-    a1: LRAlgebra,
-    a2: LRAlgebra,
-    *,
-    max_basis_size: int = 300,
-    time_budget: float | None = 30.0,
-) -> IsoResult:
+# Buchberger budgets of the non-isomorphism certificate in iso_search.
+ISO_MAX_BASIS_SIZE = 300
+ISO_TIME_BUDGET = 30.0
+
+
+def iso_search(a1: LRAlgebra, a2: LRAlgebra) -> IsoResult:
     """Decide, when possible, whether two LR-algebras are isomorphic as
     algebras (bracket correspondence follows from the product one).
 
@@ -863,7 +862,7 @@ def iso_search(
     det = _det_poly(entries)
     polys.append(det * Polynomial.variable(svar) - Polynomial.constant(1))
     cert = buchberger_certify(
-        polys, max_basis_size=max_basis_size, time_budget=time_budget
+        polys, max_basis_size=ISO_MAX_BASIS_SIZE, time_budget=ISO_TIME_BUDGET
     )
     if cert.status == "inconsistent":
         return IsoResult(

@@ -124,21 +124,6 @@ def filiform_lr(spec: FiliformSpec) -> LRAlgebra:
     return _lr_from_left_mults(g, lmats)
 
 
-def filiform_right_mults(spec: FiliformSpec) -> list[Matrix]:
-    """The matching right multiplications: R(e1) = -ad(e1), R(e2) = 0,
-    R(ei) = ad(e2) ad(e1)^(i-2).  Provided for cross-checks."""
-    g = filiform_lie(spec)
-    n = g.dim
-    ad1 = g.ad_basis(0)
-    ad2 = g.ad_basis(1)
-    rmats = [-ad1, Matrix.zero(n, n)]
-    power = Matrix.identity(n)
-    for _ in range(3, n + 1):
-        power = power @ ad1
-        rmats.append(ad2 @ power)
-    return rmats
-
-
 def _lr_from_left_mults(g: LieAlgebra, lmats: Sequence[Matrix]) -> LRAlgebra:
     n = g.dim
     entries = []

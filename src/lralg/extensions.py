@@ -31,10 +31,11 @@ from .linalg import (
     unit_vector,
     vec_add,
     vec_is_zero,
+    vec_scale,
     vec_sub,
     zero_vector,
 )
-from .lr import LRAlgebra, VerificationReport, Violation, verify_axioms
+from .lr import Checks, LRAlgebra, VerificationReport, verify_axioms
 
 
 class ExtensionError(ValueError):
@@ -130,30 +131,21 @@ def validate_extension(d: ExtensionData) -> VerificationReport:
     """Representation law, antisymmetry of Omega, and the cocycle identity,
     all over basis tuples of the base."""
     m = d.b.dim
-    violations: list[Violation] = []
-    counts = {"phi_respects_brackets": 0, "omega_antisymmetric": 0, "omega_cocycle": 0}
-
-    def note(check, where, residual):
-        violations.append(Violation(check, where, tuple(residual)))
-
+    checks = Checks(
+        d.a_dim, ("phi_respects_brackets", "omega_antisymmetric", "omega_cocycle")
+    )
     for i in range(m):
         for j in range(i + 1, m):
-            counts["phi_respects_brackets"] += 1
-            lhs = d.phi_of(_densify(m, d.b.bracket_basis(i, j)))
-            rhs = d.phi[i] @ d.phi[j] - d.phi[j] @ d.phi[i]
-            diff = lhs - rhs
-            if not diff.is_zero():
-                note(
-                    "phi_respects_brackets",
-                    (i, j),
-                    tuple(x for row in diff.entries for x in row),
-                )
+            checks.equal(
+                "phi_respects_brackets",
+                (i, j),
+                d.phi_of(_densify(m, d.b.bracket_basis(i, j))),
+                d.phi[i].commutator(d.phi[j]),
+            )
     for i in range(m):
         for j in range(i, m):
-            counts["omega_antisymmetric"] += 1
-            res = vec_add(d.omega[i][j], d.omega[j][i])
-            if not vec_is_zero(res):
-                note("omega_antisymmetric", (i, j), res)
+            neg = vec_scale(-1, d.omega[j][i])
+            checks.equal("omega_antisymmetric", (i, j), d.omega[i][j], neg)
 
     unit = [unit_vector(m, i) for i in range(m)]
 
@@ -163,16 +155,13 @@ def validate_extension(d: ExtensionData) -> VerificationReport:
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(j + 1, m):
-                counts["omega_cocycle"] += 1
                 lhs = d.phi[i].apply(d.omega[j][k])
                 lhs = vec_sub(lhs, d.phi[j].apply(d.omega[i][k]))
                 lhs = vec_add(lhs, d.phi[k].apply(d.omega[i][j]))
                 rhs = vec_sub(omega_at(i, j, k), omega_at(i, k, j))
                 rhs = vec_add(rhs, omega_at(j, k, i))
-                res = vec_sub(lhs, rhs)
-                if not vec_is_zero(res):
-                    note("omega_cocycle", (i, j, k), res)
-    return VerificationReport(not violations, tuple(violations), counts)
+                checks.equal("omega_cocycle", (i, j, k), lhs, rhs)
+    return checks.report()
 
 
 def extension_lie_algebra(d: ExtensionData) -> LieAlgebra:
@@ -251,158 +240,120 @@ def verify_lift_conditions(d: ExtensionData, l: LiftData) -> VerificationReport:
     exactly when the lifted product satisfies the LR axioms.
     """
     p, m = d.a_dim, d.b.dim
-    violations: list[Violation] = []
-    counts: dict[str, int] = {}
-
-    def note(check, where, residual):
-        violations.append(Violation(check, where, tuple(residual)))
-
-    def bump(check):
-        counts[check] = counts.get(check, 0) + 1
-
+    checks = Checks(p)
     aunit = [unit_vector(p, i) for i in range(p)]
     bunit = [unit_vector(m, i) for i in range(m)]
+    ap, om, phi1, phi2 = l.a_product, l.omega, l.phi1, l.phi2
 
     # prechecks: kernel product commutative associative, base product LR
     for i in range(p):
         for j in range(i, p):
-            bump("kernel_product_commutative")
-            res = vec_sub(l.a_product[i][j], l.a_product[j][i])
-            if not vec_is_zero(res):
-                note("kernel_product_commutative", (i, j), res)
+            checks.equal("kernel_product_commutative", (i, j), ap[i][j], ap[j][i])
     for i in range(p):
         for j in range(p):
             for k in range(p):
-                bump("kernel_product_associative")
-                res = vec_sub(
-                    _bilinear(l.a_product, l.a_product[i][j], aunit[k]),
-                    _bilinear(l.a_product, aunit[i], l.a_product[j][k]),
+                checks.equal(
+                    "kernel_product_associative",
+                    (i, j, k),
+                    _bilinear(ap, ap[i][j], aunit[k]),
+                    _bilinear(ap, aunit[i], ap[j][k]),
                 )
-                if not vec_is_zero(res):
-                    note("kernel_product_associative", (i, j, k), res)
     base_table = {
         (i, j): sv
         for i in range(m)
         for j in range(m)
         if (sv := _sparsify(l.b_product[i][j]))
     }
-    base_lr = LRAlgebra(d.b, base_table)
-    base_report = verify_axioms(base_lr)
-    bump("base_product_lr")
-    if not base_report.ok:
+    base_report = verify_axioms(LRAlgebra(d.b, base_table))
+    if base_report.ok:
+        checks.flag("base_product_lr", (), False)
+    else:
         first = base_report.violations[0]
-        note("base_product_lr", (first.check,) + first.where, first.residual)
-
-    phi = d.phi
-    phi1, phi2 = l.phi1, l.phi2
+        where = (first.check,) + first.where
+        checks.flag("base_product_lr", where, True, first.residual)
 
     for i in range(m):
         for j in range(m):
-            bump("omega_skew_matches_cocycle")
-            res = vec_sub(vec_sub(l.omega[i][j], l.omega[j][i]), d.omega[i][j])
-            if not vec_is_zero(res):
-                note("omega_skew_matches_cocycle", (i, j), res)
-    for i in range(m):
-        bump("phi_difference_is_action")
-        diff = phi2[i] - phi1[i] - phi[i]
-        if not diff.is_zero():
-            note(
-                "phi_difference_is_action",
-                (i,),
-                tuple(x for row in diff.entries for x in row),
+            checks.equal(
+                "omega_skew_matches_cocycle",
+                (i, j),
+                vec_sub(om[i][j], om[j][i]),
+                d.omega[i][j],
             )
+    for i in range(m):
+        checks.equal("phi_difference_is_action", (i,), phi2[i] - phi1[i], d.phi[i])
     for x in range(m):
         for y in range(m):
-            bump("phi2_commute")
-            res = phi2[x].commutator(phi2[y])
-            if not res.is_zero():
-                note("phi2_commute", (x, y), tuple(e for r in res.entries for e in r))
-            bump("phi1_commute")
-            res = phi1[x].commutator(phi1[y])
-            if not res.is_zero():
-                note("phi1_commute", (x, y), tuple(e for r in res.entries for e in r))
+            checks.equal("phi2_commute", (x, y), phi2[x] @ phi2[y], phi2[y] @ phi2[x])
+            checks.equal("phi1_commute", (x, y), phi1[x] @ phi1[y], phi1[y] @ phi1[x])
             for z in range(m):
-                bump("phi2_omega_exchange")
-                lhs = vec_sub(
-                    phi2[x].apply(l.omega[y][z]), phi2[y].apply(l.omega[x][z])
+                checks.equal(
+                    "phi2_omega_exchange",
+                    (x, y, z),
+                    vec_sub(phi2[x].apply(om[y][z]), phi2[y].apply(om[x][z])),
+                    vec_sub(
+                        _bilinear(om, bunit[y], l.b_product[x][z]),
+                        _bilinear(om, bunit[x], l.b_product[y][z]),
+                    ),
                 )
-                rhs = vec_sub(
-                    _bilinear(l.omega, bunit[y], l.b_product[x][z]),
-                    _bilinear(l.omega, bunit[x], l.b_product[y][z]),
+                checks.equal(
+                    "phi1_omega_exchange",
+                    (x, y, z),
+                    vec_sub(phi1[z].apply(om[x][y]), phi1[y].apply(om[x][z])),
+                    vec_sub(
+                        _bilinear(om, l.b_product[x][z], bunit[y]),
+                        _bilinear(om, l.b_product[x][y], bunit[z]),
+                    ),
                 )
-                res = vec_sub(lhs, rhs)
-                if not vec_is_zero(res):
-                    note("phi2_omega_exchange", (x, y, z), res)
-                bump("phi1_omega_exchange")
-                lhs = vec_sub(
-                    phi1[z].apply(l.omega[x][y]), phi1[y].apply(l.omega[x][z])
-                )
-                rhs = vec_sub(
-                    _bilinear(l.omega, l.b_product[x][z], bunit[y]),
-                    _bilinear(l.omega, l.b_product[x][y], bunit[z]),
-                )
-                res = vec_sub(lhs, rhs)
-                if not vec_is_zero(res):
-                    note("phi1_omega_exchange", (x, y, z), res)
 
     for y in range(m):
         for z in range(m):
             phi1_yz = combination(phi1, l.b_product[y][z])
             for a in range(p):
-                bump("phi1_product_rule")
-                lhs = vec_add(
-                    _bilinear(l.a_product, aunit[a], l.omega[y][z]),
-                    phi1_yz.apply(aunit[a]),
+                checks.equal(
+                    "phi1_product_rule",
+                    (a, y, z),
+                    vec_add(_bilinear(ap, aunit[a], om[y][z]), phi1_yz.column(a)),
+                    phi2[y].apply(phi1[z].column(a)),
                 )
-                rhs = phi2[y].apply(phi1[z].apply(aunit[a]))
-                res = vec_sub(lhs, rhs)
-                if not vec_is_zero(res):
-                    note("phi1_product_rule", (a, y, z), res)
     for x in range(m):
         for y in range(m):
             phi2_xy = combination(phi2, l.b_product[x][y])
             for c in range(p):
-                bump("phi2_product_rule")
-                lhs = vec_add(
-                    _bilinear(l.a_product, l.omega[x][y], aunit[c]),
-                    phi2_xy.apply(aunit[c]),
+                checks.equal(
+                    "phi2_product_rule",
+                    (x, y, c),
+                    vec_add(_bilinear(ap, om[x][y], aunit[c]), phi2_xy.column(c)),
+                    phi1[y].apply(phi2[x].column(c)),
                 )
-                rhs = phi1[y].apply(phi2[x].apply(aunit[c]))
-                res = vec_sub(lhs, rhs)
-                if not vec_is_zero(res):
-                    note("phi2_product_rule", (x, y, c), res)
     for y in range(m):
         for a in range(p):
             for c in range(p):
-                bump("phi2_kernel_bimodule")
-                res = vec_sub(
-                    phi2[y].apply(l.a_product[a][c]),
-                    _bilinear(l.a_product, aunit[a], phi2[y].apply(aunit[c])),
+                checks.equal(
+                    "phi2_kernel_bimodule",
+                    (y, a, c),
+                    phi2[y].apply(ap[a][c]),
+                    _bilinear(ap, aunit[a], phi2[y].column(c)),
                 )
-                if not vec_is_zero(res):
-                    note("phi2_kernel_bimodule", (y, a, c), res)
-                bump("phi1_kernel_symmetry")
-                res = vec_sub(
-                    _bilinear(l.a_product, aunit[a], phi1[y].apply(aunit[c])),
-                    _bilinear(l.a_product, aunit[c], phi1[y].apply(aunit[a])),
+                checks.equal(
+                    "phi1_kernel_symmetry",
+                    (y, a, c),
+                    _bilinear(ap, aunit[a], phi1[y].column(c)),
+                    _bilinear(ap, aunit[c], phi1[y].column(a)),
                 )
-                if not vec_is_zero(res):
-                    note("phi1_kernel_symmetry", (y, a, c), res)
-                bump("phi1_kernel_bimodule")
-                res = vec_sub(
-                    phi1[y].apply(l.a_product[a][c]),
-                    _bilinear(l.a_product, phi1[y].apply(aunit[a]), aunit[c]),
+                checks.equal(
+                    "phi1_kernel_bimodule",
+                    (y, a, c),
+                    phi1[y].apply(ap[a][c]),
+                    _bilinear(ap, phi1[y].column(a), aunit[c]),
                 )
-                if not vec_is_zero(res):
-                    note("phi1_kernel_bimodule", (y, a, c), res)
-                bump("phi2_kernel_symmetry")
-                res = vec_sub(
-                    _bilinear(l.a_product, phi2[y].apply(aunit[c]), aunit[a]),
-                    _bilinear(l.a_product, phi2[y].apply(aunit[a]), aunit[c]),
+                checks.equal(
+                    "phi2_kernel_symmetry",
+                    (y, c, a),
+                    _bilinear(ap, phi2[y].column(c), aunit[a]),
+                    _bilinear(ap, phi2[y].column(a), aunit[c]),
                 )
-                if not vec_is_zero(res):
-                    note("phi2_kernel_symmetry", (y, c, a), res)
-    return VerificationReport(not violations, tuple(violations), counts)
+    return checks.report()
 
 
 def lift_product_tensor(d: ExtensionData, l: LiftData) -> dict[tuple[int, int], SparseVec]:

@@ -35,7 +35,15 @@ from .lie import (
     upper_central_series,
     vector_operator,
 )
-from .linalg import QQ, Matrix, Subspace, Vector, matrix_is_nilpotent, nullspace
+from .linalg import (
+    QQ,
+    Matrix,
+    Subspace,
+    Vector,
+    matrix_is_nilpotent,
+    nullspace,
+    vec_sub,
+)
 
 
 class LRError(ValueError):
@@ -87,6 +95,43 @@ class VerificationReport:
 
     def by_check(self, check: str) -> tuple[Violation, ...]:
         return tuple(v for v in self.violations if v.check == check)
+
+
+class Checks:
+    """The bookkeeping behind every verification report: a count per
+    check name and the violations in run order, each residual dense.
+
+    `names` are counted from zero even when no check of theirs runs.
+    """
+
+    def __init__(self, dim: int, names: Sequence[str] = ()):
+        self.dim = dim
+        self.counts = dict.fromkeys(names, 0)
+        self.violations: list[Violation] = []
+
+    def sparse(self, name: str, where: tuple, residual: SparseVec) -> None:
+        """A sparse residual of length dim; nonzero is a violation."""
+        dense = _densify(self.dim, residual) if residual else ()
+        self.flag(name, where, bool(residual), dense)
+
+    def equal(self, name: str, where: tuple, lhs, rhs) -> None:
+        """Two dense vectors or two matrices that should be equal; the
+        residual lhs - rhs (a matrix row by row) is formed only when not."""
+        if lhs == rhs:
+            self.flag(name, where, False)
+        elif isinstance(lhs, Matrix):
+            self.flag(name, where, True, sum((lhs - rhs).entries, ()))
+        else:
+            self.flag(name, where, True, vec_sub(lhs, rhs))
+
+    def flag(self, name: str, where: tuple, failed: bool, residual=()) -> None:
+        self.counts[name] = self.counts.get(name, 0) + 1
+        if failed:
+            self.violations.append(Violation(name, where, residual))
+
+    def report(self) -> VerificationReport:
+        ok = not self.violations
+        return VerificationReport(ok, tuple(self.violations), self.counts)
 
 
 class LRAlgebra:
@@ -167,7 +212,7 @@ def lr_from_table(
 
     Products are not antisymmetric, so each ordered pair stands on its own;
     pairs not listed multiply to zero.  Raises the typed axiom violation
-    carrying the first failing basis tuple and its exact residual; with
+    carrying the first violation of the full verify_axioms report; with
     validate=False the table is only checked for shape, so callers can run
     verify_axioms themselves for a full report.
     """
@@ -176,7 +221,7 @@ def lr_from_table(
     )
     a = LRAlgebra(g, table)
     if validate:
-        report = verify_axioms(a, collect_all=False)
+        report = verify_axioms(a)
         if not report.ok:
             v = report.violations[0]
             raisers = {
@@ -188,49 +233,29 @@ def lr_from_table(
     return a
 
 
-def verify_axioms(a: LRAlgebra, collect_all: bool = True) -> VerificationReport:
+def verify_axioms(a: LRAlgebra) -> VerificationReport:
     """Check LR1, LR2 and bracket compatibility over all basis tuples."""
     n, g, t = a.dim, a.g, a.table
-    violations: list[Violation] = []
-    counts = {"left_commute": 0, "right_commute": 0, "compat": 0}
-
+    checks = Checks(n, ("left_commute", "right_commute", "compat"))
     for i in range(n):
         for j in range(i + 1, n):
-            counts["compat"] += 1
             res = _sub(
                 _sub(a.product_basis(i, j), a.product_basis(j, i)),
                 g.bracket_basis(i, j),
             )
-            if res:
-                violations.append(
-                    Violation("compat", (i, j), _densify(n, res))
-                )
-                if not collect_all:
-                    return VerificationReport(False, tuple(violations), counts)
+            checks.sparse("compat", (i, j), res)
             for k in range(n):
-                counts["left_commute"] += 1
                 res = _sub(
                     basis_action(t, i, a.product_basis(j, k), True),
                     basis_action(t, j, a.product_basis(i, k), True),
                 )
-                if res:
-                    violations.append(
-                        Violation("left_commute", (i, j, k), _densify(n, res))
-                    )
-                    if not collect_all:
-                        return VerificationReport(False, tuple(violations), counts)
-                counts["right_commute"] += 1
+                checks.sparse("left_commute", (i, j, k), res)
                 res = _sub(
                     basis_action(t, j, a.product_basis(k, i), False),
                     basis_action(t, i, a.product_basis(k, j), False),
                 )
-                if res:
-                    violations.append(
-                        Violation("right_commute", (k, i, j), _densify(n, res))
-                    )
-                    if not collect_all:
-                        return VerificationReport(False, tuple(violations), counts)
-    return VerificationReport(not violations, tuple(violations), counts)
+                checks.sparse("right_commute", (k, i, j), res)
+    return checks.report()
 
 
 def is_complete(a: LRAlgebra) -> bool:
@@ -349,19 +374,7 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
     """
     n = a.dim
     g = a.g
-    violations: list[Violation] = []
-    counts: dict[str, int] = {}
-
-    def check(name: str, where: tuple, residual: SparseVec) -> None:
-        counts[name] = counts.get(name, 0) + 1
-        if residual:
-            violations.append(Violation(name, where, _densify(n, residual)))
-
-    def flag(name: str, where: tuple, failed: bool) -> None:
-        counts[name] = counts.get(name, 0) + 1
-        if failed:
-            violations.append(Violation(name, where, ()))
-
+    checks = Checks(n)
     basis = [{i: QQ(1)} for i in range(n)]
     prod = a.product_sparse
     rprod = opposite(prod)
@@ -375,23 +388,23 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
                 acc = prod(bij, basis[k])
                 acc = _add(acc, prod(brak(basis[j], basis[k]), basis[i]))
                 acc = _add(acc, prod(brak(basis[k], basis[i]), basis[j]))
-                check("product_cycle_left", (i, j, k), acc)
+                checks.sparse("product_cycle_left", (i, j, k), acc)
                 acc = prod(basis[k], bij)
                 acc = _add(acc, prod(basis[i], brak(basis[j], basis[k])))
                 acc = _add(acc, prod(basis[j], brak(basis[k], basis[i])))
-                check("product_cycle_right", (i, j, k), acc)
+                checks.sparse("product_cycle_right", (i, j, k), acc)
 
     # ad [x, y] from the ad and multiplication operators of x and y
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 x, y, z = basis[i], basis[j], basis[k]
-                check(
+                checks.sparse(
                     "ad_product_rule_left",
                     (i, j, k),
                     ad_product_residual(brak, prod, 1, x, y, z),
                 )
-                check(
+                checks.sparse(
                     "ad_product_rule_right",
                     (i, j, k),
                     ad_product_residual(brak, rprod, -1, x, y, z),
@@ -400,58 +413,44 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
     lcs = lower_central_series(g)
     derived = lcs.term(2)
 
-    # quartic identities
-    if n <= _EXHAUSTIVE_4TUPLE_CUTOFF:
-        prods = {
-            (i, j): a.product_basis(i, j) for i in range(n) for j in range(n)
-        }
-        braks = {(i, j): g.bracket_basis(i, j) for i in range(n) for j in range(n)}
-        keys = [k for k in prods if prods[k]]
-        bkeys = [k for k in braks if braks[k]]
-        for (i, j) in keys:
-            for (u, v) in keys:
-                res = _sub(
-                    prod(prods[(i, j)], prods[(u, v)]),
-                    prod(prods[(u, v)], prods[(i, j)]),
-                )
-                check("product_square_commute", (i, j, u, v), res)
-        for (i, j) in bkeys:
-            for (u, v) in bkeys:
-                res = brak(braks[(i, j)], braks[(u, v)])
-                check("derived_brackets_vanish", (i, j, u, v), res)
-    else:
-        pspan = Subspace.from_vectors(
-            n, [_densify(n, v) for v in (a.product_basis(i, j) for i in range(n) for j in range(n)) if v]
-        )
-        pb = pspan.basis_vectors()
-        for si, u in enumerate(pb):
-            for sj, v in enumerate(pb):
-                res = _sub(prod(_sparsify(u), _sparsify(v)), prod(_sparsify(v), _sparsify(u)))
-                check("product_square_commute", ("span", si, sj), res)
-        db = derived.basis_vectors()
-        for si, u in enumerate(db):
-            for sj, v in enumerate(db):
-                res = brak(_sparsify(u), _sparsify(v))
-                check("derived_brackets_vanish", ("span", si, sj), res)
+    # quartic identities over the nonzero basis products and brackets; past
+    # the cutoff, over bases of the product span and the derived algebra
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    prods = [(ij, v) for ij in pairs if (v := a.product_basis(*ij))]
+    braks = [(ij, v) for ij in pairs if (v := g.bracket_basis(*ij))]
+    tag = ()
+    if n > _EXHAUSTIVE_4TUPLE_CUTOFF:
+        tag = ("span",)
+        pspan = Subspace.from_vectors(n, [_densify(n, v) for _, v in prods])
+        prods = [((k,), _sparsify(u)) for k, u in enumerate(pspan.basis_vectors())]
+        braks = [((k,), _sparsify(u)) for k, u in enumerate(derived.basis_vectors())]
+    for ku, u in prods:
+        for kv, v in prods:
+            res = _sub(prod(u, v), prod(v, u))
+            checks.sparse("product_square_commute", tag + ku + kv, res)
+    for ku, u in braks:
+        for kv, v in braks:
+            checks.sparse("derived_brackets_vanish", tag + ku + kv, brak(u, v))
 
     # the associated Lie algebra is solvable in two steps
-    flag("two_step_solvable", (), bracket_subspaces(g, derived, derived).dim != 0)
+    second_derived = bracket_subspaces(g, derived, derived)
+    checks.flag("two_step_solvable", (), second_derived.dim != 0)
 
     # series terms are two-sided ideals
     ucs = upper_central_series(g)
     depth = max(len(lcs.terms), len(ucs.terms))
     for idx, s in enumerate(lcs.terms[: depth + 1]):
         ok = is_two_sided_ideal(a, s)
-        flag("lower_series_two_sided_ideal", ("gamma", idx + 1), not ok)
+        checks.flag("lower_series_two_sided_ideal", ("gamma", idx + 1), not ok)
     for idx, s in enumerate(ucs.terms[:depth]):
         ok = is_two_sided_ideal(a, s)
-        flag("upper_series_two_sided_ideal", ("Z", idx + 1), not ok)
+        checks.flag("upper_series_two_sided_ideal", ("Z", idx + 1), not ok)
 
     # center annihilates the derived subalgebra on both sides
     zb = [_sparsify(v) for v in center(a).basis_vectors()]
     db = [_sparsify(v) for v in derived.basis_vectors()]
     for side, act in (("left", prod), ("right", rprod)):
-        flag(
+        checks.flag(
             "center_kills_derived",
             (side,),
             any(center_kills_derived_residual(act, z, d) for z in zb for d in db),
@@ -462,7 +461,7 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
     for i in range(1, depth + 1):
         for j in range(1, depth + 1):
             target = gamma(i + j + 1)
-            flag(
+            checks.flag(
                 "series_product_grading",
                 (i + 1, j + 1),
                 any(
@@ -478,8 +477,8 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
             for k in range(n):
                 x, y, z = basis[i], basis[j], basis[k]
                 res = derivation_residual(brak, prod, x, y, z)
-                check("left_derivation", (i, j, k), res)
+                checks.sparse("left_derivation", (i, j, k), res)
                 res = derivation_residual(brak, rprod, x, y, z)
-                check("right_derivation", (i, j, k), res)
+                checks.sparse("right_derivation", (i, j, k), res)
 
-    return VerificationReport(not violations, tuple(violations), counts)
+    return checks.report()
