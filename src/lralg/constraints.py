@@ -33,7 +33,7 @@ from typing import Mapping
 
 from .lie import LieAlgebra, _sparsify, bilinear_sparse, center as lie_center
 from .lie import lower_central_series, upper_central_series
-from .linalg import QQ, Matrix, Subspace, qq
+from .linalg import QQ, Eliminator, Matrix, Subspace, qq
 from .lr import (
     LRAlgebra,
     ad_product_residual,
@@ -361,77 +361,6 @@ def _at_most_quadratic(p: Polynomial) -> bool:
     return True
 
 
-class _Eliminator:
-    """Sparse Gaussian elimination producing var -> affine expression."""
-
-    def __init__(self):
-        self.pivots: dict[int, tuple[dict, QQ]] = {}
-        self.order: list[int] = []
-        self.contradiction = False
-
-    def add(self, coeffs: dict, const: QQ) -> None:
-        if self.contradiction:
-            return
-        coeffs = dict(coeffs)
-        while True:
-            hit = None
-            for v in coeffs:
-                if v in self.pivots:
-                    if hit is None or v > hit:
-                        hit = v
-            if hit is None:
-                break
-            c = coeffs.pop(hit)
-            ec, ek = self.pivots[hit]
-            for v2, c2 in ec.items():
-                s = coeffs.get(v2, QQ(0)) + c * c2
-                if s:
-                    coeffs[v2] = s
-                else:
-                    coeffs.pop(v2, None)
-            const += c * ek
-        if not coeffs:
-            if const != 0:
-                self.contradiction = True
-            return
-        p = max(coeffs)
-        cp = coeffs.pop(p)
-        expr = {v: -c / cp for v, c in coeffs.items()}
-        self.pivots[p] = (expr, -const / cp)
-        self.order.append(p)
-
-    def finalize(self) -> dict[int, tuple[dict, QQ]]:
-        """Rewrite every pivot expression in terms of free variables only.
-
-        A pivot expression can mention variables that became pivots later;
-        walking the insertion order backwards resolves them without cycles.
-        """
-        done: dict[int, tuple[dict, QQ]] = {}
-        for p in reversed(self.order):
-            ec, ek = self.pivots[p]
-            coeffs = {}
-            const = ek
-            for v, c in ec.items():
-                if v in done:
-                    dc, dk = done[v]
-                    for v2, c2 in dc.items():
-                        s = coeffs.get(v2, QQ(0)) + c * c2
-                        if s:
-                            coeffs[v2] = s
-                        else:
-                            coeffs.pop(v2, None)
-                    const += c * dk
-                else:
-                    s = coeffs.get(v, QQ(0)) + c
-                    if s:
-                        coeffs[v] = s
-                    else:
-                        coeffs.pop(v, None)
-            done[p] = (coeffs, const)
-        self.pivots = done
-        return done
-
-
 def _zero_forms(elim: dict[int, tuple[dict, QQ]]) -> set[int]:
     """The variables whose affine expression is 0."""
     return {v for v, (ec, ek) in elim.items() if not ec and not ek}
@@ -543,7 +472,7 @@ def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
     """
     added = _identity_rows(system.g)
 
-    elim = _Eliminator()
+    elim = Eliminator()
     quads: list[Polynomial] = []
     pending: list[tuple[dict, QQ]] = []
     for idx, (p, tag) in enumerate(zip(system.polys, system.tags)):
@@ -749,7 +678,7 @@ class IsoResult:
 def _is_lr_isomorphism(a1: LRAlgebra, a2: LRAlgebra, t: Matrix) -> bool:
     """Does T carry the first product to the second, T(x.y) = Tx . Ty?"""
     n = a1.dim
-    if t.det() == 0:
+    if t.rank() < n:
         return False
     for i in range(n):
         for j in range(n):

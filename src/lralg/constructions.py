@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .lie import LieAlgebra, SparseVec, _densify, basis_action, sparse_sub
-from .linalg import QQ, Matrix, qq
+from .linalg import QQ, Matrix, qq, unit_vector
 from .lr import LRAlgebra, lr_from_table
 
 
@@ -96,7 +96,7 @@ def filiform_lie(spec: FiliformSpec) -> LieAlgebra:
     n = spec.n
     entries = []
     for i in range(2, n):
-        entries.append((1, i, _unit(n, i + 1)))
+        entries.append((1, i, unit_vector(n, i)))
     for i in range(3, n - 1):
         vec = [QQ(0)] * n
         any_nonzero = False
@@ -135,10 +135,6 @@ def _lr_from_left_mults(g: LieAlgebra, lmats: Sequence[Matrix]) -> LRAlgebra:
     return lr_from_table(g, entries)
 
 
-def _unit(n: int, k: int) -> tuple:
-    return tuple(QQ(1) if t == k - 1 else QQ(0) for t in range(n))
-
-
 # -- halved adjoint ------------------------------------------------------
 
 
@@ -170,7 +166,7 @@ def free_two_step_lie(n: int) -> LieAlgebra:
     dim = n + len(pairs)
     entries = []
     for idx, (i, j) in enumerate(pairs):
-        entries.append((i, j, _unit(dim, n + idx + 1)))
+        entries.append((i, j, unit_vector(dim, n + idx)))
     return LieAlgebra.from_table(dim, entries)
 
 
@@ -232,7 +228,7 @@ def free3_lie(n: int) -> LieAlgebra:
     dim = b.dim
     entries = []
     for (i, j) in b.pairs:
-        entries.append((b.x(i) + 1, b.x(j) + 1, _unit(dim, b.y(i, j) + 1)))
+        entries.append((b.x(i) + 1, b.x(j) + 1, unit_vector(dim, b.y(i, j))))
     for i in range(1, n + 1):
         for (j, k) in b.pairs:
             vec = [QQ(0)] * dim
@@ -290,13 +286,13 @@ def free4_two_gen_lie() -> LieAlgebra:
     e6 = [e1,e4]; e7 = [e2,e4] = [e1,e5]; e8 = [e2,e5].
     """
     entries = [
-        (1, 2, _unit(8, 3)),
-        (1, 3, _unit(8, 4)),
-        (2, 3, _unit(8, 5)),
-        (1, 4, _unit(8, 6)),
-        (2, 4, _unit(8, 7)),
-        (1, 5, _unit(8, 7)),
-        (2, 5, _unit(8, 8)),
+        (1, 2, unit_vector(8, 2)),
+        (1, 3, unit_vector(8, 3)),
+        (2, 3, unit_vector(8, 4)),
+        (1, 4, unit_vector(8, 5)),
+        (2, 4, unit_vector(8, 6)),
+        (1, 5, unit_vector(8, 6)),
+        (2, 5, unit_vector(8, 7)),
     ]
     return LieAlgebra.from_table(8, entries)
 

@@ -457,7 +457,7 @@ def random_abelian_extension(rng, a_dim: int, b_dim: int):
         )
         shift = Matrix.identity(a_dim).scale(QQ(rng.randint(1, 3)))
         base_mat = seed + shift
-        if base_mat.det() != 0:
+        if base_mat.rank() == a_dim:
             break
     powers = [Matrix.identity(a_dim)]
     for _ in range(3):
@@ -480,5 +480,4 @@ def random_abelian_extension(rng, a_dim: int, b_dim: int):
     from .lie import abelian_lie
 
     d = ExtensionData(a_dim, abelian_lie(b_dim), tuple(phis), tuple(map(tuple, omega)))
-    e = tuple(QQ(1) if t == 0 else QQ(0) for t in range(b_dim))
-    return d, e
+    return d, unit_vector(b_dim, 0)

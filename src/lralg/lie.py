@@ -9,7 +9,16 @@ exhaustive check over basis triples, which suffices by trilinearity.
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .linalg import QQ, Matrix, Subspace, Vector, nullspace, qq, vec_is_zero
+from .linalg import (
+    QQ,
+    Matrix,
+    Subspace,
+    Vector,
+    nullspace,
+    qq,
+    unit_vector,
+    vec_is_zero,
+)
 
 SparseVec = dict[int, QQ]
 
@@ -341,84 +350,49 @@ def derived_series(g: LieAlgebra) -> SeriesReport:
     return _run_series(full, lambda s: bracket_subspaces(g, s, s))
 
 
-def center(g: LieAlgebra) -> Subspace:
-    """Kernel of x -> (all brackets [e_i, x])."""
+def _centralizer_mod(g: LieAlgebra, s: Subspace) -> Subspace:
+    """{x : [e_j, x] in s for every j}: the kernel of x -> ([e_j, x] mod s)_j,
+    whose block j has the columns s.reduce([e_j, e_k])."""
     n = g.dim
-    if n == 0:
-        return Subspace.zero(0)
     rows = []
-    for i in range(n):
-        ad_i = g.ad_basis(i)
-        rows.extend(ad_i.entries)
+    for j in range(n):
+        cols = [s.reduce(_densify(n, g.bracket_basis(j, k))) for k in range(n)]
+        rows.extend(Matrix.from_columns(cols).entries)
     return nullspace(Matrix(rows))
 
 
-def upper_central_series(g: LieAlgebra) -> SeriesReport:
-    """Z_1 = center; Z_{i+1} is the preimage of the center of g / Z_i.
+def center(g: LieAlgebra) -> Subspace:
+    """Z(g) = {x : [e_j, x] = 0 for every j}."""
+    return _centralizer_mod(g, Subspace.zero(g.dim))
 
-    Computed through explicit quotients; tests cross-check against the
-    direct characterization Z_{i+1} = {x : [x, g] inside Z_i}.
-    """
-    z = center(g)
-    terms = [z]
-    while True:
-        current = terms[-1]
-        if current.dim == g.dim:
-            nxt = current
-        else:
-            q, _ = quotient_by_ideal(g, current)
-            zq = center(q)
-            lifted = [v for v in current.basis_vectors()]
-            # pull the quotient center back through a section of proj
-            section = _section_of_projection(g.dim, current)
-            for w in zq.basis_vectors():
-                lifted.append(section.apply(w))
-            nxt = Subspace.from_vectors(g.dim, lifted)
-        terms.append(nxt)
-        if nxt == current:
-            return SeriesReport(tuple(terms), True)
-        if len(terms) > g.dim + 2:
-            return SeriesReport(tuple(terms), False)
+
+def upper_central_series(g: LieAlgebra) -> SeriesReport:
+    """Z_1 = Z(g), Z_{i+1} = {x : [e_j, x] in Z_i for every j}, the preimage
+    of the center of g / Z_i.  Tests compare each step with the center of
+    quotient_by_ideal(g, Z_i) and with upper_central_series_direct."""
+    return _run_series(center(g), lambda s: _centralizer_mod(g, s))
 
 
 def upper_central_series_direct(g: LieAlgebra) -> SeriesReport:
-    """Oracle variant: Z_{i+1} = {x : [e_j, x] in Z_i for all j}."""
-    n = g.dim
-    terms = [center(g)]
-    while True:
-        current = terms[-1]
-        if current.dim == n:
-            nxt = current
-        else:
-            residual = _residual_matrix(current)
-            rows = []
-            for j in range(n):
-                rows.extend((residual @ g.ad_basis(j)).entries)
-            nxt = nullspace(Matrix(rows))
-        terms.append(nxt)
-        if nxt == current:
-            return SeriesReport(tuple(terms), True)
-        if len(terms) > n + 2:
-            return SeriesReport(tuple(terms), False)
+    """Oracle variant: Z_{i+1} = {x : [e_j, x] in Z_i for all j}, the kernel
+    of the dense matrices (w -> w mod Z_i) @ ad(e_j), from Z_0 = 0."""
+
+    def step(s: Subspace) -> Subspace:
+        residual = _residual_matrix(s)
+        rows = [r for j in range(g.dim) for r in (residual @ g.ad_basis(j)).entries]
+        return nullspace(Matrix(rows))
+
+    return _run_series(step(Subspace.zero(g.dim)), step)
 
 
 def _residual_matrix(s: Subspace) -> Matrix:
     """Matrix of w -> (w reduced by the RREF basis of s)."""
     n = s.ambient_dim
-    ident = [[QQ(1) if i == j else QQ(0) for j in range(n)] for i in range(n)]
+    ident = [list(unit_vector(n, i)) for i in range(n)]
     for row, p in zip(s.basis.entries, s.pivots()):
         for m in range(n):
             ident[m][p] -= row[m]
     return Matrix(ident)
-
-
-def _section_of_projection(n: int, ideal: Subspace) -> Matrix:
-    """Section sending quotient coordinates back to the non-pivot basis
-    vectors of the ambient space (the quotient basis convention)."""
-    pivot_set = set(ideal.pivots())
-    free = [j for j in range(n) if j not in pivot_set]
-    cols = [tuple(QQ(1) if t == f else QQ(0) for t in range(n)) for f in free]
-    return Matrix.from_columns(cols)
 
 
 def quotient_by_ideal(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
@@ -432,7 +406,7 @@ def quotient_by_ideal(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matri
         raise IndexOutOfRange("ideal lives in the wrong ambient space")
     for v in ideal.basis_vectors():
         for i in range(n):
-            w = g.bracket(tuple(QQ(1) if t == i else QQ(0) for t in range(n)), v)
+            w = g.bracket(unit_vector(n, i), v)
             if not ideal.contains(w):
                 raise NotAnIdeal(i, v)
     residual = _residual_matrix(ideal)

@@ -3,7 +3,9 @@
 Everything here is built on Fraction, so results are exact: no tolerances,
 no floating point anywhere.  Matrices are small dense immutable arrays;
 subspaces are kept in reduced row echelon form so that equality of
-subspaces is plain syntactic equality of their canonical bases.
+subspaces is plain syntactic equality of their canonical bases.  One
+sparse Eliminator does all row reduction: RREF, rank, kernels, inverses,
+subspace bases and the structural reduction of constraint systems.
 """
 
 from fractions import Fraction
@@ -153,7 +155,7 @@ class Matrix:
         ot = other.transpose().entries
         return Matrix(
             [
-                [sum(a * b for a, b in zip(row, col)) for col in ot]
+                [sum(a * b for a, b in zip(row, col) if a and b) for col in ot]
                 for row in self.entries
             ]
         )
@@ -180,6 +182,8 @@ class Matrix:
     def power(self, k: int) -> "Matrix":
         if not self.is_square():
             raise DimensionMismatch("power of a non-square matrix")
+        if k < 0:
+            raise ValueError("negative exponent")
         result = Matrix.identity(self.rows)
         base = self
         while k:
@@ -190,45 +194,15 @@ class Matrix:
         return result
 
     def rank(self) -> int:
-        return sum(1 for row in rref(self).entries if any(a != 0 for a in row))
-
-    def det(self) -> QQ:
-        """Determinant by fraction-free-ish Gaussian elimination (exact)."""
-        if not self.is_square():
-            raise DimensionMismatch("determinant of a non-square matrix")
-        n = self.rows
-        a = [list(row) for row in self.entries]
-        d = QQ(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if pivot is None:
-                return QQ(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                d = -d
-            d *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col] != 0:
-                    f = a[r][col] * inv
-                    for c in range(col, n):
-                        a[r][c] -= f * a[col][c]
-        return d
+        return len(_eliminate(self).pivots)
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        aug = Matrix(
-            [
-                list(self.entries[i]) + [1 if j == i else 0 for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        red = rref(aug)
-        for i in range(n):
-            if red.entries[i][i] != 1:
-                raise ZeroDivisionError("matrix is singular")
+        red = rref(Matrix([r + unit_vector(n, i) for i, r in enumerate(self.entries)]))
+        if any(red.entries[i][i] != 1 for i in range(n)):
+            raise ZeroDivisionError("matrix is singular")
         return Matrix([row[n:] for row in red.entries])
 
 
@@ -248,26 +222,111 @@ def combination(mats: Sequence[Matrix], coeffs: Sequence) -> Matrix:
     return Matrix(acc)
 
 
+class Eliminator:
+    """Sparse Gaussian elimination producing var -> affine expression.
+
+    Each added row sum c_v x_v + const = 0 is reduced by the pivots so far,
+    largest variable first, and what remains pivots on its largest
+    variable, so a pivot's expression only mentions smaller variables.
+    """
+
+    def __init__(self):
+        self.pivots: dict[int, tuple[dict, QQ]] = {}
+        self.order: list[int] = []
+        self.contradiction = False
+
+    def add(self, coeffs: dict, const: QQ) -> None:
+        if self.contradiction:
+            return
+        coeffs = dict(coeffs)
+        while True:
+            hit = None
+            for v in coeffs:
+                if v in self.pivots:
+                    if hit is None or v > hit:
+                        hit = v
+            if hit is None:
+                break
+            c = coeffs.pop(hit)
+            ec, ek = self.pivots[hit]
+            for v2, c2 in ec.items():
+                s = coeffs.get(v2, QQ(0)) + c * c2
+                if s:
+                    coeffs[v2] = s
+                else:
+                    coeffs.pop(v2, None)
+            const += c * ek
+        if not coeffs:
+            if const != 0:
+                self.contradiction = True
+            return
+        p = max(coeffs)
+        cp = coeffs.pop(p)
+        expr = {v: -c / cp for v, c in coeffs.items()}
+        self.pivots[p] = (expr, -const / cp)
+        self.order.append(p)
+
+    def finalize(self) -> dict[int, tuple[dict, QQ]]:
+        """Rewrite every pivot expression in terms of free variables only.
+
+        A pivot expression can mention variables that became pivots later;
+        walking the insertion order backwards resolves them without cycles.
+        """
+        done: dict[int, tuple[dict, QQ]] = {}
+        for p in reversed(self.order):
+            ec, ek = self.pivots[p]
+            coeffs = {}
+            const = ek
+            for v, c in ec.items():
+                if v in done:
+                    dc, dk = done[v]
+                    for v2, c2 in dc.items():
+                        s = coeffs.get(v2, QQ(0)) + c * c2
+                        if s:
+                            coeffs[v2] = s
+                        else:
+                            coeffs.pop(v2, None)
+                    const += c * dk
+                else:
+                    s = coeffs.get(v, QQ(0)) + c
+                    if s:
+                        coeffs[v] = s
+                    else:
+                        coeffs.pop(v, None)
+            done[p] = (coeffs, const)
+        self.pivots = done
+        return done
+
+
+def _eliminate(m: Matrix) -> Eliminator:
+    """The rows of m fed to an Eliminator, column c as variable cols-1-c,
+    so that its largest-variable pivots are the leftmost columns."""
+    last = m.cols - 1
+    elim = Eliminator()
+    for row in m.entries:
+        elim.add({last - c: x for c, x in enumerate(row) if x}, QQ(0))
+    return elim
+
+
+def _reduced_rows(m: Matrix) -> list[list[QQ]]:
+    """The nonzero rows of the RREF of m, top to bottom.  The pivot
+    x_c = sum a_f x_f is the row with 1 at c and -a_f at each free f."""
+    last = m.cols - 1
+    rows = []
+    for p, (expr, _) in sorted(_eliminate(m).finalize().items(), reverse=True):
+        row = [QQ(0)] * m.cols
+        row[last - p] = QQ(1)
+        for v, c in expr.items():
+            row[last - v] = -c
+        rows.append(row)
+    return rows
+
+
 def rref(m: Matrix) -> Matrix:
     """Reduced row echelon form.  Canonical: pivots 1, pivot columns cleared."""
-    a = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nrows:
-            break
-    return Matrix(a)
+    rows = _reduced_rows(m)
+    rows.extend([QQ(0)] * m.cols for _ in range(m.rows - len(rows)))
+    return Matrix(rows)
 
 
 def pivot_columns(reduced: Matrix) -> tuple[int, ...]:
@@ -357,11 +416,7 @@ class Subspace:
                 raise DimensionMismatch(
                     f"vector length {len(v)} != ambient dim {ambient_dim}"
                 )
-        if not vecs:
-            return cls(ambient_dim, Matrix([]))
-        red = rref(Matrix(vecs))
-        rows = [row for row in red.entries if any(x != 0 for x in row)]
-        return cls(ambient_dim, Matrix(rows))
+        return cls(ambient_dim, Matrix(_reduced_rows(Matrix(vecs))))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

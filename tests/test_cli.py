@@ -5,11 +5,14 @@ stderr are all observable.  Input files are produced either by hand or
 by round-tripping the tool's own dump output through tmp_path.
 """
 
+import hashlib
 import json
+import random
 import time
 
 import pytest
 
+from lralg.catalog import catalog_entry, catalog_list, sample_params
 from lralg.cli import main
 from lralg.fileformat import parse_algebra_text, format_algebra
 
@@ -481,3 +484,48 @@ def test_iso_distinguished(tmp_path, capsys):
     assert payload["status"] == "distinguished"
     assert payload["invariant"] == "left_annihilator_dim"
     assert payload["transform"] is None
+
+
+# ---------------------------------------------------------------------------
+# pinned output of the series and verification commands
+#
+# The digest was taken with the dense row reduction and the quotient-based
+# upper central series, before both were rebuilt on the sparse eliminator.
+
+SERIES_AND_LEMMAS_SHA256 = (
+    "cd8f56cb29595951c2c2ae1142333f5bcb8b50f4b677ee64501e16e4a61263a6"
+)
+
+
+def pinned_inputs(tmp_path, capsys):
+    """Algebra files: every catalog sample instance, g13, free3 on three
+    generators, the free two-generator example and five seeded filiform
+    algebras with their products."""
+    dumps = [
+        ["catalog", "dump", key] + [f"--param={p}={v}" for p, v in params.items()]
+        for key in catalog_list()
+        for params in sample_params(catalog_entry(key))
+    ]
+    dumps += [["catalog", "dump", "g13"], ["construct", "free3", "3"]]
+    dumps.append(["construct", "free4-2gen"])
+    rng = random.Random(9)
+    for n in (5, 6, 7, 8, 9):
+        row = ",".join(str(rng.randint(-3, 3)) for _ in range(n - 4))
+        dumps.append(["construct", "filiform", str(n), f"--coeffs={row}"])
+    for k, argv in enumerate(dumps):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        path = tmp_path / f"in{k}.alg"
+        path.write_text(out, encoding="utf-8")
+        yield str(path)
+
+
+def test_series_and_lemma_reports_are_pinned(tmp_path, capsys):
+    chunks = []
+    for path in pinned_inputs(tmp_path, capsys):
+        for argv in (["series", path, "--json"], ["check", path, "--lemmas", "--json"]):
+            code, out, err = run(capsys, *argv)
+            chunks.append(f"{argv[0]} {code}\n{out}{err.replace(path, 'FILE')}")
+    digest = hashlib.sha256("".join(chunks).encode()).hexdigest()
+    assert len(chunks) == 2 * 94
+    assert digest == SERIES_AND_LEMMAS_SHA256

@@ -448,7 +448,7 @@ def test_iso_search_finds_self():
     r = iso_search(a, a)
     assert r.status == "found"
     assert r.transform is not None
-    assert r.transform.det() != 0
+    assert r.transform.rank() == a.dim
 
 
 def test_iso_search_finds_nontrivial_transform():

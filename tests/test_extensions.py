@@ -160,7 +160,7 @@ def test_forward_generator_data_validates():
         b_dim = rng.randint(1, 4)
         d, e = random_abelian_extension(rng, a_dim, b_dim)
         assert validate_extension(d).ok
-        assert d.phi_of(e).det() != 0
+        assert d.phi_of(e).rank() == a_dim
 
 
 def test_invertible_generator_lift_randomized():

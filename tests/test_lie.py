@@ -1,8 +1,8 @@
 """Lie algebras from structure constants: validation, brackets, series.
 
-The upper central series has two independent implementations (via explicit
-quotients and via the direct membership characterization); they are cross
-checked here on every algebra this package can construct.
+The upper central series is checked step by step against the centers of
+explicit quotients, and whole against a dense direct implementation, on
+every algebra this package can construct.
 """
 
 import random
@@ -11,7 +11,14 @@ from fractions import Fraction as QQ
 import pytest
 
 from lralg.catalog import counterexample_g13, lie_n3, lie_n3_plus_line, lie_n4, lie_r2
-from lralg.constructions import free3_lie, free4_two_gen_lie, free_two_step_lie
+from lralg.constructions import (
+    FiliformSpec,
+    filiform_lie,
+    free3_lie,
+    free4_two_gen_lie,
+    free_two_step_lie,
+)
+from lralg.extensions import extension_lie_algebra, random_abelian_extension
 from lralg.lie import (
     AntisymmetryConflict,
     JacobiViolation,
@@ -144,12 +151,45 @@ def test_free_algebras_have_expected_class():
     assert classify_solvability(free4_two_gen_lie()).nilpotency_class == 4
 
 
-def test_upper_series_quotient_vs_direct_everywhere():
-    for g in ALL_ALGEBRAS:
-        via_quotient = upper_central_series(g)
+def sl2():
+    # e1 = h, e2 = e, e3 = f
+    return lie_from_table(3, [(1, 2, e(3, 2, 2)), (1, 3, e(3, 3, -2)), (2, 3, e(3, 1))])
+
+
+def derivation_on_heisenberg():
+    """d acting on h3 = span(x, y, z), [x, y] = z, by x -> x, y -> y,
+    z -> 2z; 3-step solvable.  Basis d, x, y, z."""
+    entries = [(1, 2, e(4, 2)), (1, 3, e(4, 3)), (1, 4, e(4, 4, 2)), (2, 3, e(4, 4))]
+    return lie_from_table(4, entries)
+
+
+def series_algebras():
+    rng = random.Random(4)
+    out = ALL_ALGEBRAS + [sl2(), derivation_on_heisenberg(), free3_lie(4)]
+    for n in range(4, 10):
+        row = [QQ(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n - 4)]
+        out.append(filiform_lie(FiliformSpec.from_free_row(n, row)))
+    for seed in range(1, 6):
+        d, _ = random_abelian_extension(random.Random(seed), 1 + seed % 3, 2)
+        out.append(extension_lie_algebra(d))
+    return out
+
+
+def test_upper_series_matches_direct_and_quotient_centers():
+    """Each step Z_i -> Z_{i+1} adds exactly the center of g / Z_i, and the
+    series equals the one built by the dense direct oracle."""
+    for g in series_algebras():
+        series = upper_central_series(g)
         direct = upper_central_series_direct(g)
-        assert via_quotient.dims() == direct.dims(), repr(g)
-        assert via_quotient.terms[: len(direct.terms)] == direct.terms[: len(via_quotient.terms)]
+        assert series.dims() == direct.dims(), repr(g)
+        assert series.terms == direct.terms, repr(g)
+        for z, z_next in zip(series.terms, series.terms[1:]):
+            q, proj = quotient_by_ideal(g, z)
+            zq = center(q)
+            assert z_next.dim - z.dim == zq.dim, repr(g)
+            if q.dim:  # the projection onto a zero quotient is stored as 0x0
+                image = [proj.apply(v) for v in z_next.basis_vectors()]
+                assert Subspace.from_vectors(q.dim, image) == zq, repr(g)
 
 
 def test_center_matches_first_upper_term():
