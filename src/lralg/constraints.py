@@ -29,11 +29,13 @@ possible solvability, or budget exhaustion.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from typing import Mapping
 
-from .lie import LieAlgebra, _sparsify, bilinear_sparse, center as lie_center
+from .lie import LieAlgebra, SparseVec, _densify, bilinear_sparse, center as lie_center
 from .lie import lower_central_series, upper_central_series
-from .linalg import QQ, Eliminator, Matrix, Subspace, qq
+from .linalg import QQ, Eliminator, Matrix, Subspace, Vector, qq
 from .lr import (
     LRAlgebra,
     ad_product_residual,
@@ -244,25 +246,42 @@ def _identity_rows(g: LieAlgebra) -> list[tuple[str, Polynomial]]:
 
     In the generic product, component a of e_p . e_q is the unknown
     x[p][a][q], so every residual component is an affine form in the
-    unknowns and each nonzero one becomes a row.
+    unknowns and each nonzero one becomes a row.  The identities run on
+    int scalars wherever a value is integral (basis vectors, unknowns,
+    structure constants); each row's coefficients then become the one
+    Fraction this call keeps for their value.
     """
     n = g.dim
+
+    def ints(v: Vector) -> SparseVec:
+        """The nonzero entries of v, each integral one as an int."""
+        return {
+            k: c.numerator if c.denominator == 1 else c for k, c in enumerate(v) if c
+        }
+
+    def poly(terms: dict) -> Polynomial:
+        p = Polynomial.__new__(Polynomial)
+        p.terms = terms
+        return p
+
     table = {
-        (p, q): {a: Polynomial.variable(x_index(n, p, a, q)) for a in range(n)}
+        (p, q): {a: poly({((x_index(n, p, a, q), 1),): 1}) for a in range(n)}
         for p in range(n)
         for q in range(n)
     }
-
-    def prod(u, v):
-        return bilinear_sparse(table, u, v)
-
-    brak = g.bracket_sparse
+    prod = partial(bilinear_sparse, table)
+    brackets = {key: ints(_densify(n, v)) for key, v in g.table.items()}
+    brak = partial(bilinear_sparse, brackets)
     sides = (("left", prod), ("right", opposite(prod)))
-    basis = [{i: QQ(1)} for i in range(n)]
+    basis = [{i: 1} for i in range(n)]
     rows: list[tuple[str, Polynomial]] = []
+    fractions: dict = {}
 
     def row(c) -> Polynomial:
-        return c if isinstance(c, Polynomial) else Polynomial.constant(c)
+        """c with its coefficients replaced by this call's shared Fractions."""
+        terms = c.terms if isinstance(c, Polynomial) else {(): c}
+        get, put = fractions.get, fractions.setdefault
+        return poly({m: get(x) or put(x, QQ(x)) for m, x in terms.items()})
 
     def emit(tag: str, residual) -> None:
         rows.extend((tag, row(residual[a])) for a in sorted(residual))
@@ -307,7 +326,7 @@ def _identity_rows(g: LieAlgebra) -> list[tuple[str, Polynomial]]:
                 for v in s.basis_vectors():
                     emit(
                         f"{side}_preserves_{kind}_central",
-                        ideal_residual(act, s, basis[i], _sparsify(v)),
+                        ideal_residual(act, s, basis[i], ints(v)),
                     )
 
     z = lie_center(g)
@@ -317,7 +336,7 @@ def _identity_rows(g: LieAlgebra) -> list[tuple[str, Polynomial]]:
             for dv in derived.basis_vectors():
                 emit(
                     f"center_kills_derived_{side}",
-                    center_kills_derived_residual(act, _sparsify(zv), _sparsify(dv)),
+                    center_kills_derived_residual(act, ints(zv), ints(dv)),
                 )
 
     top = len(lcs.terms) + 1
@@ -331,7 +350,7 @@ def _identity_rows(g: LieAlgebra) -> list[tuple[str, Polynomial]]:
                 for v in src_b.basis_vectors():
                     emit(
                         "series_product_grading",
-                        grading_residual(prod, tgt, _sparsify(u), _sparsify(v)),
+                        grading_residual(prod, tgt, ints(u), ints(v)),
                     )
     return rows
 
@@ -376,7 +395,7 @@ def _substitute_affine(
     out: dict = {}
 
     def bump(mono, c):
-        s = out.get(mono, QQ(0)) + c
+        s = out[mono] + c if mono in out else c
         if s:
             out[mono] = s
         else:
@@ -493,7 +512,8 @@ def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
     seen_quads: set = set()
     while pending and not elim.contradiction:
         rounds += 1
-        pending.sort(key=lambda rc: (len(rc[0]), sorted(rc[0].items())))
+        # length, then the sorted (variable, coefficient) pairs, laid flat
+        pending.sort(key=lambda rc: (len(rc[0]), *chain(*sorted(rc[0].items()))))
         for coeffs, const in pending:
             elim.add(coeffs, const)
             if elim.contradiction:

@@ -368,21 +368,8 @@ def center(g: LieAlgebra) -> Subspace:
 
 def upper_central_series(g: LieAlgebra) -> SeriesReport:
     """Z_1 = Z(g), Z_{i+1} = {x : [e_j, x] in Z_i for every j}, the preimage
-    of the center of g / Z_i.  Tests compare each step with the center of
-    quotient_by_ideal(g, Z_i) and with upper_central_series_direct."""
+    of the center of g / Z_i."""
     return _run_series(center(g), lambda s: _centralizer_mod(g, s))
-
-
-def upper_central_series_direct(g: LieAlgebra) -> SeriesReport:
-    """Oracle variant: Z_{i+1} = {x : [e_j, x] in Z_i for all j}, the kernel
-    of the dense matrices (w -> w mod Z_i) @ ad(e_j), from Z_0 = 0."""
-
-    def step(s: Subspace) -> Subspace:
-        residual = _residual_matrix(s)
-        rows = [r for j in range(g.dim) for r in (residual @ g.ad_basis(j)).entries]
-        return nullspace(Matrix(rows))
-
-    return _run_series(step(Subspace.zero(g.dim)), step)
 
 
 def _residual_matrix(s: Subspace) -> Matrix:

@@ -87,7 +87,10 @@ class Matrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)])
+        """The rows x cols zero matrix; with no rows it keeps its cols."""
+        m = cls([[0] * cols for _ in range(rows)])
+        object.__setattr__(m, "cols", cols)
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -250,7 +253,7 @@ class Eliminator:
             c = coeffs.pop(hit)
             ec, ek = self.pivots[hit]
             for v2, c2 in ec.items():
-                s = coeffs.get(v2, QQ(0)) + c * c2
+                s = coeffs[v2] + c * c2 if v2 in coeffs else c * c2
                 if s:
                     coeffs[v2] = s
                 else:
@@ -281,14 +284,14 @@ class Eliminator:
                 if v in done:
                     dc, dk = done[v]
                     for v2, c2 in dc.items():
-                        s = coeffs.get(v2, QQ(0)) + c * c2
+                        s = coeffs[v2] + c * c2 if v2 in coeffs else c * c2
                         if s:
                             coeffs[v2] = s
                         else:
                             coeffs.pop(v2, None)
                     const += c * dk
                 else:
-                    s = coeffs.get(v, QQ(0)) + c
+                    s = coeffs[v] + c if v in coeffs else c
                     if s:
                         coeffs[v] = s
                     else:

@@ -4,8 +4,8 @@ Variables are nonnegative integer ids.  Monomials are tuples of
 (variable, exponent) pairs sorted by variable id with positive
 exponents.  The term order is graded: total degree first, ties broken
 so that a lower variable id counts as the bigger variable.  It is
-defined once, as the native sort key ``mono_key``; ``mono_compare`` and
-the reversed key of the division heap derive from it.
+defined once, as the native sort key ``mono_key``; the reversed key of
+the division heap derives from it.
 
 The module provides exact arithmetic, substitution and evaluation,
 polynomial reduction, S-polynomials, and a budgeted Groebner-basis
@@ -116,14 +116,6 @@ def _heap_key(m: Monomial) -> tuple:
     return (-sum(e for _, e in m), tuple([x for v, e in m for x in (v, -e)]))
 
 
-def mono_compare(a: Monomial, b: Monomial) -> int:
-    ka, kb = mono_key(a), mono_key(b)
-    return (ka > kb) - (ka < kb)
-
-
-MONO_KEY = mono_key
-
-
 def signed_sum(parts: list[str]) -> str:
     """Nonempty terms, each written with its own sign, as `a + b - c`."""
     out = parts[0]
@@ -213,7 +205,7 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, QQ(0)) + c
+            s = out[m] + c if m in out else c
             if s:
                 out[m] = s
             else:
@@ -238,7 +230,8 @@ class Polynomial:
         return Polynomial.constant(other) - self
 
     def scale(self, c) -> "Polynomial":
-        c = qq(c)
+        if type(c) is not int:
+            c = qq(c)
         if c == 1:
             return self
         p = Polynomial.__new__(Polynomial)
@@ -625,8 +618,3 @@ def groebner_basis(
     if any(p.is_constant() for p in reduced):
         reduced = [Polynomial.constant(1)]
     return out("complete", reduced)
-
-
-def ideal_membership(f: Polynomial, basis: Iterable[Polynomial]) -> bool:
-    """Is f in the ideal generated by a completed basis?"""
-    return reduce_full(f, basis).is_zero()

@@ -37,11 +37,30 @@ from lralg.constraints import (
     lr_fingerprint,
     structural_reduce,
 )
-from lralg.constraints import _substitute_affine, _zero_forms, x_index
+from lralg.constraints import _identity_rows, _substitute_affine, _zero_forms, x_index
 from lralg.constructions import free3_lie, free3_lr, free4_two_gen_lie
+from lralg.extensions import extension_lie_algebra, random_abelian_extension
 from lralg.fileformat import format_system
-from lralg.lie import abelian_lie, lie_from_table
-from lralg.lr import LRAlgebra, lr_from_table
+from lralg.lie import (
+    _sparsify,
+    abelian_lie,
+    bilinear_sparse,
+    center,
+    lie_from_table,
+    lower_central_series,
+    upper_central_series,
+)
+from lralg.linalg import Eliminator
+from lralg.lr import (
+    LRAlgebra,
+    ad_product_residual,
+    center_kills_derived_residual,
+    derivation_residual,
+    grading_residual,
+    ideal_residual,
+    lr_from_table,
+    opposite,
+)
 from lralg.poly import Polynomial
 
 
@@ -356,6 +375,261 @@ def test_added_rows_are_pinned(base, digest):
     text = "\n".join(t for t, _ in red.added) + "\n"
     text += format_system(g.dim, [p for _, p in red.added])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def lie_sl2():
+    # e1 = h, e2 = e, e3 = f
+    return lie_from_table(3, [(1, 2, (0, 2, 0)), (1, 3, (0, 0, -2)), (2, 3, (1, 0, 0))])
+
+
+def lie_d_h3():
+    """d acting on h3 = span(x, y, z), [x, y] = z, by x -> x, y -> y,
+    z -> 2z.  Basis d, x, y, z."""
+    entries = [
+        (1, 2, (0, 1, 0, 0)),
+        (1, 3, (0, 0, 1, 0)),
+        (1, 4, (0, 0, 0, 2)),
+        (2, 3, (0, 0, 0, 1)),
+    ]
+    return lie_from_table(4, entries)
+
+
+def lie_r3():
+    """[e1, e2] = e2, [e1, e3] = e2 + e3."""
+    return lie_from_table(3, [(1, 2, (0, 1, 0)), (1, 3, (0, 1, 1))])
+
+
+def lie_n3_half():
+    """n3 with [e1, e2] = 1/2 e3: a non-integral structure constant."""
+    return lie_from_table(3, [(1, 2, (0, 0, QQ(1, 2)))])
+
+
+def lie_r3_two_thirds():
+    """[e1, e2] = 2/3 e2, [e1, e3] = e3."""
+    return lie_from_table(3, [(1, 2, (0, QQ(2, 3), 0)), (1, 3, (0, 0, 1))])
+
+
+def lie_extension(seed):
+    d, _ = random_abelian_extension(random.Random(seed), 1 + seed % 3, 2)
+    return extension_lie_algebra(d)
+
+
+def oracle_identity_rows(g):
+    """_identity_rows as it was before it ran on int scalars: every scalar
+    a Fraction, every unknown Polynomial.variable."""
+    n = g.dim
+    table = {
+        (p, q): {a: Polynomial.variable(x_index(n, p, a, q)) for a in range(n)}
+        for p in range(n)
+        for q in range(n)
+    }
+
+    def prod(u, v):
+        return bilinear_sparse(table, u, v)
+
+    brak = g.bracket_sparse
+    sides = (("left", prod), ("right", opposite(prod)))
+    basis = [{i: QQ(1)} for i in range(n)]
+    rows = []
+
+    def row(c):
+        return c if isinstance(c, Polynomial) else Polynomial.constant(c)
+
+    def emit(tag, residual):
+        rows.extend((tag, row(residual[a])) for a in sorted(residual))
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(j + 1, n):
+                for side, act in sides:
+                    emit(
+                        f"{side}_derivation",
+                        derivation_residual(brak, act, basis[i], basis[j], basis[k]),
+                    )
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            for (side, act), sign in zip(sides, (1, -1)):
+                cols = [
+                    ad_product_residual(brak, act, sign, basis[i], basis[j], basis[b])
+                    for b in range(n)
+                ]
+                rows.extend(
+                    (f"bracket_product_rule_{side}", row(col[a]))
+                    for a in range(n)
+                    for col in cols
+                    if a in col
+                )
+
+    lcs = lower_central_series(g)
+    ucs = upper_central_series(g)
+    gamma = lcs.term
+
+    series_targets = [("lower", s) for s in lcs.terms[1:]] + [
+        ("upper", s) for s in ucs.terms
+    ]
+    for kind, s in series_targets:
+        if s.dim == n:
+            continue
+        for side, act in sides:
+            for i in range(n):
+                for v in s.basis_vectors():
+                    emit(
+                        f"{side}_preserves_{kind}_central",
+                        ideal_residual(act, s, basis[i], _sparsify(v)),
+                    )
+
+    z = center(g)
+    derived = gamma(2)
+    for side, act in sides:
+        for zv in z.basis_vectors():
+            for dv in derived.basis_vectors():
+                emit(
+                    f"center_kills_derived_{side}",
+                    center_kills_derived_residual(act, _sparsify(zv), _sparsify(dv)),
+                )
+
+    top = len(lcs.terms) + 1
+    for i in range(1, top):
+        for j in range(1, top):
+            src_a, src_b = gamma(i + 1), gamma(j + 1)
+            tgt = gamma(i + j + 1)
+            if src_a.dim == 0 or src_b.dim == 0 or tgt.dim == n:
+                continue
+            for u in src_a.basis_vectors():
+                for v in src_b.basis_vectors():
+                    emit(
+                        "series_product_grading",
+                        grading_residual(prod, tgt, _sparsify(u), _sparsify(v)),
+                    )
+    return rows
+
+
+def reduction_digest(red):
+    """sha256 of the eliminated map by variable, the residual in order and
+    the contradiction flag."""
+    text = "".join(f"{v}: {e.to_string()}\n" for v, e in sorted(red.eliminated.items()))
+    text += "".join(f"{p.to_string()}\n" for p in red.residual)
+    text += f"{red.contradiction}\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Algebras of the int-scalar differential test, with the eliminated count,
+# round count, contradiction flag and reduction_digest of structural_reduce
+# as computed by the Fraction-scalar implementation.  sl2 and d x h3 stop at
+# a contradiction in round 2, after a number of eliminations that depends on
+# the order in which the pending rows are sorted.
+IDENTITY_ROW_ALGEBRAS = [
+    ("r2", lie_r2, 5, 1, False,
+     "2c0bb751e09477582ad216f9edf496038522da3fc42348b6019ab82641faad82"),
+    ("n3", lie_n3, 18, 1, False,
+     "b1f94e10652f74e873b9b3b728600c72715985d77a06d6bbd32dbf6d2914c5f5"),
+    ("n4", lie_n4, 54, 1, False,
+     "682e68646a65e117ae53a8d89983e8961fae1ac5e37955289ce66e05271c5b9d"),
+    ("n3r", lie_n3_plus_line, 46, 1, False,
+     "015c2624e5547edf29af748c30245bbfcb441d91bdf061104b32e0a0b716810f"),
+    ("sl2", lie_sl2, 27, 2, True,
+     "155ec834d0b0f5f2fb5ffae64e8e781869e6843ea7aa29e29f33077f1c7da1b4"),
+    ("d_h3", lie_d_h3, 54, 2, True,
+     "09fdd86931f7d2019b9cd68e1535b9f2adc33041fb3bede8a29d5a8e4ed0d2f6"),
+    ("r3", lie_r3, 21, 1, False,
+     "555edcb10c759328e65a8c3cb5dfdd035d7f9d073cdfb033bfb80574007a7596"),
+    ("free3_3", lambda: free3_lie(3), 2678, 1, False,
+     "0725e3d50610c6406e9280df2fad06488ebe6e251f8c65812145846823832694"),
+    ("n3_half", lie_n3_half, 18, 1, False,
+     "c4c331e1cc8d9d566ca1013121a5073b516d4d8b31a4badd9ea4c34d443f54bb"),
+    ("r3_two_thirds", lie_r3_two_thirds, 21, 1, False,
+     "ace801e06f595fa43d7d1f728e2737a88a77d79a680eb96ccf3252ddc66a495c"),
+    ("ext1", lambda: lie_extension(1), 58, 1, False,
+     "3be36cf22e2125ee506cda0a64db6f9db8a384d1114bb0228717d304ae3f8ee3"),
+    ("ext2", lambda: lie_extension(2), 116, 1, False,
+     "1ddf7e7c20ea0005d3b9af66f305dafdc1cca24091c2a18623ff4a71e8826378"),
+    ("ext3", lambda: lie_extension(3), 21, 1, False,
+     "4db87f4d5a4715aaaa81f03502cc4ebd4d895c1b292a9ca39a8fda2dc5e2b5d1"),
+    ("ext4", lambda: lie_extension(4), 58, 1, False,
+     "191c16dc9e913b0e9ae11d0421da63dff5747432cb94d93463faa4d3434c05c5"),
+    ("ext5", lambda: lie_extension(5), 116, 1, False,
+     "99f5b58acd8684db91317424df518fc41ccbcc05e22d5ea225874374b2e2004c"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, eliminated, rounds, contradiction, digest",
+    [row[1:] for row in IDENTITY_ROW_ALGEBRAS],
+    ids=[row[0] for row in IDENTITY_ROW_ALGEBRAS],
+)
+def test_identity_rows_match_the_fraction_oracle(
+    base, eliminated, rounds, contradiction, digest
+):
+    g = base()
+    got, want = _identity_rows(g), oracle_identity_rows(g)
+    assert [t for t, _ in got] == [t for t, _ in want]
+    for (_, p), (_, q) in zip(got, want):
+        assert list(p.terms.items()) == list(q.terms.items())
+    red = structural_reduce(generate_lr_system(g))
+    assert (red.eliminated_count, red.stats["rounds"]) == (eliminated, rounds)
+    assert red.contradiction is contradiction
+    assert reduction_digest(red) == digest
+
+
+def test_pending_rows_are_taken_in_the_order_of_their_sorted_pairs():
+    """A contradiction stops a round at the row where it occurs, so the
+    eliminated map depends on the order of the rows.  On a one-dimensional
+    abelian algebra, which adds no identity rows, the rows of a system must
+    be taken sorted by length and then by their sorted (variable,
+    coefficient) pairs, as a list."""
+    rng = random.Random(11)
+    coefficient = [QQ(c, d) for c in (-2, -1, 1, 2) for d in (1, 2)]
+    contradictions = 0
+    for _ in range(300):
+        rows = []
+        for _ in range(rng.randint(2, 7)):
+            support = rng.sample(range(4), rng.randint(1, 3))
+            coeffs = {v: rng.choice(coefficient) for v in support}
+            rows.append((coeffs, QQ(rng.randint(-1, 1))))
+        system = ConstraintSystem(
+            abelian_lie(1),
+            [Polynomial.linear(coeffs, const) for coeffs, const in rows],
+            ["hand_built"] * len(rows),
+        )
+        red = structural_reduce(system)
+        elim = Eliminator()
+        rows.sort(key=lambda rc: (len(rc[0]), sorted(rc[0].items())))
+        for coeffs, const in rows:
+            elim.add(coeffs, const)
+            if elim.contradiction:
+                break
+        want = {v: Polynomial.linear(ec, ek) for v, (ec, ek) in elim.finalize().items()}
+        assert red.contradiction is elim.contradiction
+        assert red.eliminated == want
+        contradictions += elim.contradiction
+    assert contradictions > 100
+
+
+def coefficient_types(polys):
+    return {type(c) for p in polys for c in p.terms.values()}
+
+
+@pytest.mark.parametrize(
+    "base",
+    [counterexample_g13, lie_n3_half, lie_r3_two_thirds],
+    ids=["g13", "n3_half", "r3_two_thirds"],
+)
+def test_systems_hold_only_fractions(base):
+    s = generate_lr_system(base())
+    assert coefficient_types(s.polys) == {QQ}
+    red = structural_reduce(s)
+    assert coefficient_types(p for _, p in red.added) == {QQ}
+    assert coefficient_types(red.eliminated.values()) <= {QQ}
+    assert coefficient_types(red.residual) == {QQ}
+
+
+def test_polynomial_arithmetic_keeps_fractions():
+    p = Polynomial.linear({0: 1, 1: QQ(-3, 2)}, 2)
+    q = Polynomial.variable(0) * Polynomial.variable(2) - Polynomial.constant(1)
+    results = (p, p.scale(2), 2 * p, p * 3, p + q, p - q, q - p, Polynomial.linear({3: 4}))
+    for r in results:
+        assert coefficient_types([r]) == {QQ}, r
 
 
 # sha256 of repr(trace), and the stats without "elapsed", of

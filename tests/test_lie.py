@@ -36,9 +36,9 @@ from lralg.lie import (
     quotient_by_ideal,
     second_derived_is_zero,
     upper_central_series,
-    upper_central_series_direct,
 )
-from lralg.linalg import Subspace, vec_add, vec_scale
+from lralg.lie import _residual_matrix, _run_series
+from lralg.linalg import Matrix, Subspace, nullspace, unit_vector, vec_add, vec_scale
 
 
 def e(dim, k, c=1):
@@ -175,6 +175,18 @@ def series_algebras():
     return out
 
 
+def upper_central_series_direct(g):
+    """Oracle: Z_{i+1} = {x : [e_j, x] in Z_i for all j}, the kernel of the
+    dense matrices (w -> w mod Z_i) @ ad(e_j), from Z_0 = 0."""
+
+    def step(s):
+        residual = _residual_matrix(s)
+        rows = [r for j in range(g.dim) for r in (residual @ g.ad_basis(j)).entries]
+        return nullspace(Matrix(rows))
+
+    return _run_series(step(Subspace.zero(g.dim)), step)
+
+
 def test_upper_series_matches_direct_and_quotient_centers():
     """Each step Z_i -> Z_{i+1} adds exactly the center of g / Z_i, and the
     series equals the one built by the dense direct oracle."""
@@ -187,9 +199,8 @@ def test_upper_series_matches_direct_and_quotient_centers():
             q, proj = quotient_by_ideal(g, z)
             zq = center(q)
             assert z_next.dim - z.dim == zq.dim, repr(g)
-            if q.dim:  # the projection onto a zero quotient is stored as 0x0
-                image = [proj.apply(v) for v in z_next.basis_vectors()]
-                assert Subspace.from_vectors(q.dim, image) == zq, repr(g)
+            image = [proj.apply(v) for v in z_next.basis_vectors()]
+            assert Subspace.from_vectors(q.dim, image) == zq, repr(g)
 
 
 def test_center_matches_first_upper_term():
@@ -201,6 +212,18 @@ def test_bracket_subspaces_of_full_is_derived():
     g = counterexample_g13()
     full = Subspace.full(g.dim)
     assert bracket_subspaces(g, full, full).dim == derived_series(g).dims()[1]
+
+
+def test_quotient_by_the_whole_algebra_is_zero():
+    """g / g has dim 0 and a 0 x n projection that sends every vector to ()."""
+    for g in (counterexample_g13(), sl2(), free3_lie(3)):
+        n = g.dim
+        q, proj = quotient_by_ideal(g, Subspace.full(n))
+        assert q.dim == 0
+        assert (proj.rows, proj.cols) == (0, n)
+        for i in range(n):
+            assert proj.apply(unit_vector(n, i)) == ()
+        assert proj.apply(tuple(QQ(k + 1, 2) for k in range(n))) == ()
 
 
 def test_quotient_projection_is_a_homomorphism():
