@@ -21,11 +21,12 @@ Structural reduction adds linear consequences of the axioms: the lemma
 suite's identities that are linear in the product, evaluated on the
 generic product whose coordinates are the unknowns, one tagged row per
 nonzero residual component.  It then runs sparse Gaussian elimination,
-substitutes into the quadratics, and iterates while new linear rows
-keep appearing.  The reduced system is
-equisolvable with the original one.  Certification feeds the residual
-polynomials to the budgeted Groebner engine and reports inconsistency,
-possible solvability, or budget exhaustion.
+substitutes the eliminated forms into the nonlinear rows with
+Polynomial.substitute, and iterates while new linear rows keep
+appearing.  The reduced system is equisolvable with the original one.
+Certification feeds the residual polynomials to the budgeted Groebner
+engine and reports inconsistency, possible solvability, or budget
+exhaustion.
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ from typing import Mapping
 
 from .lie import LieAlgebra, SparseVec, _densify, bilinear_sparse, center as lie_center
 from .lie import lower_central_series, upper_central_series
+from .lie import _sparsify, sparse_add, sparse_sub
 from .linalg import QQ, Eliminator, Matrix, Subspace, Vector, qq
 from .lr import (
     LRAlgebra,
@@ -369,83 +371,6 @@ def _linear_parts(p: Polynomial):
     return coeffs, const
 
 
-def _at_most_quadratic(p: Polynomial) -> bool:
-    """Degree <= 2, read off the monomial shapes (p.degree() is slower)."""
-    for m in p.terms:
-        if len(m) == 2:
-            if m[0][1] + m[1][1] > 2:
-                return False
-        elif len(m) > 2 or (m and m[0][1] > 2):
-            return False
-    return True
-
-
-def _zero_forms(elim: dict[int, tuple[dict, QQ]]) -> set[int]:
-    """The variables whose affine expression is 0."""
-    return {v for v, (ec, ek) in elim.items() if not ec and not ek}
-
-
-def _substitute_affine(
-    p: Polynomial, elim: dict[int, tuple[dict, QQ]], zero: set[int]
-) -> Polynomial:
-    """Substitute affine expressions into a polynomial of degree <= 2
-    (structural_reduce rejects inputs of higher degree).  ``zero`` is
-    _zero_forms(elim); a monomial with a factor in it contributes nothing
-    and is skipped before any expansion."""
-    out: dict = {}
-
-    def bump(mono, c):
-        s = out[mono] + c if mono in out else c
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
-
-    def affine(v):
-        got = elim.get(v)
-        if got is None:
-            return ({v: QQ(1)}, QQ(0))
-        return got
-
-    for m, c in p.terms.items():
-        if m == ():
-            bump((), c)
-            continue
-        v1, v2 = m[0][0], m[-1][0]  # x, x^2 (one pair) or x*y (two pairs)
-        if v1 in zero or v2 in zero:
-            continue
-        if len(m) == 1 and m[0][1] == 1:
-            if v1 in elim:
-                ec, ek = elim[v1]
-                for u, d in ec.items():
-                    bump(((u, 1),), c * d)
-                if ek:
-                    bump((), c * ek)
-            else:
-                bump(m, c)
-            continue
-        if v1 not in elim and v2 not in elim:
-            bump(m, c)
-            continue
-        a1, k1 = affine(v1)
-        a2, k2 = affine(v2)
-        for u1, d1 in a1.items():
-            for u2, d2 in a2.items():
-                mono = ((u1, 2),) if u1 == u2 else tuple(sorted(((u1, 1), (u2, 1))))
-                bump(mono, c * d1 * d2)
-        if k2:
-            for u1, d1 in a1.items():
-                bump(((u1, 1),), c * d1 * k2)
-        if k1:
-            for u2, d2 in a2.items():
-                bump(((u2, 1),), c * d2 * k1)
-        if k1 and k2:
-            bump((), c * k1 * k2)
-    q = Polynomial.__new__(Polynomial)
-    q.terms = out
-    return q
-
-
 @dataclass
 class ReducedSystem:
     system: ConstraintSystem
@@ -487,30 +412,32 @@ def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
     the product (lr.derivation_residual and its neighbours), evaluated on
     the generic product.  Each holds in every LR-algebra, so the reduced
     system has exactly the same solution set as the generated one.
-    Constraints of degree above 2 raise ConstraintError.
+
+    Each round feeds the pending linear rows to one Eliminator, then
+    substitutes its affine forms into the nonlinear constraints with
+    Polynomial.substitute; the results of degree at most 1 are the next
+    round's rows.  ``eliminated`` maps each eliminated variable to its
+    form in the free ones, so ``p.substitute(red.eliminated)`` applies the
+    reduction to any polynomial p.
     """
     added = _identity_rows(system.g)
 
     elim = Eliminator()
-    quads: list[Polynomial] = []
+    nonlinear: list[Polynomial] = []
     pending: list[tuple[dict, QQ]] = []
-    for idx, (p, tag) in enumerate(zip(system.polys, system.tags)):
+    for p in system.polys:
         lp = _linear_parts(p)
         if lp is None:
-            if not _at_most_quadratic(p):
-                raise ConstraintError(
-                    f"constraint {idx} ({tag}) has degree {p.degree()}; "
-                    "structural reduction takes degree at most 2"
-                )
-            quads.append(p)
+            nonlinear.append(p)
         else:
             pending.append(lp)
     for tag, p in added:
         pending.append(_linear_parts(p))
 
     rounds = 0
-    seen_quads: set = set()
-    while pending and not elim.contradiction:
+    eliminated: dict[int, Polynomial] = {}
+    seen: set = set()
+    while pending:
         rounds += 1
         # length, then the sorted (variable, coefficient) pairs, laid flat
         pending.sort(key=lambda rc: (len(rc[0]), *chain(*sorted(rc[0].items()))))
@@ -519,29 +446,26 @@ def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
             if elim.contradiction:
                 break
         pending = []
+        eliminated = {
+            v: Polynomial.linear(ec, ek) for v, (ec, ek) in elim.finalize().items()
+        }
         if elim.contradiction:
             break
-        table = elim.finalize()
-        zero = _zero_forms(table)
-        next_quads: list[Polynomial] = []
-        for p in quads:
-            r = _substitute_affine(p, table, zero)
+        next_nonlinear: list[Polynomial] = []
+        for p in nonlinear:
+            r = p.substitute(eliminated)
             if r.is_zero():
                 continue
             lp = _linear_parts(r)
             if lp is None:
-                if r not in seen_quads:
-                    seen_quads.add(r)
-                    next_quads.append(r)
+                if r not in seen:
+                    seen.add(r)
+                    next_nonlinear.append(r)
             else:
                 pending.append(lp)
-        quads = next_quads
+        nonlinear = next_nonlinear
 
-    table = elim.finalize()
-    eliminated = {
-        v: Polynomial.linear(ec, ek) for v, (ec, ek) in table.items()
-    }
-    residual = list(quads)
+    residual = list(nonlinear)
     if elim.contradiction:
         residual.insert(0, Polynomial.constant(1))
     stats = {
@@ -695,19 +619,26 @@ class IsoResult:
     detail: str = ""
 
 
+def _iso_residual(
+    a1: LRAlgebra, a2: LRAlgebra, cols: list[SparseVec], i: int, j: int
+) -> SparseVec:
+    """T(e_i.e_j) - Te_i.Te_j for the map T with T e_k = cols[k], a sparse
+    column of rationals or of polynomials."""
+    image: SparseVec = {}
+    for k, c in a1.product_basis(i, j).items():
+        image = sparse_add(image, {r: x * c for r, x in cols[k].items()})
+    return sparse_sub(image, bilinear_sparse(a2.table, cols[i], cols[j]))
+
+
 def _is_lr_isomorphism(a1: LRAlgebra, a2: LRAlgebra, t: Matrix) -> bool:
     """Does T carry the first product to the second, T(x.y) = Tx . Ty?"""
     n = a1.dim
     if t.rank() < n:
         return False
-    for i in range(n):
-        for j in range(n):
-            prod1 = tuple(
-                a1.product_basis(i, j).get(k, QQ(0)) for k in range(n)
-            )
-            if t.apply(prod1) != a2.product(t.column(i), t.column(j)):
-                return False
-    return True
+    cols = [_sparsify(t.column(k)) for k in range(n)]
+    return not any(
+        _iso_residual(a1, a2, cols, i, j) for i in range(n) for j in range(n)
+    )
 
 
 def _det_poly(entries: list[list[Polynomial]]) -> Polynomial:
@@ -774,42 +705,15 @@ def iso_search(a1: LRAlgebra, a2: LRAlgebra) -> IsoResult:
         return IsoResult("undecided", detail="dimension too large for the certificate system")
 
     # polynomial certificate: unknown T entries plus a Rabinowitsch variable
-    def tv(i, j):
-        return i * n + j
-
-    svar = n * n
+    # (T[r][k] is variable r * n + k, the Rabinowitsch variable is n * n)
+    cols = [{r: Polynomial.variable(r * n + k) for r in range(n)} for k in range(n)]
     polys: list[Polynomial] = []
     for i in range(n):
         for j in range(n):
-            p1 = a1.product_basis(i, j)
-            for c in range(n):
-                terms: dict = {}
-                for k2, coeff in p1.items():
-                    mono = ((tv(c, k2), 1),)
-                    terms[mono] = terms.get(mono, QQ(0)) + coeff
-                p = Polynomial(terms)
-                rhs = Polynomial.zero()
-                for u in range(n):
-                    for v in range(n):
-                        coeff = a2.product_basis(u, v).get(c, QQ(0))
-                        if coeff:
-                            rhs = rhs + Polynomial(
-                                {
-                                    (
-                                        ((tv(u, i), 2),)
-                                        if tv(u, i) == tv(v, j)
-                                        else tuple(
-                                            sorted(((tv(u, i), 1), (tv(v, j), 1)))
-                                        )
-                                    ): coeff
-                                }
-                            )
-                polys.append(p - rhs)
-    entries = [
-        [Polynomial.variable(tv(i, j)) for j in range(n)] for i in range(n)
-    ]
-    det = _det_poly(entries)
-    polys.append(det * Polynomial.variable(svar) - Polynomial.constant(1))
+            res = _iso_residual(a1, a2, cols, i, j)
+            polys.extend(res[c] for c in sorted(res))
+    det = _det_poly([[cols[k][r] for k in range(n)] for r in range(n)])
+    polys.append(det * Polynomial.variable(n * n) - Polynomial.constant(1))
     cert = buchberger_certify(
         polys, max_basis_size=ISO_MAX_BASIS_SIZE, time_budget=ISO_TIME_BUDGET
     )

@@ -88,11 +88,6 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(out.items()))
 
 
-def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    vb = {v for v, _ in b}
-    return all(v not in vb for v, _ in a)
-
-
 def mono_mask(m: Monomial) -> int:
     """Bit v is set for each variable v of m."""
     mask = 0
@@ -280,26 +275,48 @@ class Polynomial:
         return total
 
     def substitute(self, subs: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Replace each variable with a polynomial; untouched variables stay."""
-        cache: dict[tuple[int, int], Polynomial] = {}
+        """Replace each variable in subs with its polynomial, in one pass
+        (an image is not substituted into again); other variables stay.
 
-        def pw(v: int, e: int) -> Polynomial:
-            key = (v, e)
-            if key not in cache:
-                base = subs.get(v)
-                if base is None:
-                    cache[key] = Polynomial({((v, e),): QQ(1)})
-                else:
-                    cache[key] = base.power(e)
-            return cache[key]
+        A monomial with a factor sent to 0 is dropped before any
+        expansion, and one with no factor in subs is kept as it is.
+        """
+        out: dict[Monomial, QQ] = {}
+        powers: dict[tuple[int, int], Polynomial] = {}
 
-        acc = Polynomial.zero()
+        def bump(m, c):
+            s = out[m] + c if m in out else c
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+
         for m, c in self.terms.items():
-            t = Polynomial.constant(c)
-            for v, e in m:
-                t = t * pw(v, e)
-            acc = acc + t
-        return acc
+            hit = False
+            for v, _ in m:
+                image = subs.get(v)
+                if image is not None:
+                    if not image.terms:
+                        break
+                    hit = True
+            else:
+                if not hit:
+                    bump(m, c)
+                    continue
+                t = Polynomial({MONO_ONE: c})
+                for v, e in m:
+                    if (v, e) not in powers:
+                        powers[v, e] = (
+                            subs[v].power(e)
+                            if v in subs
+                            else Polynomial({((v, e),): QQ(1)})
+                        )
+                    t = t * powers[v, e]
+                for m2, c2 in t.terms.items():
+                    bump(m2, c2)
+        p = Polynomial.__new__(Polynomial)
+        p.terms = out
+        return p
 
     def to_string(self, namer=None) -> str:
         if not self.terms:

@@ -37,7 +37,7 @@ from lralg.constraints import (
     lr_fingerprint,
     structural_reduce,
 )
-from lralg.constraints import _identity_rows, _substitute_affine, _zero_forms, x_index
+from lralg.constraints import _identity_rows, x_index
 from lralg.constructions import free3_lie, free3_lr, free4_two_gen_lie
 from lralg.extensions import extension_lie_algebra, random_abelian_extension
 from lralg.fileformat import format_system
@@ -280,15 +280,18 @@ def test_reduction_reports_consistent_stats():
 
 
 @pytest.mark.parametrize("mono", [((1, 2), (4, 1)), ((4, 3),)])
-def test_structural_reduce_rejects_degree_above_two(mono):
+def test_structural_reduce_handles_degree_above_two(mono):
     cubic = Polynomial({mono: QQ(1)}) + Polynomial.variable(2)
     system = ConstraintSystem(
         lie_n3(),
         [Polynomial.variable(0) - Polynomial.constant(1), cubic],
         ["compatibility", "hand_built"],
     )
-    with pytest.raises(ConstraintError, match=r"constraint 1 \(hand_built\) has degree 3"):
-        structural_reduce(system)
+    red = structural_reduce(system)
+    assert red.eliminated[0] == Polynomial.constant(1)
+    assert red.eliminated_count == 18
+    assert red.residual == [cubic.substitute(red.eliminated)]
+    assert red.residual[0].degree() == 3
 
 
 NVARS = 6
@@ -296,36 +299,36 @@ NONZERO = st.fractions(-3, 3, max_denominator=3).filter(bool)
 
 
 @st.composite
-def affine_tables(draw):
-    """An elimination table over variables 0..5, as finalize leaves it:
-    each eliminated variable maps to an affine form in the free ones.
-    Variable 0 is always free; a form is 0, a nonzero constant, one free
-    variable with or without a constant, or any affine form."""
-    kinds = [draw(st.sampled_from(["free", "zero", "constant", "one", "affine"]))
-             for _ in range(NVARS - 1)]
-    free = [0] + [v for v, k in enumerate(kinds, 1) if k == "free"]
-    table = {}
-    for v, kind in enumerate(kinds, 1):
+def images(draw):
+    """Images for variables 1..5 (variable 0 always stays): each one is
+    kept, or sent to 0, a nonzero constant, one variable, an affine form
+    or a form of degree 2, over all of the variables 0..5."""
+    var = st.integers(0, NVARS - 1)
+    subs = {}
+    for v in range(1, NVARS):
+        kind = draw(st.sampled_from(
+            ["stay", "zero", "constant", "variable", "affine", "quadratic"]))
         if kind == "zero":
-            table[v] = ({}, QQ(0))
+            subs[v] = Polynomial.zero()
         elif kind == "constant":
-            table[v] = ({}, draw(NONZERO))
-        elif kind == "one":
-            table[v] = ({draw(st.sampled_from(free)): draw(NONZERO)},
-                        draw(st.sampled_from([QQ(0), QQ(1), QQ(-2, 3)])))
+            subs[v] = Polynomial.constant(draw(NONZERO))
+        elif kind == "variable":
+            subs[v] = Polynomial.variable(draw(var))
         elif kind == "affine":
-            coeffs = draw(st.dictionaries(st.sampled_from(free), NONZERO))
-            table[v] = (coeffs, draw(NONZERO | st.just(QQ(0))))
-    return table
+            coeffs = draw(st.dictionaries(var, NONZERO))
+            subs[v] = Polynomial.linear(coeffs, draw(NONZERO | st.just(QQ(0))))
+        elif kind == "quadratic":
+            subs[v] = draw(polynomials(2, 3))
+    return subs
 
 
 @st.composite
-def quadratics(draw):
-    """A polynomial of degree <= 2 over variables 0..5: constants, linear
-    terms, squares and products of two distinct variables."""
+def polynomials(draw, degree, size):
+    """A polynomial of degree <= degree with at most size terms over
+    variables 0..5; repeated variables (squares, cubes) may occur."""
     terms = {}
-    for _ in range(draw(st.integers(0, 8))):
-        picked = draw(st.lists(st.integers(0, NVARS - 1), max_size=2))
+    for _ in range(draw(st.integers(0, size))):
+        picked = draw(st.lists(st.integers(0, NVARS - 1), max_size=degree))
         exps = {}
         for v in picked:
             exps[v] = exps.get(v, 0) + 1
@@ -333,14 +336,14 @@ def quadratics(draw):
     return Polynomial(terms)
 
 
-def oracle_substitute(p, table):
-    """Each eliminated variable replaced by its affine Polynomial, and the
-    result multiplied out with Polynomial arithmetic."""
+def oracle_substitute(p, subs):
+    """Each variable in subs replaced by its image, and the result
+    multiplied out with Polynomial arithmetic."""
     out = Polynomial.zero()
     for mono, c in p.terms.items():
         term = Polynomial.constant(c)
         for v, e in mono:
-            factor = Polynomial.linear(*table[v]) if v in table else Polynomial.variable(v)
+            factor = subs[v] if v in subs else Polynomial.variable(v)
             for _ in range(e):
                 term = term * factor
         out = out + term
@@ -348,10 +351,11 @@ def oracle_substitute(p, table):
 
 
 @settings(max_examples=300, deadline=None)
-@given(affine_tables(), quadratics())
-def test_substitute_affine_matches_polynomial_arithmetic(table, p):
-    got = _substitute_affine(p, table, _zero_forms(table))
-    assert got.terms == oracle_substitute(p, table).terms
+@given(images(), polynomials(3, 8))
+def test_substitute_matches_polynomial_arithmetic(subs, p):
+    got = p.substitute(subs)
+    assert got.terms == oracle_substitute(p, subs).terms
+    assert all(type(c) is QQ for c in got.terms.values())
 
 
 # sha256 of the tags, then the rows in system-file text, of

@@ -20,7 +20,6 @@ from lralg.poly import (
     PolyError,
     Polynomial,
     groebner_basis,
-    mono_coprime,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -93,8 +92,6 @@ def test_monomial_operations():
     assert not mono_divides(b, a)
     assert mono_div(mono_mul(a, b), b) == a
     assert mono_lcm(a, b) == mono((0, 2), (1, 1), (2, 3))
-    assert mono_coprime(mono((0, 1)), mono((2, 2)))
-    assert not mono_coprime(a, b)
 
 
 def test_monomial_order_is_graded():
