@@ -8,8 +8,9 @@ Axioms, for all x, y, z:
     compat  xy - yx = [x, y]
 
 All checks run over basis tuples, which is equivalent by multilinearity.
-The lemma suite re-proves, on a concrete instance, a battery of identities
-that hold in every LR-algebra; it is the cross-check used by the catalog.
+The lemma suite, the catalog's cross-check, re-proves on an instance the
+identities that hold in every LR-algebra; its trilinear ones run per basis
+pair on the generic vector sum_k t_k e_k, with the per-triple report.
 The identities among them that are linear in the product are written
 once, as functions of the product and the bracket, and are also the
 source of the structural constraint rows: constraints evaluates them on
@@ -44,6 +45,7 @@ from .linalg import (
     nullspace,
     vec_sub,
 )
+from .poly import Polynomial
 
 
 class LRError(ValueError):
@@ -358,6 +360,17 @@ def is_two_sided_ideal(a: LRAlgebra, s: Subspace) -> bool:
     )
 
 
+def _at_basis(n: int, residual: SparseVec) -> list[SparseVec]:
+    """Split a residual linear in z = sum_k t_k e_k into those at each e_k."""
+    split: list[SparseVec] = [{} for _ in range(n)]
+    for comp, p in residual.items():
+        for m, c in p.terms.items():
+            if len(m) != 1 or m[0][1] != 1:
+                raise RuntimeError(f"residual not linear in z: monomial {m}")
+            split[m[0][0]][comp] = c
+    return split
+
+
 _EXHAUSTIVE_4TUPLE_CUTOFF = 20
 
 
@@ -367,10 +380,11 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
     Exact residuals throughout; any nonzero residual is reported with the
     tuple of basis indices (or series indices) that produced it.  The
     identities linear in the product are the ones the structural
-    constraint reduction turns into rows.  For the two quartic identities
-    the check runs over a spanning set of the product span / derived
-    subalgebra once the dimension makes the raw 4-tuple loop
-    unreasonable; bilinearity makes that equivalent.
+    constraint reduction turns into rows; those linear in their last
+    argument run per pair (i, j) on the generic vector z, and report each
+    (i, j, k) as a loop over k would.  The two quartic identities run
+    over bases of the product span / derived subalgebra once the
+    dimension makes the raw 4-tuple loop unreasonable (by bilinearity).
     """
     n = a.dim
     g = a.g
@@ -380,35 +394,31 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
     rprod = opposite(prod)
     brak = g.bracket_sparse
 
+    # the generic vector z: a residual's coefficient of t_k is its value at e_k
+    z = {k: Polynomial.variable(k) for k in range(n)}
+
+    def per_pair(left: str, right: str, residual) -> None:
+        for i in range(n):
+            for j in range(n):
+                lres = _at_basis(n, residual(prod, 1, basis[i], basis[j]))
+                rres = _at_basis(n, residual(rprod, -1, basis[i], basis[j]))
+                for k in range(n):
+                    checks.sparse(left, (i, j, k), lres[k])
+                    checks.sparse(right, (i, j, k), rres[k])
+
     # cyclic product identities
-    for i in range(n):
-        for j in range(n):
-            bij = brak(basis[i], basis[j])
-            for k in range(n):
-                acc = prod(bij, basis[k])
-                acc = _add(acc, prod(brak(basis[j], basis[k]), basis[i]))
-                acc = _add(acc, prod(brak(basis[k], basis[i]), basis[j]))
-                checks.sparse("product_cycle_left", (i, j, k), acc)
-                acc = prod(basis[k], bij)
-                acc = _add(acc, prod(basis[i], brak(basis[j], basis[k])))
-                acc = _add(acc, prod(basis[j], brak(basis[k], basis[i])))
-                checks.sparse("product_cycle_right", (i, j, k), acc)
+    def cycle(act, _, x, y):
+        bxy, byz, bzx = brak(x, y), brak(y, z), brak(z, x)
+        return _add(_add(act(bxy, z), act(byz, x)), act(bzx, y))
+
+    per_pair("product_cycle_left", "product_cycle_right", cycle)
 
     # ad [x, y] from the ad and multiplication operators of x and y
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x, y, z = basis[i], basis[j], basis[k]
-                checks.sparse(
-                    "ad_product_rule_left",
-                    (i, j, k),
-                    ad_product_residual(brak, prod, 1, x, y, z),
-                )
-                checks.sparse(
-                    "ad_product_rule_right",
-                    (i, j, k),
-                    ad_product_residual(brak, rprod, -1, x, y, z),
-                )
+    per_pair(
+        "ad_product_rule_left",
+        "ad_product_rule_right",
+        lambda act, sign, x, y: ad_product_residual(brak, act, sign, x, y, z),
+    )
 
     lcs = lower_central_series(g)
     derived = lcs.term(2)
@@ -472,13 +482,10 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
             )
 
     # left and right multiplications act as bracket derivations
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x, y, z = basis[i], basis[j], basis[k]
-                res = derivation_residual(brak, prod, x, y, z)
-                checks.sparse("left_derivation", (i, j, k), res)
-                res = derivation_residual(brak, rprod, x, y, z)
-                checks.sparse("right_derivation", (i, j, k), res)
+    per_pair(
+        "left_derivation",
+        "right_derivation",
+        lambda act, _, x, y: derivation_residual(brak, act, x, y, z),
+    )
 
     return checks.report()

@@ -12,9 +12,9 @@ polynomial reduction, S-polynomials, and a budgeted Groebner-basis
 routine with the standard pair-pruning criteria.  The basis routine
 either finishes (possibly discovering that the ideal is the whole ring,
 in which case the basis collapses to [1]) or stops at an explicit
-budget and says so.  Its time budget is checked before each input
-insertion, each S-pair and each interreduction step, and inside each
-reduction.
+budget and says so.  Its time budget is checked while the inputs are
+made monic, before each input insertion, each S-pair and each
+interreduction step, and inside each pair update and each reduction.
 
 Division takes the biggest remaining term from a min-heap on the
 reversed key (heap-ordered division after Monagan and Pearce).  The
@@ -463,14 +463,19 @@ class GroebnerResult:
 Pairs = dict[tuple[int, int], tuple[int, Monomial]]
 
 
-def _update_pairs(pairs: Pairs, lms: list[Monomial], masks: list[int], t: int) -> Pairs:
-    """Pair update with the standard pruning criteria on adding element t."""
+def _update_pairs(
+    pairs: Pairs, lms: list[Monomial], masks: list[int], t: int, deadline: float | None
+) -> Pairs | None:
+    """Pair update with the standard pruning criteria on adding element t;
+    None once the deadline, read every 64 new pairs, has passed."""
     lt, mt = lms[t], masks[t]
     fresh = [mono_lcm(lms[i], lt) for i in range(t)]
     # drop new pairs whose lcm is a proper multiple of another new pair's
     # lcm; the lcm of pair (i, t) has the variables masks[i] | mt
     keep: dict[int, tuple[int, Monomial, int]] = {}
     for d, i in sorted((mono_degree(l), i) for i, l in enumerate(fresh)):
+        if not i & 63 and deadline is not None and time.monotonic() > deadline:
+            return None
         l, lmask = fresh[i], masks[i] | mt
         for _, lj, jmask in keep.values():
             if not jmask & ~lmask and lj != l and mono_divides(lj, l):
@@ -514,10 +519,10 @@ def groebner_basis(
     basis with status "complete".  If a reduction produces a nonzero
     constant the ideal is the whole ring and the basis is [1].  An
     optional trace list receives one event tuple per S-pair processed.
-    The time budget is checked before each input insertion, each S-pair
-    and each interreduction step, and every 1024 terms inside a
-    reduction; a run stopped before the pair loop returns the monic
-    inputs as its basis.
+    The time budget is checked every 1024 inputs made monic, 64 new pairs
+    and 1024 reduced terms, and before each insertion, S-pair and
+    interreduction step.  A run stopped while making inputs monic returns
+    those made so far; one stopped while inserting them returns them all.
     """
     t0 = time.monotonic()
     deadline = None if time_budget is None else t0 + time_budget
@@ -537,7 +542,9 @@ def groebner_basis(
     # each input and each remainder has its leading monomial found once;
     # as the order is graded, its degree is the polynomial's
     g: list[tuple[Polynomial, Monomial]] = []
-    for p in polys:
+    for count, p in enumerate(polys, 1):
+        if not count & 1023 and out_of_time():
+            return exhausted("time", [q for q, _ in g])
         if p.is_zero():
             continue
         if p.is_constant():
@@ -556,19 +563,19 @@ def groebner_basis(
     masks: list[int] = []
     pairs: Pairs = {}
 
-    def insert(p: Polynomial, lm: Monomial) -> None:
+    def insert(p: Polynomial, lm: Monomial) -> bool:
         nonlocal pairs
         d = _prepare(p, lm)
         basis.append(p)
         divisors.append(d)
         lms.append(d[1])
         masks.append(d[3])
-        pairs = _update_pairs(pairs, lms, masks, len(basis) - 1)
+        pairs = _update_pairs(pairs, lms, masks, len(basis) - 1, deadline)
+        return pairs is not None
 
     for p, lm in g:
-        if out_of_time():
+        if out_of_time() or not insert(p, lm):
             return exhausted("time", [p for p, _ in g])
-        insert(p, lm)
 
     truncated = False
     while pairs:
@@ -601,7 +608,8 @@ def groebner_basis(
             if trace is not None:
                 trace.append(("spair", i, j, "degree_capped", d))
             continue
-        insert(_monic(r, lm), lm)
+        if not insert(_monic(r, lm), lm):
+            return exhausted("time", basis)
         if trace is not None:
             trace.append(("spair", i, j, "new", len(basis) - 1))
 

@@ -13,23 +13,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lralg.catalog import catalog_get, lie_n3, lie_r2
+from lralg.catalog import (
+    catalog_entry,
+    catalog_get,
+    catalog_list,
+    counterexample_g13,
+    lie_n3,
+    lie_n4,
+    lie_r2,
+    sample_params,
+)
 from lralg.constructions import free3_lr, free4_two_gen_lr
 from lralg.lie import LieAlgebra, lie_from_table
+from lralg.lie import sparse_add as add
 from lralg.lr import (
+    Checks,
     CompatViolation,
     LR1Violation,
     LR2Violation,
     LRAlgebra,
     center,
+    ad_product_residual,
+    derivation_residual,
     ideal_product,
     is_complete,
     is_two_sided_ideal,
     lemma_suite,
     lr_from_table,
+    opposite,
     verify_axioms,
 )
 from lralg.linalg import Matrix, Subspace
+from lralg.lr import _at_basis as at_basis
+from lralg.poly import Polynomial
 
 
 LEMMA_CHECKS = (
@@ -251,6 +267,128 @@ def test_lemma_suite_flags_broken_instance():
     assert not verify_axioms(bad).ok
     report = lemma_suite(bad)
     assert not report.ok
+
+
+LINEAR_IN_LAST = (
+    "product_cycle_left",
+    "product_cycle_right",
+    "ad_product_rule_left",
+    "ad_product_rule_right",
+    "left_derivation",
+    "right_derivation",
+)
+
+
+def per_triple_checks(a):
+    """The six identity families linear in their last argument, checked on
+    every basis triple (i, j, k): the checks lemma_suite runs before the
+    quartic identities, and those it runs last."""
+    n = a.dim
+    basis = [{i: QQ(1)} for i in range(n)]
+    prod = a.product_sparse
+    rprod = opposite(prod)
+    brak = a.g.bracket_sparse
+    head, tail = Checks(n), Checks(n)
+    for i in range(n):
+        for j in range(n):
+            bij = brak(basis[i], basis[j])
+            for k in range(n):
+                acc = prod(bij, basis[k])
+                acc = add(acc, prod(brak(basis[j], basis[k]), basis[i]))
+                acc = add(acc, prod(brak(basis[k], basis[i]), basis[j]))
+                head.sparse("product_cycle_left", (i, j, k), acc)
+                acc = prod(basis[k], bij)
+                acc = add(acc, prod(basis[i], brak(basis[j], basis[k])))
+                acc = add(acc, prod(basis[j], brak(basis[k], basis[i])))
+                head.sparse("product_cycle_right", (i, j, k), acc)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                x, y, z = basis[i], basis[j], basis[k]
+                res = ad_product_residual(brak, prod, 1, x, y, z)
+                head.sparse("ad_product_rule_left", (i, j, k), res)
+                res = ad_product_residual(brak, rprod, -1, x, y, z)
+                head.sparse("ad_product_rule_right", (i, j, k), res)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                x, y, z = basis[i], basis[j], basis[k]
+                res = derivation_residual(brak, prod, x, y, z)
+                tail.sparse("left_derivation", (i, j, k), res)
+                res = derivation_residual(brak, rprod, x, y, z)
+                tail.sparse("right_derivation", (i, j, k), res)
+    return head, tail
+
+
+def random_table(rng, n, density):
+    """A product table with each component of each e_i.e_j nonzero with
+    the given probability, from small rationals."""
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            v = {
+                k: QQ(rng.choice((-2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+                for k in range(n)
+                if rng.random() < density
+            }
+            if v:
+                table[(i, j)] = v
+    return table
+
+
+def random_products():
+    """Seeded random products, a sparse and a dense one per Lie algebra;
+    on g13 "dense" means about one component in twenty."""
+    bases = [
+        (lie_r2, 0.3, 1.0),
+        (lie_n3, 0.15, 0.8),
+        (lie_n4, 0.1, 0.8),
+        (counterexample_g13, 0.005, 0.05),
+    ]
+    for seed, (base, sparse, dense) in enumerate(bases):
+        rng = random.Random(seed)
+        g = base()
+        yield LRAlgebra(g, random_table(rng, g.dim, sparse))
+        yield LRAlgebra(g, random_table(rng, g.dim, dense))
+
+
+def test_lemma_suite_matches_per_triple_checks():
+    """lemma_suite checks the six families once per basis pair, on the
+    generic vector; its whole report must equal the per-triple one."""
+    algebras = [
+        catalog_get(key, params)
+        for key in catalog_list()
+        for params in sample_params(catalog_entry(key))
+    ]
+    algebras += [free3_lr(3), free4_two_gen_lr()]
+    broken = list(random_products())
+    flagged = set()
+    for a in algebras + broken:
+        report = lemma_suite(a)
+        flagged.update(v.check for v in report.violations)
+        assert report.ok == (a not in broken)
+        head, tail = per_triple_checks(a)
+        others = [v for v in report.violations if v.check not in LINEAR_IN_LAST]
+        violations = head.violations + others + tail.violations
+        counts = dict(head.counts)
+        counts.update(
+            (c, m) for c, m in report.counts.items() if c not in LINEAR_IN_LAST
+        )
+        counts.update(tail.counts)
+        got = [(v.check, v.where, v.residual) for v in report.violations]
+        assert got == [(v.check, v.where, v.residual) for v in violations]
+        assert all(type(c) is QQ for v in report.violations for c in v.residual)
+        assert report.ok == (not violations)
+        assert list(report.counts.items()) == list(counts.items())
+    assert flagged.issuperset(LINEAR_IN_LAST)
+
+
+def test_generic_residual_must_be_linear():
+    t0, t1 = Polynomial.variable(0), Polynomial.variable(1)
+    assert at_basis(2, {1: t0 * QQ(3) + t1, 0: -t1}) == [{1: 3}, {1: 1, 0: -1}]
+    for bad in (t0 * t1, t0 * t0, Polynomial.constant(2), t1 + Polynomial.constant(1)):
+        with pytest.raises(RuntimeError):
+            at_basis(2, {0: t0, 1: bad})
 
 
 def test_center_equals_lie_center_on_valid_instances():

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lralg.catalog import counterexample_g13
+from lralg.constraints import generate_lr_system
 from lralg.poly import (
     MissingAssignment,
     PolyError,
@@ -24,11 +26,13 @@ from lralg.poly import (
     mono_divides,
     mono_lcm,
     mono_key,
+    mono_mask,
     mono_mul,
     reduce_full,
     s_polynomial,
 )
 from lralg.poly import _heap_key as heap_key
+from lralg.poly import _update_pairs as update_pairs
 
 x, y, z = (Polynomial.variable(v) for v in (0, 1, 2))
 one = Polynomial.constant(1)
@@ -405,6 +409,26 @@ def test_time_budget_covers_input_insertion():
     assert r.status == "budget_exhausted"
     assert r.stats["reason"] == "time"
     assert r.basis == polys
+
+
+def test_time_budget_covers_input_preparation():
+    # making the 27,378 raw g13 inputs monic takes seconds before any of
+    # them is inserted; a stop there returns the monic inputs made so far
+    polys = generate_lr_system(counterexample_g13()).polys
+    t0 = time.perf_counter()
+    r = groebner_basis(polys, time_budget=0.2)
+    assert time.perf_counter() - t0 < 1.5
+    assert r.status == "budget_exhausted"
+    assert r.stats["reason"] == "time"
+    assert r.basis == [p.monic() for p in polys[: len(r.basis)]]
+
+
+def test_pair_update_stops_at_its_deadline():
+    lms = [((v, 1), (v + 1, 1)) for v in range(200)]
+    masks = [mono_mask(m) for m in lms]
+    full = update_pairs({}, lms, masks, 199, None)
+    assert update_pairs({}, lms, masks, 199, time.monotonic() + 60) == full
+    assert update_pairs({}, lms, masks, 199, time.monotonic() - 1) is None
 
 
 def power(v, e):
