@@ -12,16 +12,29 @@ a candidate product
 
     (a,x) o (b,y) = (a.b + phi1(y)a + phi2(x)b + omega(x,y), x.y)
 
-and the twelve named conditions below are, together, exactly equivalent
-to that product being an LR-structure on the extension.  Two special
-recipes are provided: the semidirect lift and the lift through an
-invertible generator on an abelian base.
+with table lift_product_tensor.  Each of the twelve named lift
+conditions is the kernel part of one LR1, LR2 or compatibility residual
+of that table on one block of basis vectors; with prechecks on the
+kernel and base products they are, together, exactly equivalent to the
+product being an LR-structure on the extension.  Two special recipes are
+provided: the semidirect lift and the lift through an invertible
+generator on an abelian base.
 """
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Sequence
 
-from .lie import LieAlgebra, SparseVec, _densify, _sparsify
+from .lie import (
+    LieAlgebra,
+    SparseVec,
+    _densify,
+    _sparsify,
+    abelian_lie,
+    basis_action,
+    bilinear_sparse,
+    sparse_sub as _sub,
+)
 from .linalg import (
     QQ,
     Matrix,
@@ -35,7 +48,7 @@ from .linalg import (
     vec_sub,
     zero_vector,
 )
-from .lr import Checks, LRAlgebra, VerificationReport, verify_axioms
+from .lr import Checks, LRAlgebra, VerificationReport, lr_from_table, verify_axioms
 
 
 class ExtensionError(ValueError):
@@ -93,20 +106,6 @@ def _phi_matrices(phi, p: int, m: int) -> tuple[Matrix, ...]:
     return phi
 
 
-def _bilinear(tensor, u: Vector, v: Vector) -> Vector:
-    """The sum of u_i v_j tensor[i][j] over a dense table of vectors."""
-    acc = [QQ(0)] * (len(tensor[0][0]) if tensor else 0)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                if b:
-                    ab = a * b
-                    for k, c in enumerate(tensor[i][j]):
-                        if c:
-                            acc[k] += ab * c
-    return tuple(acc)
-
-
 @dataclass(frozen=True)
 class ExtensionData:
     a_dim: int
@@ -123,8 +122,14 @@ class ExtensionData:
     def phi_of(self, x: Vector) -> Matrix:
         return combination(self.phi, x)
 
+    @cached_property
+    def _omega_table(self) -> dict[tuple[int, int], SparseVec]:
+        m = self.b.dim
+        return {(i, j): _sparsify(self.omega[i][j]) for i in range(m) for j in range(m)}
+
     def omega_of(self, x: Vector, y: Vector) -> Vector:
-        return _bilinear(self.omega, x, y)
+        xy = bilinear_sparse(self._omega_table, _sparsify(x), _sparsify(y))
+        return _densify(self.a_dim, xy)
 
 
 def validate_extension(d: ExtensionData) -> VerificationReport:
@@ -164,6 +169,24 @@ def validate_extension(d: ExtensionData) -> VerificationReport:
     return checks.report()
 
 
+def _extension_bracket(d: ExtensionData) -> list[tuple[tuple[int, int], Vector]]:
+    """[e_x, e_y] = Omega(x, y) + [x, y] and [e_x, e_c] = phi(x)e_c on
+    kernel + base coordinates (base x, y, kernel c), as dense entries.
+    Every ordered base pair is read from the datum as given, so an Omega
+    that is not antisymmetric stays so."""
+    p, m = d.a_dim, d.b.dim
+    base = [
+        ((p + x, p + y), d.omega[x][y] + _densify(m, d.b.bracket_basis(x, y)))
+        for x in range(m)
+        for y in range(m)
+    ]
+    return base + [
+        ((p + x, c), d.phi[x].column(c) + zero_vector(m))
+        for x in range(m)
+        for c in range(p)
+    ]
+
+
 def extension_lie_algebra(d: ExtensionData) -> LieAlgebra:
     """Lie algebra on kernel + base coordinates (kernel block first)."""
     report = validate_extension(d)
@@ -172,19 +195,8 @@ def extension_lie_algebra(d: ExtensionData) -> LieAlgebra:
             "extension datum invalid: "
             + ", ".join(sorted({v.check for v in report.violations}))
         )
-    p, m = d.a_dim, d.b.dim
-    n = p + m
-    entries = [
-        (p + i + 1, p + j + 1, d.omega[i][j] + _densify(m, d.b.bracket_basis(i, j)))
-        for i in range(m)
-        for j in range(i + 1, m)
-    ]
-    for i in range(m):
-        for j in range(p):
-            col = d.phi[i].column(j)
-            if any(col):
-                entries.append((p + i + 1, j + 1, col + zero_vector(m)))
-    return LieAlgebra.from_table(n, entries)
+    entries = [(i + 1, j + 1, v) for (i, j), v in _extension_bracket(d)]
+    return LieAlgebra.from_table(d.a_dim + d.b.dim, entries)
 
 
 @dataclass(frozen=True)
@@ -233,38 +245,66 @@ CONDITION_NAMES = (
 
 
 def verify_lift_conditions(d: ExtensionData, l: LiftData) -> VerificationReport:
-    """Check the twelve lift conditions (plus structural prechecks on the
-    kernel and base products) over all basis tuples.
+    """Check the lift conditions over all basis tuples.
 
-    The report is the executable side of the equivalence: it is all-clear
-    exactly when the lifted product satisfies the LR axioms.
+    Each of the twelve is the kernel part of one residual on the lifted
+    table: LR1(u, v, w) = u(vw) - v(uw), LR2(u, v, w) = (uv)w - (uw)v or
+    compat(u, v) = uv - vu - [u, v] with the bracket of
+    _extension_bracket.  At kernel a, c and base x, y, z basis vectors:
+
+        omega_skew_matches_cocycle  (x, y)     compat(x, y)
+        phi_difference_is_action    (x,)       compat(x, c)
+        phi2_commute                (x, y)     LR1(x, y, c)
+        phi1_commute                (x, y)     LR2(c, y, x)
+        phi2_omega_exchange         (x, y, z)  LR1(x, y, z)
+        phi1_omega_exchange         (x, y, z)  LR2(x, y, z)
+        phi1_product_rule           (a, y, z)  LR1(a, y, z)
+        phi2_product_rule           (x, y, c)  LR2(x, y, c)
+        phi2_kernel_bimodule        (y, a, c)  LR1(y, a, c)
+        phi1_kernel_symmetry        (y, a, c)  LR1(a, c, y)
+        phi1_kernel_bimodule        (y, a, c)  LR2(a, c, y)
+        phi2_kernel_symmetry        (y, c, a)  LR2(y, c, a)
+
+    The three whose `where` omits c are matrices, column c the residual
+    at c, reported row by row.  Prechecks: compat on kernel pairs, the
+    kernel associator and verify_axioms on the base product.  The report
+    is all-clear exactly when the lifted product is LR.
     """
     p, m = d.a_dim, d.b.dim
     checks = Checks(p)
-    aunit = [unit_vector(p, i) for i in range(p)]
-    bunit = [unit_vector(m, i) for i in range(m)]
-    ap, om, phi1, phi2 = l.a_product, l.omega, l.phi1, l.phi2
+    t = lift_product_tensor(d, l)
+    brak = {ij: _sparsify(v) for ij, v in _extension_bracket(d)}
+    act = partial(basis_action, t)
 
-    # prechecks: kernel product commutative associative, base product LR
+    def at(u, v):
+        return t.get((u, v), {})
+
+    def lr1(u, v, w):
+        return _sub(act(u, at(v, w), True), act(v, at(u, w), True))
+
+    def lr2(u, v, w):
+        return _sub(act(w, at(u, v), False), act(v, at(u, w), False))
+
+    def compat(u, v):
+        return _sub(_sub(at(u, v), at(v, u)), brak.get((u, v), {}))
+
+    def kernel(name, where, residual):
+        checks.sparse(name, where, {k: c for k, c in residual.items() if k < p})
+
+    def kernel_matrix(name, where, column):
+        flat = {r * p + c: x for c in range(p) for r, x in column(c).items() if r < p}
+        checks.flag(name, where, bool(flat), _densify(p * p, flat))
+
     for i in range(p):
         for j in range(i, p):
-            checks.equal("kernel_product_commutative", (i, j), ap[i][j], ap[j][i])
+            kernel("kernel_product_commutative", (i, j), compat(i, j))
     for i in range(p):
         for j in range(p):
             for k in range(p):
-                checks.equal(
-                    "kernel_product_associative",
-                    (i, j, k),
-                    _bilinear(ap, ap[i][j], aunit[k]),
-                    _bilinear(ap, aunit[i], ap[j][k]),
-                )
-    base_table = {
-        (i, j): sv
-        for i in range(m)
-        for j in range(m)
-        if (sv := _sparsify(l.b_product[i][j]))
-    }
-    base_report = verify_axioms(LRAlgebra(d.b, base_table))
+                assoc = _sub(act(k, at(i, j), False), act(i, at(j, k), True))
+                checks.sparse("kernel_product_associative", (i, j, k), assoc)
+    base = [(i + 1, j + 1, l.b_product[i][j]) for i in range(m) for j in range(m)]
+    base_report = verify_axioms(lr_from_table(d.b, base, validate=False))
     if base_report.ok:
         checks.flag("base_product_lr", (), False)
     else:
@@ -272,129 +312,68 @@ def verify_lift_conditions(d: ExtensionData, l: LiftData) -> VerificationReport:
         where = (first.check,) + first.where
         checks.flag("base_product_lr", where, True, first.residual)
 
-    for i in range(m):
-        for j in range(m):
-            checks.equal(
-                "omega_skew_matches_cocycle",
-                (i, j),
-                vec_sub(om[i][j], om[j][i]),
-                d.omega[i][j],
-            )
-    for i in range(m):
-        checks.equal("phi_difference_is_action", (i,), phi2[i] - phi1[i], d.phi[i])
     for x in range(m):
         for y in range(m):
-            checks.equal("phi2_commute", (x, y), phi2[x] @ phi2[y], phi2[y] @ phi2[x])
-            checks.equal("phi1_commute", (x, y), phi1[x] @ phi1[y], phi1[y] @ phi1[x])
+            kernel("omega_skew_matches_cocycle", (x, y), compat(p + x, p + y))
+    for x in range(m):
+        kernel_matrix("phi_difference_is_action", (x,), lambda c: compat(p + x, c))
+    for x in range(m):
+        for y in range(m):
+            kernel_matrix("phi2_commute", (x, y), lambda c: lr1(p + x, p + y, c))
+            kernel_matrix("phi1_commute", (x, y), lambda c: lr2(c, p + y, p + x))
             for z in range(m):
-                checks.equal(
-                    "phi2_omega_exchange",
-                    (x, y, z),
-                    vec_sub(phi2[x].apply(om[y][z]), phi2[y].apply(om[x][z])),
-                    vec_sub(
-                        _bilinear(om, bunit[y], l.b_product[x][z]),
-                        _bilinear(om, bunit[x], l.b_product[y][z]),
-                    ),
-                )
-                checks.equal(
-                    "phi1_omega_exchange",
-                    (x, y, z),
-                    vec_sub(phi1[z].apply(om[x][y]), phi1[y].apply(om[x][z])),
-                    vec_sub(
-                        _bilinear(om, l.b_product[x][z], bunit[y]),
-                        _bilinear(om, l.b_product[x][y], bunit[z]),
-                    ),
-                )
-
+                kernel("phi2_omega_exchange", (x, y, z), lr1(p + x, p + y, p + z))
+                kernel("phi1_omega_exchange", (x, y, z), lr2(p + x, p + y, p + z))
     for y in range(m):
         for z in range(m):
-            phi1_yz = combination(phi1, l.b_product[y][z])
             for a in range(p):
-                checks.equal(
-                    "phi1_product_rule",
-                    (a, y, z),
-                    vec_add(_bilinear(ap, aunit[a], om[y][z]), phi1_yz.column(a)),
-                    phi2[y].apply(phi1[z].column(a)),
-                )
+                kernel("phi1_product_rule", (a, y, z), lr1(a, p + y, p + z))
     for x in range(m):
         for y in range(m):
-            phi2_xy = combination(phi2, l.b_product[x][y])
             for c in range(p):
-                checks.equal(
-                    "phi2_product_rule",
-                    (x, y, c),
-                    vec_add(_bilinear(ap, om[x][y], aunit[c]), phi2_xy.column(c)),
-                    phi1[y].apply(phi2[x].column(c)),
-                )
+                kernel("phi2_product_rule", (x, y, c), lr2(p + x, p + y, c))
     for y in range(m):
         for a in range(p):
             for c in range(p):
-                checks.equal(
-                    "phi2_kernel_bimodule",
-                    (y, a, c),
-                    phi2[y].apply(ap[a][c]),
-                    _bilinear(ap, aunit[a], phi2[y].column(c)),
-                )
-                checks.equal(
-                    "phi1_kernel_symmetry",
-                    (y, a, c),
-                    _bilinear(ap, aunit[a], phi1[y].column(c)),
-                    _bilinear(ap, aunit[c], phi1[y].column(a)),
-                )
-                checks.equal(
-                    "phi1_kernel_bimodule",
-                    (y, a, c),
-                    phi1[y].apply(ap[a][c]),
-                    _bilinear(ap, phi1[y].column(a), aunit[c]),
-                )
-                checks.equal(
-                    "phi2_kernel_symmetry",
-                    (y, c, a),
-                    _bilinear(ap, phi2[y].column(c), aunit[a]),
-                    _bilinear(ap, phi2[y].column(a), aunit[c]),
-                )
+                kernel("phi2_kernel_bimodule", (y, a, c), lr1(p + y, a, c))
+                kernel("phi1_kernel_symmetry", (y, a, c), lr1(a, c, p + y))
+                kernel("phi1_kernel_bimodule", (y, a, c), lr2(a, c, p + y))
+                kernel("phi2_kernel_symmetry", (y, c, a), lr2(p + y, c, a))
     return checks.report()
 
 
 def lift_product_tensor(d: ExtensionData, l: LiftData) -> dict[tuple[int, int], SparseVec]:
     """Raw product table of the lifted product on kernel + base coordinates."""
     p, m = d.a_dim, d.b.dim
-    table: dict[tuple[int, int], SparseVec] = {}
-
-    def put(i, j, kernel, base=()):
-        sv = {t: c for t, c in enumerate(kernel) if c}
-        sv.update((p + t, c) for t, c in enumerate(base) if c)
-        if sv:
-            table[(i, j)] = sv
-
-    for i in range(p):
-        for j in range(p):
-            put(i, j, l.a_product[i][j])
-    for i in range(p):
-        for j in range(m):
-            put(i, p + j, l.phi1[j].column(i))
-    for i in range(m):
-        for j in range(p):
-            put(p + i, j, l.phi2[i].column(j))
-    for i in range(m):
-        for j in range(m):
-            put(p + i, p + j, l.omega[i][j], l.b_product[i][j])
-    return table
+    blocks = [((i, j), l.a_product[i][j]) for i in range(p) for j in range(p)]
+    blocks += [((i, p + y), l.phi1[y].column(i)) for i in range(p) for y in range(m)]
+    blocks += [((p + x, j), l.phi2[x].column(j)) for x in range(m) for j in range(p)]
+    blocks += [
+        ((p + x, p + y), l.omega[x][y] + l.b_product[x][y])
+        for x in range(m)
+        for y in range(m)
+    ]
+    return {ij: sv for ij, v in blocks if (sv := _sparsify(v))}
 
 
 def lift_product(d: ExtensionData, l: LiftData) -> LRAlgebra:
-    """Build the lifted LR-algebra; LiftConditionsFailed carries the full
-    per-condition report when the datum does not lift."""
-    report = verify_lift_conditions(d, l)
-    if not report.ok:
-        raise LiftConditionsFailed(report)
-    ext = extension_lie_algebra(d)
+    """Build the lifted LR-algebra and check its axioms.  LiftConditionsFailed
+    carries the per-condition report when the datum does not lift, even
+    when the extension datum is also invalid (HypothesisFailed)."""
+    try:
+        ext = extension_lie_algebra(d)
+    except HypothesisFailed:
+        report = verify_lift_conditions(d, l)
+        if not report.ok:
+            raise LiftConditionsFailed(report) from None
+        raise
     a = LRAlgebra(ext, lift_product_tensor(d, l))
     check = verify_axioms(a)
     if not check.ok:
-        # cannot happen when the twelve conditions hold; kept as a hard
-        # cross-check of the equivalence
-        raise LiftConditionsFailed(check)
+        report = verify_lift_conditions(d, l)
+        # the conditions fail whenever the axioms do, so the axiom report
+        # is raised only if that equivalence itself breaks
+        raise LiftConditionsFailed(check if report.ok else report)
     return a
 
 
@@ -402,24 +381,18 @@ def semidirect_lr(d: ExtensionData, b_lr: LRAlgebra) -> LRAlgebra:
     """Lift with phi1 = 0, phi2 = phi, omega = 0, trivial kernel product.
 
     Needs Omega = 0 and phi(x.y) = 0 for all base products x.y."""
-    p, m = d.a_dim, d.b.dim
+    m = d.b.dim
     if b_lr.g != d.b:
         raise HypothesisFailed("base LR-structure lives on a different Lie algebra")
+    if not all(vec_is_zero(v) for row in d.omega for v in row):
+        raise HypothesisFailed("semidirect lift needs a zero cocycle")
+    b_product = b_lr.product_tensor()
     for i in range(m):
         for j in range(m):
-            if not vec_is_zero(d.omega[i][j]):
-                raise HypothesisFailed("semidirect lift needs a zero cocycle")
-    for i in range(m):
-        for j in range(m):
-            prod = _densify(m, b_lr.product_basis(i, j))
-            if not d.phi_of(prod).is_zero():
+            if not d.phi_of(b_product[i][j]).is_zero():
                 raise HypothesisFailed(
                     f"phi does not vanish on the base product at ({i + 1}, {j + 1})"
                 )
-    b_product = tuple(
-        tuple(_densify(m, b_lr.product_basis(i, j)) for j in range(m))
-        for i in range(m)
-    )
     l = LiftData.build(d, phi2=d.phi, b_product=b_product)
     return lift_product(d, l)
 
@@ -466,18 +439,9 @@ def random_abelian_extension(rng, a_dim: int, b_dim: int):
     for _ in range(b_dim - 1):
         phis.append(combination(powers, [QQ(rng.randint(-2, 2)) for _ in powers]))
     h = Matrix([[QQ(rng.randint(-3, 3)) for _ in range(b_dim)] for _ in range(a_dim)])
-    omega_raw = [
-        [tuple(phis[i].apply(h.column(j))) for j in range(b_dim)]
-        for i in range(b_dim)
-    ]
+    raw = [[phis[i].apply(h.column(j)) for j in range(b_dim)] for i in range(b_dim)]
     omega = [
-        [
-            vec_sub(omega_raw[i][j], omega_raw[j][i])
-            for j in range(b_dim)
-        ]
-        for i in range(b_dim)
+        [vec_sub(raw[i][j], raw[j][i]) for j in range(b_dim)] for i in range(b_dim)
     ]
-    from .lie import abelian_lie
-
-    d = ExtensionData(a_dim, abelian_lie(b_dim), tuple(phis), tuple(map(tuple, omega)))
+    d = ExtensionData(a_dim, abelian_lie(b_dim), tuple(phis), omega)
     return d, unit_vector(b_dim, 0)

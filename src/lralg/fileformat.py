@@ -63,7 +63,7 @@ from .linalg import QQ, Matrix, Vector
 from .lr import LRAlgebra, lr_from_table
 from .poly import MONO_ONE, Polynomial, signed_sum
 
-# Largest dimension of a polynomial system file.  A system keeps a bit
+# Largest dimension of an algebra or system file.  A system keeps a bit
 # per unknown x[i][j][k] in its variable masks, so dim^3 bits each.
 MAX_SYSTEM_DIM = 64
 
@@ -333,7 +333,7 @@ def parse_algebra_text(text: str) -> AlgebraFile:
         if word == "algebra":
             name = _name_line(body, line_no, word, name)
         elif word == "dim":
-            dim = _size_line(body, line_no, word, dim)
+            dim = _size_line(body, line_no, word, dim, MAX_SYSTEM_DIM)
         elif stripped == "product":
             if products is not None:
                 raise ParseError(line_no, 1, "duplicate product section")

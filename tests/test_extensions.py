@@ -7,9 +7,11 @@ with deliberate single-spot corruptions for the negative direction.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction as QQ
 
 import pytest
+from test_reports import _bumped_phi, _bumped_table, broken_extensions, report_text
 
 from lralg.extensions import (
     CONDITION_NAMES,
@@ -30,9 +32,9 @@ from lralg.extensions import (
     verify_lift_conditions,
 )
 from lralg.catalog import lie_r2
-from lralg.lie import abelian_lie, lie_from_table, lower_central_series
-from lralg.linalg import Matrix
-from lralg.lr import LRAlgebra, lr_from_table, verify_axioms
+from lralg.lie import _sparsify, abelian_lie, lie_from_table, lower_central_series
+from lralg.linalg import Matrix, combination, unit_vector, vec_add, vec_sub
+from lralg.lr import Checks, LRAlgebra, lr_from_table, verify_axioms
 
 
 def heisenberg_as_extension():
@@ -214,39 +216,227 @@ def corrupt(l, rng, d):
     return LiftData(phi1, l.phi2, l.omega, l.a_product, l.b_product)
 
 
+def seeded_lifts():
+    """(datum, lift) for 60 seeds: the valid invertible-generator lift,
+    each LiftData field corrupted alone, then all five together."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        d, e = random_abelian_extension(rng, rng.randint(1, 4), rng.randint(1, 4))
+        p, m = d.a_dim, d.b.dim
+        phie_inv = d.phi_of(e).inverse()
+        w = [d.omega_of(e, tuple(QQ(t == j) for t in range(m))) for j in range(m)]
+        omega = [[phie_inv.apply(d.phi[i].apply(w[j])) for j in range(m)] for i in range(m)]
+        l = LiftData.build(d, phi2=d.phi, omega=omega)
+        yield d, l
+        fields = {
+            "phi1": _bumped_phi(rng, l.phi1),
+            "phi2": _bumped_phi(rng, l.phi2),
+            "omega": _bumped_table(rng, l.omega, p),
+            "a_product": _bumped_table(rng, l.a_product, p),
+            "b_product": _bumped_table(rng, l.b_product, m),
+        }
+        for name, value in fields.items():
+            yield d, replace(l, **{name: value})
+        yield d, replace(l, **fields)
+
+
+def differential_cases():
+    """The seeded lifts, then two naive lifts of each broken datum."""
+    yield from seeded_lifts()
+    for d in broken_extensions():
+        yield d, LiftData.build(d)
+        yield d, LiftData.build(d, phi2=d.phi)
+
+
 def test_conditions_equivalent_to_axioms_both_directions():
     """verify_lift_conditions(d, l).ok must coincide with verify_axioms on
     the tensor assembled from (d, l), for valid and corrupted lifts."""
-    rng = random.Random(707)
-    agreements = 0
+    cases = 0
     broken_seen = 0
-    for trial in range(25):
-        d, e = random_abelian_extension(rng, rng.randint(1, 3), rng.randint(2, 3))
-        phie_inv = d.phi_of(e).inverse()
-        m = d.b.dim
-        units = [tuple(QQ(1) if t == i else QQ(0) for t in range(m)) for i in range(m)]
-        omega = tuple(
-            tuple(
-                phie_inv.apply(d.phi[i].apply(d.omega_of(e, units[j])))
-                for j in range(m)
-            )
-            for i in range(m)
-        )
-        l = LiftData.build(d, phi2=d.phi, omega=omega)
-        if trial % 2:
-            l = corrupt(l, rng, d)
+    for d, l in seeded_lifts():
         conditions_ok = verify_lift_conditions(d, l).ok
         ext = extension_lie_algebra(d)
         candidate = LRAlgebra(ext, lift_product_tensor(d, l))
         axioms_ok = verify_axioms(candidate).ok
-        assert conditions_ok == axioms_ok, trial
-        agreements += 1
+        assert conditions_ok == axioms_ok, cases
+        cases += 1
         if not conditions_ok:
             broken_seen += 1
             with pytest.raises(LiftConditionsFailed):
                 lift_product(d, l)
-    assert agreements == 25
-    assert broken_seen >= 5
+    assert cases == 420
+    assert broken_seen >= 300
+
+
+# -- the hand-written lift conditions, kept as the oracle ----------------
+
+
+def _oracle_bilinear(tensor, u, v):
+    acc = [QQ(0)] * (len(tensor[0][0]) if tensor else 0)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                if b:
+                    ab = a * b
+                    for k, c in enumerate(tensor[i][j]):
+                        if c:
+                            acc[k] += ab * c
+    return tuple(acc)
+
+
+def oracle_lift_conditions(d, l):
+    """The twelve lift conditions written out as block formulas on dense
+    matrices, each condition a second time beside the axioms."""
+    p, m = d.a_dim, d.b.dim
+    checks = Checks(p)
+    aunit = [unit_vector(p, i) for i in range(p)]
+    bunit = [unit_vector(m, i) for i in range(m)]
+    ap, om, phi1, phi2 = l.a_product, l.omega, l.phi1, l.phi2
+    bil = _oracle_bilinear
+
+    for i in range(p):
+        for j in range(i, p):
+            checks.equal("kernel_product_commutative", (i, j), ap[i][j], ap[j][i])
+    for i in range(p):
+        for j in range(p):
+            for k in range(p):
+                checks.equal(
+                    "kernel_product_associative",
+                    (i, j, k),
+                    bil(ap, ap[i][j], aunit[k]),
+                    bil(ap, aunit[i], ap[j][k]),
+                )
+    base_table = {
+        (i, j): sv
+        for i in range(m)
+        for j in range(m)
+        if (sv := _sparsify(l.b_product[i][j]))
+    }
+    base_report = verify_axioms(LRAlgebra(d.b, base_table))
+    if base_report.ok:
+        checks.flag("base_product_lr", (), False)
+    else:
+        first = base_report.violations[0]
+        where = (first.check,) + first.where
+        checks.flag("base_product_lr", where, True, first.residual)
+
+    for i in range(m):
+        for j in range(m):
+            checks.equal(
+                "omega_skew_matches_cocycle",
+                (i, j),
+                vec_sub(om[i][j], om[j][i]),
+                d.omega[i][j],
+            )
+    for i in range(m):
+        checks.equal("phi_difference_is_action", (i,), phi2[i] - phi1[i], d.phi[i])
+    for x in range(m):
+        for y in range(m):
+            checks.equal("phi2_commute", (x, y), phi2[x] @ phi2[y], phi2[y] @ phi2[x])
+            checks.equal("phi1_commute", (x, y), phi1[x] @ phi1[y], phi1[y] @ phi1[x])
+            for z in range(m):
+                checks.equal(
+                    "phi2_omega_exchange",
+                    (x, y, z),
+                    vec_sub(phi2[x].apply(om[y][z]), phi2[y].apply(om[x][z])),
+                    vec_sub(
+                        bil(om, bunit[y], l.b_product[x][z]),
+                        bil(om, bunit[x], l.b_product[y][z]),
+                    ),
+                )
+                checks.equal(
+                    "phi1_omega_exchange",
+                    (x, y, z),
+                    vec_sub(phi1[z].apply(om[x][y]), phi1[y].apply(om[x][z])),
+                    vec_sub(
+                        bil(om, l.b_product[x][z], bunit[y]),
+                        bil(om, l.b_product[x][y], bunit[z]),
+                    ),
+                )
+    for y in range(m):
+        for z in range(m):
+            phi1_yz = combination(phi1, l.b_product[y][z])
+            for a in range(p):
+                checks.equal(
+                    "phi1_product_rule",
+                    (a, y, z),
+                    vec_add(bil(ap, aunit[a], om[y][z]), phi1_yz.column(a)),
+                    phi2[y].apply(phi1[z].column(a)),
+                )
+    for x in range(m):
+        for y in range(m):
+            phi2_xy = combination(phi2, l.b_product[x][y])
+            for c in range(p):
+                checks.equal(
+                    "phi2_product_rule",
+                    (x, y, c),
+                    vec_add(bil(ap, om[x][y], aunit[c]), phi2_xy.column(c)),
+                    phi1[y].apply(phi2[x].column(c)),
+                )
+    for y in range(m):
+        for a in range(p):
+            for c in range(p):
+                checks.equal(
+                    "phi2_kernel_bimodule",
+                    (y, a, c),
+                    phi2[y].apply(ap[a][c]),
+                    bil(ap, aunit[a], phi2[y].column(c)),
+                )
+                checks.equal(
+                    "phi1_kernel_symmetry",
+                    (y, a, c),
+                    bil(ap, aunit[a], phi1[y].column(c)),
+                    bil(ap, aunit[c], phi1[y].column(a)),
+                )
+                checks.equal(
+                    "phi1_kernel_bimodule",
+                    (y, a, c),
+                    phi1[y].apply(ap[a][c]),
+                    bil(ap, phi1[y].column(a), aunit[c]),
+                )
+                checks.equal(
+                    "phi2_kernel_symmetry",
+                    (y, c, a),
+                    bil(ap, phi2[y].column(c), aunit[a]),
+                    bil(ap, phi2[y].column(a), aunit[c]),
+                )
+    return checks.report()
+
+
+def oracle_lift_product(d, l, report):
+    """Given the oracle's report: the conditions first, then the extension
+    datum, then the axioms."""
+    if not report.ok:
+        raise LiftConditionsFailed(report)
+    a = LRAlgebra(extension_lie_algebra(d), lift_product_tensor(d, l))
+    check = verify_axioms(a)
+    if not check.ok:
+        raise LiftConditionsFailed(check)
+    return a
+
+
+def _outcome(lift, *args):
+    try:
+        a = lift(*args)
+    except ExtensionError as exc:
+        report = getattr(exc, "report", None)
+        return type(exc), str(exc), report and report_text(report)
+    return a
+
+
+def test_lift_conditions_match_the_hand_written_oracle():
+    """Each condition read off an axiom residual of the lifted table gives
+    the report of the block formulas, and lift_product the same algebra
+    or the same exception, message and report as checking the conditions
+    first."""
+    cases = 0
+    for d, l in differential_cases():
+        report = oracle_lift_conditions(d, l)
+        assert report_text(verify_lift_conditions(d, l)) == report_text(report), cases
+        expected = _outcome(oracle_lift_product, d, l, report)
+        assert _outcome(lift_product, d, l) == expected, cases
+        cases += 1
+    assert cases == 460
 
 
 def test_lift_conditions_failed_carries_report():

@@ -5,10 +5,14 @@ formatting must reproduce the text byte for byte; error positions are
 pinned down to line and column.
 """
 
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction as QQ
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -308,6 +312,7 @@ GRAMMAR_CASES = [
         "[1,1] must be zero by antisymmetry",
     ),
     ("algebra", "algebra x\ndim \u00b2\n", 2, 5, "expected a number"),
+    ("algebra", "algebra x\ndim 65\n", 2, 5, "dimension 65 is above the cap of 64"),
     ("algebra", "algebra x\ndim 3\n[1,2] = \u00b2*e3\n", 3, 9, "expected basis symbol 'e'"),
     ("system", "dim 2\nx[1][1][1]^\u00b2\n", 2, 12, "expected a number"),
     ("algebra", "algebra x\ndim5\n", 2, 1, "unrecognized line: 'dim5'"),
@@ -360,6 +365,23 @@ def test_system_dim_is_capped_at_64(tmp_path, capsys):
     path.write_text("dim 65\nx[1][1][1]\n", encoding="utf-8")
     assert main(["solve", str(path)]) == 2
     capsys.readouterr()
+
+
+def test_huge_algebra_dim_exits_2_at_once(tmp_path):
+    """A two-line file declaring dim 3000 is refused at its size line,
+    not handed to a series computation that runs for minutes."""
+    path = tmp_path / "big.alg"
+    path.write_text("algebra big\ndim 3000\n", encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "lralg", "series", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=5,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 2
+    assert "line 2, column 5: dimension 3000 is above the cap of 64" in done.stderr
 
 
 RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
