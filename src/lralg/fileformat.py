@@ -41,8 +41,8 @@ are zero and the (j,i) value is implied by antisymmetry.
 The three formats share one grammar.  Comments are cut and blank lines
 skipped.  A header line is known by its whole first word: a name line
 (algebra, extension) needs a name after it, a size line (dim, kernel,
-base) holds a positive integer and nothing else, and each header line
-comes at most once per file.  A number is a run of decimal digits as
+base) holds a positive integer, at most MAX_SYSTEM_DIM, and nothing
+else, and each header line comes at most once per file.  A number is a run of decimal digits as
 int() reads them, so a superscript digit is not one.  An entry line
 ([i,j], (i,j), omega (i,j)) has its indices checked against the size
 before its vector is read, and a pair given twice must agree; in the
@@ -63,8 +63,10 @@ from .linalg import QQ, Matrix, Vector
 from .lr import LRAlgebra, lr_from_table
 from .poly import MONO_ONE, Polynomial, signed_sum
 
-# Largest dimension of an algebra or system file.  A system keeps a bit
-# per unknown x[i][j][k] in its variable masks, so dim^3 bits each.
+# Largest dimension of an algebra or system file, and largest kernel or
+# base size of an extension file.  A system keeps a bit per unknown
+# x[i][j][k] in its variable masks, so dim^3 bits each; an extension's
+# validation is dense in its sizes.
 MAX_SYSTEM_DIM = 64
 
 
@@ -593,9 +595,9 @@ def parse_extension_text(text: str):
         if word == "extension":
             name = _name_line(body, line_no, word, name)
         elif word == "kernel":
-            a_dim = _size_line(body, line_no, word, a_dim)
+            a_dim = _size_line(body, line_no, word, a_dim, MAX_SYSTEM_DIM)
         elif word == "base":
-            b_dim = _size_line(body, line_no, word, b_dim)
+            b_dim = _size_line(body, line_no, word, b_dim, MAX_SYSTEM_DIM)
         elif m := _BRACKETS.pattern.match(body):
             if b_dim is None:
                 raise ParseError(line_no, 1, "base size must come before brackets")

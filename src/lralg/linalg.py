@@ -6,6 +6,8 @@ subspaces are kept in reduced row echelon form so that equality of
 subspaces is plain syntactic equality of their canonical bases.  One
 sparse Eliminator does all row reduction: RREF, rank, kernels, inverses,
 subspace bases and the structural reduction of constraint systems.
+Inside, it keeps each integral scalar as an int, which is exact and
+much cheaper; what it hands out is Fractions.
 """
 
 from fractions import Fraction
@@ -225,12 +227,32 @@ def combination(mats: Sequence[Matrix], coeffs: Sequence) -> Matrix:
     return Matrix(acc)
 
 
+def _scalar(c):
+    """c as an int when it is integral, else the Fraction itself."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quotient(a, b):
+    """a / b exactly: an int when b divides a, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+        return Fraction(a, b)
+    return _scalar(a / b)
+
+
 class Eliminator:
     """Sparse Gaussian elimination producing var -> affine expression.
 
     Each added row sum c_v x_v + const = 0 is reduced by the pivots so far,
     largest variable first, and what remains pivots on its largest
     variable, so a pivot's expression only mentions smaller variables.
+
+    Scalars are held as ints wherever they are integral, and as Fractions
+    only where they are not: most rows of a constraint system have small
+    integral coefficients, and int arithmetic is several times cheaper.
+    finalize hands out Fractions, so callers see only exact rationals.
     """
 
     def __init__(self):
@@ -241,7 +263,8 @@ class Eliminator:
     def add(self, coeffs: dict, const: QQ) -> None:
         if self.contradiction:
             return
-        coeffs = dict(coeffs)
+        coeffs = {v: _scalar(c) for v, c in coeffs.items()}
+        const = _scalar(const)
         while True:
             hit = None
             for v in coeffs:
@@ -265,8 +288,8 @@ class Eliminator:
             return
         p = max(coeffs)
         cp = coeffs.pop(p)
-        expr = {v: -c / cp for v, c in coeffs.items()}
-        self.pivots[p] = (expr, -const / cp)
+        expr = {v: _quotient(-c, cp) for v, c in coeffs.items()}
+        self.pivots[p] = (expr, _quotient(-const, cp))
         self.order.append(p)
 
     def finalize(self) -> dict[int, tuple[dict, QQ]]:
@@ -274,6 +297,8 @@ class Eliminator:
 
         A pivot expression can mention variables that became pivots later;
         walking the insertion order backwards resolves them without cycles.
+        The rewritten expressions stay in int form for further adds; the
+        map returned holds Fractions, one shared object per value.
         """
         done: dict[int, tuple[dict, QQ]] = {}
         for p in reversed(self.order):
@@ -298,7 +323,16 @@ class Eliminator:
                         coeffs.pop(v, None)
             done[p] = (coeffs, const)
         self.pivots = done
-        return done
+        fractions: dict = {}
+        get, put = fractions.get, fractions.setdefault
+
+        def frac(x) -> QQ:
+            return get(x) or put(x, QQ(x))
+
+        return {
+            p: ({v: frac(c) for v, c in ec.items()}, frac(ek))
+            for p, (ec, ek) in done.items()
+        }
 
 
 def _eliminate(m: Matrix) -> Eliminator:

@@ -8,6 +8,7 @@ structural rows, elimination expressions, and residuals must all
 annihilate them.
 """
 
+import gc
 import hashlib
 import random
 from fractions import Fraction as QQ
@@ -37,6 +38,7 @@ from lralg.constraints import (
     lr_fingerprint,
     structural_reduce,
 )
+from lralg import constraints
 from lralg.constraints import _identity_rows, x_index
 from lralg.constructions import free3_lie, free3_lr, free4_two_gen_lie
 from lralg.extensions import extension_lie_algebra, random_abelian_extension
@@ -615,6 +617,41 @@ def test_pending_rows_are_taken_in_the_order_of_their_sorted_pairs():
         assert red.eliminated == want
         contradictions += elim.contradiction
     assert contradictions > 100
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+def test_builders_pause_gc_and_restore_its_state(monkeypatch, enabled):
+    """generate_lr_system and structural_reduce run with the cyclic
+    collector off and leave it as they found it, also when they raise."""
+    seen = []
+
+    def probe_rows(g):
+        seen.append(gc.isenabled())
+        return _identity_rows(g)
+
+    def boom(*args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        system = generate_lr_system(lie_n3())
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(constraints, "_identity_rows", probe_rows)
+        structural_reduce(system)
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(constraints, "_identity_rows", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            structural_reduce(system)
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(constraints, "x_index", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            generate_lr_system(lie_n3())
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False, False, False]
 
 
 def coefficient_types(polys):

@@ -319,6 +319,8 @@ GRAMMAR_CASES = [
     ("algebra", "algebrafoo\ndim 2\n", 1, 1, "unrecognized line: 'algebrafoo'"),
     ("system", "dim5\nx[1][1][1]\n", 1, 1, "dim must come before polynomials"),
     ("extension", "extension e\nkernel2\nbase 1\n", 2, 1, "unrecognized line: 'kernel2'"),
+    ("extension", "extension e\nkernel 65\nbase 1\n", 2, 8, "kernel size 65 is above the cap of 64"),
+    ("extension", "extension e\nkernel 1\nbase 65\n", 3, 6, "base size 65 is above the cap of 64"),
     ("extension", "extension\nkernel 1\nbase 1\n", 1, 10, "missing extension name"),
     ("algebra", "algebra a\nalgebra b\ndim 2\n", 2, 1, "duplicate algebra line"),
     (
@@ -367,21 +369,44 @@ def test_system_dim_is_capped_at_64(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_huge_algebra_dim_exits_2_at_once(tmp_path):
-    """A two-line file declaring dim 3000 is refused at its size line,
-    not handed to a series computation that runs for minutes."""
-    path = tmp_path / "big.alg"
-    path.write_text("algebra big\ndim 3000\n", encoding="utf-8")
+def run_lralg_briefly(*args) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, failing the test after 5 s."""
     src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-m", "lralg", "series", str(path)],
+    return subprocess.run(
+        [sys.executable, "-m", "lralg", *args],
         capture_output=True,
         text=True,
         timeout=5,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
+
+
+def test_huge_algebra_dim_exits_2_at_once(tmp_path):
+    """A two-line file declaring dim 3000 is refused at its size line,
+    not handed to a series computation that runs for minutes."""
+    path = tmp_path / "big.alg"
+    path.write_text("algebra big\ndim 3000\n", encoding="utf-8")
+    done = run_lralg_briefly("series", str(path))
     assert done.returncode == 2
     assert "line 2, column 5: dimension 3000 is above the cap of 64" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("extension big\nkernel 3000\nbase 1\n", "line 2, column 8: kernel size"),
+        ("extension big\nkernel 1\nbase 3000\n", "line 3, column 6: base size"),
+    ],
+    ids=["kernel", "base"],
+)
+def test_huge_extension_sizes_exit_2_at_once(tmp_path, text, where):
+    """A three-line extension file declaring a kernel or base of size
+    3000 is refused at its size line, not validated densely for minutes."""
+    path = tmp_path / "big.ext"
+    path.write_text(text, encoding="utf-8")
+    done = run_lralg_briefly("construct", "extension", str(path))
+    assert done.returncode == 2
+    assert f"{where} 3000 is above the cap of 64" in done.stderr
 
 
 RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=3)

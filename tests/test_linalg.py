@@ -2,14 +2,17 @@
 
 import random
 from fractions import Fraction as QQ
-from itertools import permutations
+from itertools import chain, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lralg.catalog import counterexample_g13
+from lralg.constraints import _identity_rows, _linear_parts, generate_lr_system
 from lralg.linalg import (
     DimensionMismatch,
+    Eliminator,
     Matrix,
     Subspace,
     matrix_is_nilpotent,
@@ -332,3 +335,152 @@ def test_nilpotent_examples():
     assert matrix_is_nilpotent(Matrix.zero(4, 4))
     with pytest.raises(DimensionMismatch):
         matrix_is_nilpotent(Matrix([[1, 2, 3]]))
+
+
+class FractionEliminator:
+    """The Eliminator as it was before it kept integral scalars as ints:
+    every coefficient a Fraction, each pivot expression divided out in
+    Fractions.  The oracle for the int-scalar one."""
+
+    def __init__(self):
+        self.pivots = {}
+        self.order = []
+        self.contradiction = False
+
+    def add(self, coeffs, const):
+        if self.contradiction:
+            return
+        coeffs = dict(coeffs)
+        while True:
+            hit = None
+            for v in coeffs:
+                if v in self.pivots:
+                    if hit is None or v > hit:
+                        hit = v
+            if hit is None:
+                break
+            c = coeffs.pop(hit)
+            ec, ek = self.pivots[hit]
+            for v2, c2 in ec.items():
+                s = coeffs[v2] + c * c2 if v2 in coeffs else c * c2
+                if s:
+                    coeffs[v2] = s
+                else:
+                    coeffs.pop(v2, None)
+            const += c * ek
+        if not coeffs:
+            if const != 0:
+                self.contradiction = True
+            return
+        p = max(coeffs)
+        cp = coeffs.pop(p)
+        expr = {v: -c / cp for v, c in coeffs.items()}
+        self.pivots[p] = (expr, -const / cp)
+        self.order.append(p)
+
+    def finalize(self):
+        done = {}
+        for p in reversed(self.order):
+            ec, ek = self.pivots[p]
+            coeffs = {}
+            const = ek
+            for v, c in ec.items():
+                if v in done:
+                    dc, dk = done[v]
+                    for v2, c2 in dc.items():
+                        s = coeffs[v2] + c * c2 if v2 in coeffs else c * c2
+                        if s:
+                            coeffs[v2] = s
+                        else:
+                            coeffs.pop(v2, None)
+                    const += c * dk
+                else:
+                    s = coeffs[v] + c if v in coeffs else c
+                    if s:
+                        coeffs[v] = s
+                    else:
+                        coeffs.pop(v, None)
+            done[p] = (coeffs, const)
+        self.pivots = done
+        return done
+
+
+def feed(elim, rows):
+    for coeffs, const in rows:
+        elim.add(coeffs, const)
+
+
+def assert_finalize_matches_oracle(elim, oracle):
+    """Same contradiction, same pivots in the same order, same forms;
+    every returned scalar a Fraction, one object per value."""
+    got, want = elim.finalize(), oracle.finalize()
+    assert elim.contradiction is oracle.contradiction
+    assert elim.order == oracle.order
+    assert list(got) == list(want)
+    assert got == want
+    shared = {}
+    for ec, ek in got.values():
+        for x in (*ec.values(), ek):
+            assert type(x) is QQ
+            assert shared.setdefault(x, x) is x
+
+
+COEFFICIENTS = {
+    "integral": [QQ(c) for c in (-3, -2, -1, 1, 2, 3)],
+    "half_integral": [QQ(c, 2) for c in (-5, -3, -2, -1, 1, 2, 3, 5)],
+    "mixed": [QQ(c, d) for c in (-4, -3, -1, 1, 2, 5) for d in (1, 2, 3, 7)],
+}
+
+
+def seeded_rows(rng, pool):
+    """Random sparse rows over a few variables.  Some rows are sums of
+    two earlier rows with the constant kept or shifted, so rows reduce
+    to zero and some sets are contradictory."""
+    nvars = rng.randint(3, 9)
+    rows = []
+    for _ in range(rng.randint(2, 12)):
+        if len(rows) >= 2 and rng.random() < 0.3:
+            (c1, k1), (c2, k2) = rng.sample(rows, 2)
+            f = rng.choice(pool)
+            coeffs = {v: c1.get(v, 0) + f * c2.get(v, 0) for v in {*c1, *c2}}
+            coeffs = {v: c for v, c in coeffs.items() if c}
+            const = k1 + f * k2 + rng.choice((QQ(0), QQ(0), QQ(1), QQ(-1, 2)))
+        else:
+            support = rng.sample(range(nvars), rng.randint(1, min(4, nvars)))
+            coeffs = {v: rng.choice(pool) for v in support}
+            const = rng.choice((QQ(0), QQ(0), rng.choice(pool)))
+        rows.append((coeffs, const))
+    return rows
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+def test_int_eliminator_matches_fraction_oracle(kind):
+    """Two rounds, as structural_reduce runs them: a batch of rows, a
+    finalize, a second batch added after it, and a finalize again."""
+    rng = random.Random(f"eliminator-{kind}")
+    contradictions = 0
+    for _ in range(400):
+        rows = seeded_rows(rng, COEFFICIENTS[kind])
+        cut = rng.randint(0, len(rows))
+        elim, oracle = Eliminator(), FractionEliminator()
+        for batch in (rows[:cut], rows[cut:]):
+            feed(elim, batch)
+            feed(oracle, batch)
+            assert_finalize_matches_oracle(elim, oracle)
+        contradictions += oracle.contradiction
+    assert 40 < contradictions < 360
+
+
+def test_int_eliminator_matches_fraction_oracle_on_g13_rows():
+    """The round-1 rows of g13's structural reduction, in its order."""
+    g = counterexample_g13()
+    rows = [
+        lp for p in generate_lr_system(g).polys if (lp := _linear_parts(p)) is not None
+    ]
+    rows += [_linear_parts(p) for _, p in _identity_rows(g)]
+    rows.sort(key=lambda rc: (len(rc[0]), *chain(*sorted(rc[0].items()))))
+    elim, oracle = Eliminator(), FractionEliminator()
+    feed(elim, rows)
+    feed(oracle, rows)
+    assert len(oracle.order) == 2139
+    assert_finalize_matches_oracle(elim, oracle)
