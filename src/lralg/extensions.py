@@ -33,6 +33,8 @@ from .lie import (
     abelian_lie,
     basis_action,
     bilinear_sparse,
+    jacobi_residual,
+    sparse_add,
     sparse_sub as _sub,
 )
 from .linalg import (
@@ -42,7 +44,6 @@ from .linalg import (
     combination,
     qq,
     unit_vector,
-    vec_add,
     vec_is_zero,
     vec_scale,
     vec_sub,
@@ -123,80 +124,81 @@ class ExtensionData:
         return combination(self.phi, x)
 
     @cached_property
-    def _omega_table(self) -> dict[tuple[int, int], SparseVec]:
-        m = self.b.dim
-        return {(i, j): _sparsify(self.omega[i][j]) for i in range(m) for j in range(m)}
+    def bracket_table(self) -> dict[tuple[int, int], SparseVec]:
+        """The extension bracket on kernel + base coordinates, zero entries
+        left out: [e_x, e_y] = Omega(x, y) + [x, y] on every ordered base
+        pair as the datum gives it and [e_x, c] = -[c, e_x] = phi(x)c."""
+        p, m, b = self.a_dim, self.b.dim, self.b
+        blocks = [
+            ((p + x, p + y), self.omega[x][y] + _densify(m, b.bracket_basis(x, y)))
+            for x in range(m)
+            for y in range(m)
+        ]
+        for x, mat in enumerate(self.phi):
+            for c, col in enumerate(mat.transpose().entries):
+                blocks += [((p + x, c), col), ((c, p + x), vec_scale(-1, col))]
+        return {ij: sv for ij, v in blocks if (sv := _sparsify(v))}
 
     def omega_of(self, x: Vector, y: Vector) -> Vector:
-        xy = bilinear_sparse(self._omega_table, _sparsify(x), _sparsify(y))
-        return _densify(self.a_dim, xy)
+        """Omega(x, y), the kernel part of the bracket of base vectors."""
+        p = self.a_dim
+        xs, ys = ({p + k: c for k, c in enumerate(v) if c} for v in (x, y))
+        xy = bilinear_sparse(self.bracket_table, xs, ys)
+        return _densify(p, {k: c for k, c in xy.items() if k < p})
+
+
+def _kernel_check(checks: Checks, name: str, where: tuple, residual: SparseVec) -> None:
+    """Record the kernel part of a residual on kernel + base coordinates."""
+    checks.sparse(name, where, {k: c for k, c in residual.items() if k < checks.dim})
+
+
+def _kernel_matrix(checks: Checks, name: str, where: tuple, column) -> None:
+    """Record the kernel matrix with column c the kernel part of column(c)."""
+    p = checks.dim
+    flat = {r * p + c: x for c in range(p) for r, x in column(c).items() if r < p}
+    checks.flag(name, where, bool(flat), _densify(p * p, flat))
 
 
 def validate_extension(d: ExtensionData) -> VerificationReport:
-    """Representation law, antisymmetry of Omega, and the cocycle identity,
-    all over basis tuples of the base."""
-    m = d.b.dim
-    checks = Checks(
-        d.a_dim, ("phi_respects_brackets", "omega_antisymmetric", "omega_cocycle")
-    )
+    """Antisymmetry and the Jacobi identity of bracket_table.  Each check
+    is the kernel part of one residual, J being lie.jacobi_residual, at
+    kernel c and base i, j, k basis vectors:
+
+        phi_respects_brackets  (i, j)     J(c, i, j)       i < j, column c
+        omega_antisymmetric    (i, j)     [i, j] + [j, i]  i <= j
+        omega_cocycle          (i, j, k)  -J(i, j, k)      i < j < k
+
+    The matrix is reported row by row.  Other triples give zero and the
+    base part of J is the Jacobi identity of d.b, so the report is
+    all-clear exactly when the bracket is a Lie bracket.
+    """
+    p, m, t = d.a_dim, d.b.dim, d.bracket_table
+    checks = Checks(p, ("phi_respects_brackets", "omega_antisymmetric", "omega_cocycle"))
     for i in range(m):
         for j in range(i + 1, m):
-            checks.equal(
-                "phi_respects_brackets",
-                (i, j),
-                d.phi_of(_densify(m, d.b.bracket_basis(i, j))),
-                d.phi[i].commutator(d.phi[j]),
-            )
+            column = partial(jacobi_residual, t, v=p + i, w=p + j)
+            _kernel_matrix(checks, "phi_respects_brackets", (i, j), column)
     for i in range(m):
         for j in range(i, m):
-            neg = vec_scale(-1, d.omega[j][i])
-            checks.equal("omega_antisymmetric", (i, j), d.omega[i][j], neg)
-
-    unit = [unit_vector(m, i) for i in range(m)]
-
-    def omega_at(i, j, k):  # Omega([e_i, e_j], e_k)
-        return d.omega_of(_densify(m, d.b.bracket_basis(i, j)), unit[k])
-
+            sym = sparse_add(t.get((p + i, p + j), {}), t.get((p + j, p + i), {}))
+            _kernel_check(checks, "omega_antisymmetric", (i, j), sym)
     for i in range(m):
         for j in range(i + 1, m):
             for k in range(j + 1, m):
-                lhs = d.phi[i].apply(d.omega[j][k])
-                lhs = vec_sub(lhs, d.phi[j].apply(d.omega[i][k]))
-                lhs = vec_add(lhs, d.phi[k].apply(d.omega[i][j]))
-                rhs = vec_sub(omega_at(i, j, k), omega_at(i, k, j))
-                rhs = vec_add(rhs, omega_at(j, k, i))
-                checks.equal("omega_cocycle", (i, j, k), lhs, rhs)
+                jac = jacobi_residual(t, p + i, p + j, p + k)
+                neg = {r: -c for r, c in jac.items()}
+                _kernel_check(checks, "omega_cocycle", (i, j, k), neg)
     return checks.report()
 
 
-def _extension_bracket(d: ExtensionData) -> list[tuple[tuple[int, int], Vector]]:
-    """[e_x, e_y] = Omega(x, y) + [x, y] and [e_x, e_c] = phi(x)e_c on
-    kernel + base coordinates (base x, y, kernel c), as dense entries.
-    Every ordered base pair is read from the datum as given, so an Omega
-    that is not antisymmetric stays so."""
-    p, m = d.a_dim, d.b.dim
-    base = [
-        ((p + x, p + y), d.omega[x][y] + _densify(m, d.b.bracket_basis(x, y)))
-        for x in range(m)
-        for y in range(m)
-    ]
-    return base + [
-        ((p + x, c), d.phi[x].column(c) + zero_vector(m))
-        for x in range(m)
-        for c in range(p)
-    ]
-
-
 def extension_lie_algebra(d: ExtensionData) -> LieAlgebra:
-    """Lie algebra on kernel + base coordinates (kernel block first)."""
+    """Lie algebra on kernel + base coordinates (kernel block first).  Its
+    Jacobi identity is checked once, by validate_extension."""
     report = validate_extension(d)
     if not report.ok:
-        raise HypothesisFailed(
-            "extension datum invalid: "
-            + ", ".join(sorted({v.check for v in report.violations}))
-        )
-    entries = [(i + 1, j + 1, v) for (i, j), v in _extension_bracket(d)]
-    return LieAlgebra.from_table(d.a_dim + d.b.dim, entries)
+        checks = ", ".join(sorted({v.check for v in report.violations}))
+        raise HypothesisFailed(f"extension datum invalid: {checks}")
+    return LieAlgebra(d.a_dim + d.b.dim, d.bracket_table, _validate=False)
 
 
 @dataclass(frozen=True)
@@ -250,7 +252,8 @@ def verify_lift_conditions(d: ExtensionData, l: LiftData) -> VerificationReport:
     Each of the twelve is the kernel part of one residual on the lifted
     table: LR1(u, v, w) = u(vw) - v(uw), LR2(u, v, w) = (uv)w - (uw)v or
     compat(u, v) = uv - vu - [u, v] with the bracket of
-    _extension_bracket.  At kernel a, c and base x, y, z basis vectors:
+    ExtensionData.bracket_table.  At kernel a, c and base x, y, z basis
+    vectors:
 
         omega_skew_matches_cocycle  (x, y)     compat(x, y)
         phi_difference_is_action    (x,)       compat(x, c)
@@ -273,7 +276,7 @@ def verify_lift_conditions(d: ExtensionData, l: LiftData) -> VerificationReport:
     p, m = d.a_dim, d.b.dim
     checks = Checks(p)
     t = lift_product_tensor(d, l)
-    brak = {ij: _sparsify(v) for ij, v in _extension_bracket(d)}
+    brak = d.bracket_table
     act = partial(basis_action, t)
 
     def at(u, v):
@@ -288,12 +291,8 @@ def verify_lift_conditions(d: ExtensionData, l: LiftData) -> VerificationReport:
     def compat(u, v):
         return _sub(_sub(at(u, v), at(v, u)), brak.get((u, v), {}))
 
-    def kernel(name, where, residual):
-        checks.sparse(name, where, {k: c for k, c in residual.items() if k < p})
-
-    def kernel_matrix(name, where, column):
-        flat = {r * p + c: x for c in range(p) for r, x in column(c).items() if r < p}
-        checks.flag(name, where, bool(flat), _densify(p * p, flat))
+    kernel = partial(_kernel_check, checks)
+    kernel_matrix = partial(_kernel_matrix, checks)
 
     for i in range(p):
         for j in range(i, p):

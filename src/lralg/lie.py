@@ -140,6 +140,20 @@ def sparse_sub(u: SparseVec, v: SparseVec) -> SparseVec:
     return {k: c for k, c in acc.items() if c}
 
 
+def jacobi_residual(
+    table: dict[tuple[int, int], SparseVec], u: int, v: int, w: int
+) -> SparseVec:
+    """J(u, v, w) = [[e_u, e_v], e_w] - [[e_u, e_w], e_v] + [[e_v, e_w], e_u],
+    the one place the Jacobi identity is written.  The inner brackets are
+    read at (u, v), (u, w) and (v, w) as the table gives them; on an
+    antisymmetric table J is the cyclic sum of [[e_u, e_v], e_w]."""
+    uvw, uwv, vwu = (
+        basis_action(table, c, table.get((a, b), {}), False)
+        for a, b, c in ((u, v, w), (u, w, v), (v, w, u))
+    )
+    return sparse_add(sparse_sub(uvw, uwv), vwu)
+
+
 def table_from_entries(dim: int, entries, what: str, placements) -> dict:
     """Sparse table from 1-based entries (i, j, vector), checked for range
     and length; what ("bracket" or "product") names the pair in errors.
@@ -228,13 +242,9 @@ class LieAlgebra:
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    # [[e_u, e_v], e_w] summed over the cyclic shifts
-                    acc: SparseVec = {}
-                    for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
-                        uvw = basis_action(t, w, t.get((u, v), {}), False)
-                        acc = sparse_add(acc, uvw)
-                    if acc:
-                        raise JacobiViolation(i, j, k, _densify(n, acc))
+                    residual = jacobi_residual(t, i, j, k)
+                    if residual:
+                        raise JacobiViolation(i, j, k, _densify(n, residual))
 
     # -- brackets ------------------------------------------------------
 

@@ -43,7 +43,6 @@ from .linalg import (
     Vector,
     matrix_is_nilpotent,
     nullspace,
-    vec_sub,
 )
 from .poly import Polynomial
 
@@ -115,16 +114,6 @@ class Checks:
         """A sparse residual of length dim; nonzero is a violation."""
         dense = _densify(self.dim, residual) if residual else ()
         self.flag(name, where, bool(residual), dense)
-
-    def equal(self, name: str, where: tuple, lhs, rhs) -> None:
-        """Two dense vectors or two matrices that should be equal; the
-        residual lhs - rhs (a matrix row by row) is formed only when not."""
-        if lhs == rhs:
-            self.flag(name, where, False)
-        elif isinstance(lhs, Matrix):
-            self.flag(name, where, True, sum((lhs - rhs).entries, ()))
-        else:
-            self.flag(name, where, True, vec_sub(lhs, rhs))
 
     def flag(self, name: str, where: tuple, failed: bool, residual=()) -> None:
         self.counts[name] = self.counts.get(name, 0) + 1

@@ -355,6 +355,18 @@ def test_construct_extension(tmp_path, capsys):
     assert "singular" in err
 
 
+def test_construct_extension_at_the_size_cap(tmp_path, capsys):
+    """An empty datum at the cap of 64 on both sides builds in seconds,
+    with no bracket lines."""
+    empty = tmp_path / "empty.ext"
+    empty.write_text("extension empty\nkernel 64\nbase 64\n", encoding="utf-8")
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "construct", "extension", str(empty))
+    assert time.monotonic() - t0 < 30
+    assert code == 0, err
+    assert out == "algebra empty\ndim 128\n"
+
+
 # ---------------------------------------------------------------------------
 # constraints and solve
 

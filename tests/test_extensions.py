@@ -32,8 +32,24 @@ from lralg.extensions import (
     verify_lift_conditions,
 )
 from lralg.catalog import lie_r2
-from lralg.lie import _sparsify, abelian_lie, lie_from_table, lower_central_series
-from lralg.linalg import Matrix, combination, unit_vector, vec_add, vec_sub
+from lralg.lie import (
+    LieAlgebra,
+    LieError,
+    _densify,
+    _sparsify,
+    abelian_lie,
+    lie_from_table,
+    lower_central_series,
+)
+from lralg.linalg import (
+    Matrix,
+    combination,
+    unit_vector,
+    vec_add,
+    vec_scale,
+    vec_sub,
+    zero_vector,
+)
 from lralg.lr import Checks, LRAlgebra, lr_from_table, verify_axioms
 
 
@@ -98,6 +114,120 @@ def test_extension_lie_algebra_rejects_bad_datum():
     z1 = Matrix.zero(1, 1)
     with pytest.raises(HypothesisFailed):
         extension_lie_algebra(ExtensionData(1, abelian_lie(2), (z1, z1), omega))
+
+
+class OracleChecks(Checks):
+    """Checks with the dense comparison of the block-formula oracles."""
+
+    def equal(self, name, where, lhs, rhs):
+        """Two dense vectors or two matrices that should be equal; the
+        residual lhs - rhs (a matrix row by row) is formed only when not."""
+        if lhs == rhs:
+            self.flag(name, where, False)
+        elif isinstance(lhs, Matrix):
+            self.flag(name, where, True, sum((lhs - rhs).entries, ()))
+        else:
+            self.flag(name, where, True, vec_sub(lhs, rhs))
+
+
+# -- the dense block checks of a datum, kept as the oracle ---------------
+
+
+def oracle_validate_extension(d):
+    """Representation law, antisymmetry of Omega and the cocycle identity
+    written out as dense block formulas over basis tuples of the base."""
+    m = d.b.dim
+    checks = OracleChecks(
+        d.a_dim, ("phi_respects_brackets", "omega_antisymmetric", "omega_cocycle")
+    )
+    for i in range(m):
+        for j in range(i + 1, m):
+            checks.equal(
+                "phi_respects_brackets",
+                (i, j),
+                d.phi_of(_densify(m, d.b.bracket_basis(i, j))),
+                d.phi[i].commutator(d.phi[j]),
+            )
+    for i in range(m):
+        for j in range(i, m):
+            neg = vec_scale(-1, d.omega[j][i])
+            checks.equal("omega_antisymmetric", (i, j), d.omega[i][j], neg)
+
+    unit = [unit_vector(m, i) for i in range(m)]
+
+    def omega_at(i, j, k):  # Omega([e_i, e_j], e_k)
+        return _oracle_bilinear(d.omega, _densify(m, d.b.bracket_basis(i, j)), unit[k])
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(j + 1, m):
+                lhs = d.phi[i].apply(d.omega[j][k])
+                lhs = vec_sub(lhs, d.phi[j].apply(d.omega[i][k]))
+                lhs = vec_add(lhs, d.phi[k].apply(d.omega[i][j]))
+                rhs = vec_sub(omega_at(i, j, k), omega_at(i, k, j))
+                rhs = vec_add(rhs, omega_at(j, k, i))
+                checks.equal("omega_cocycle", (i, j, k), lhs, rhs)
+    return checks.report()
+
+
+def dense_bracket_entries(d):
+    """1-based entries [e_x, e_y] = Omega(x, y) + [x, y] on every ordered
+    base pair and [e_x, c] = phi(x)c, as LieAlgebra.from_table reads them."""
+    p, m = d.a_dim, d.b.dim
+    base = [
+        (p + x + 1, p + y + 1, d.omega[x][y] + _densify(m, d.b.bracket_basis(x, y)))
+        for x in range(m)
+        for y in range(m)
+    ]
+    return base + [
+        (p + x + 1, c + 1, d.phi[x].column(c) + zero_vector(m))
+        for x in range(m)
+        for c in range(p)
+    ]
+
+
+def validation_cases():
+    """The broken data of the report pins, 200 seeded forward-generator
+    data, and each of those with one phi or Omega entry bumped."""
+    yield from broken_extensions()
+    for seed in range(200):
+        rng = random.Random(seed)
+        d, _ = random_abelian_extension(rng, rng.randint(1, 4), rng.randint(1, 4))
+        yield d
+        p, m = d.a_dim, d.b.dim
+        if rng.randrange(2):
+            yield replace(d, omega=_bumped_table(rng, d.omega, p))
+        else:
+            x, r, c = rng.randrange(m), rng.randrange(p), rng.randrange(p)
+            rows = [list(row) for row in d.phi[x].entries]
+            rows[r][c] += 1
+            phi = tuple(Matrix(rows) if t == x else mat for t, mat in enumerate(d.phi))
+            yield replace(d, phi=phi)
+
+
+def test_validation_matches_the_dense_block_oracle():
+    """validate_extension reads its checks off the antisymmetry and Jacobi
+    residuals of the extension table and gives the report of the block
+    formulas.  It accepts exactly the data whose bracket
+    LieAlgebra.from_table accepts, and extension_lie_algebra, which skips
+    from_table's own Jacobi pass, builds the same algebra."""
+    cases = valid = 0
+    for d in validation_cases():
+        report = validate_extension(d)
+        assert report_text(report) == report_text(oracle_validate_extension(d)), cases
+        try:
+            expected = LieAlgebra.from_table(d.a_dim + d.b.dim, dense_bracket_entries(d))
+        except LieError:
+            expected = None
+        assert report.ok == (expected is not None), cases
+        if report.ok:
+            assert extension_lie_algebra(d) == expected, cases
+            valid += 1
+        else:
+            with pytest.raises(HypothesisFailed):
+                extension_lie_algebra(d)
+        cases += 1
+    assert (cases, valid) == (420, 237)
 
 
 def test_extension_data_shape_validation():
@@ -288,7 +418,7 @@ def oracle_lift_conditions(d, l):
     """The twelve lift conditions written out as block formulas on dense
     matrices, each condition a second time beside the axioms."""
     p, m = d.a_dim, d.b.dim
-    checks = Checks(p)
+    checks = OracleChecks(p)
     aunit = [unit_vector(p, i) for i in range(p)]
     bunit = [unit_vector(m, i) for i in range(m)]
     ap, om, phi1, phi2 = l.a_product, l.omega, l.phi1, l.phi2

@@ -86,11 +86,34 @@ def test_from_table_rejects_diagonal_entry():
         lie_from_table(2, [(1, 1, e(2, 2))])
 
 
-def test_from_table_rejects_jacobi_violation():
+JACOBI_VIOLATIONS = [
+    # (dim, entries, first failing triple, its dense residual)
     # [[e3,e1],e2] = e1 here, while the other two cyclic terms vanish
-    bad = [(1, 2, e(3, 3)), (1, 3, e(3, 3)), (2, 3, e(3, 1))]
-    with pytest.raises(JacobiViolation):
-        lie_from_table(3, bad)
+    (3, [(1, 2, e(3, 3)), (1, 3, e(3, 3)), (2, 3, e(3, 1))], (0, 1, 2), e(3, 1)),
+    # (1, 2, 3) and (1, 2, 4) hold; (1, 3, 4) gives -2/3 e1 - 4/3 e1 + 0
+    (
+        4,
+        [(1, 2, e(4, 2)), (1, 3, e(4, 3)), (2, 3, e(4, 4)),
+         (1, 4, e(4, 4, 2)), (3, 4, e(4, 1, QQ(-2, 3)))],
+        (0, 2, 3),
+        e(4, 1, -2),
+    ),
+    # a residual with several rational coordinates
+    (
+        4,
+        [(2, 3, (1, QQ(-1, 2), QQ(-1, 2), 2)), (3, 4, (0, QQ(1, 3), 2, 1))],
+        (1, 2, 3),
+        (-2, QQ(5, 6), 0, QQ(-9, 2)),
+    ),
+]
+
+
+def test_from_table_rejects_jacobi_violation():
+    for dim, bad, triple, residual in JACOBI_VIOLATIONS:
+        with pytest.raises(JacobiViolation) as err:
+            lie_from_table(dim, bad)
+        assert err.value.triple == triple
+        assert err.value.residual == tuple(QQ(x) for x in residual)
 
 
 def test_explicit_zero_entries_do_not_change_identity():
