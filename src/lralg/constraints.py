@@ -52,6 +52,7 @@ from .lr import (
     LRAlgebra,
     ad_product_residual,
     center_kills_derived_residual,
+    compat_residual,
     derivation_residual,
     grading_residual,
     ideal_residual,
@@ -134,44 +135,58 @@ def _gc_paused():
             gc.enable()
 
 
+def _generic_product(n: int) -> dict:
+    """The generic product: component a of e_p . e_q is the unknown
+    x[p][a][q], a degree-1 Polynomial with int coefficient 1."""
+    return {
+        (p, q): {a: Polynomial.wrap({((x_index(n, p, a, q), 1),): 1}) for a in range(n)}
+        for p in range(n)
+        for q in range(n)
+    }
+
+
+def _ints(v: Vector) -> SparseVec:
+    """The nonzero entries of v, each integral one as an int."""
+    return {k: _scalar(c) for k, c in enumerate(v) if c}
+
+
+def _row(fractions: dict, c) -> Polynomial:
+    """c, a polynomial or a rational, with each coefficient replaced by
+    the one Fraction `fractions` keeps for its value."""
+    terms = c.terms if isinstance(c, Polynomial) else {(): c}
+    get, put = fractions.get, fractions.setdefault
+    return Polynomial.wrap({m: get(x) or put(x, QQ(x)) for m, x in terms.items()})
+
+
 @_gc_paused()
 def generate_lr_system(g: LieAlgebra) -> ConstraintSystem:
-    """Compatibility rows, then commuting left multiplications, then
-    commuting right multiplications, in a fixed deterministic order.
-
-    A commute row is a sum of 2n products of unknowns with coefficient
-    +1 or -1.  It is summed in ints, then each coefficient becomes the
-    one Fraction this call keeps for its value."""
+    """The axioms on the generic product, in a fixed deterministic order:
+    the compatibility rows lr.compat_residual(i, j), i < j, then the left
+    and the right commute rows (i, j, a, b), i < j: component a of
+    lr.lr1_residual(i, j, b) and of lr.lr2_residual(b, j, i).  Evaluated
+    that way the commute rows took ten times as long on g13, so each is
+    summed here as 2n products of unknowns with coefficient +1 or -1 in
+    ints; a test holds them to the residuals.  Each coefficient becomes
+    the one Fraction this call keeps for its value."""
     n = g.dim
+    fractions = {s: QQ(s) for s in range(-n, n + 1)}
+    table = _generic_product(n)
+    brackets = {key: _ints(_densify(n, v)) for key, v in g.table.items()}
     polys: list[Polynomial] = []
-    tags: list[str] = []
-
-    def add(tag: str, terms: dict):
-        p = Polynomial(terms)
-        if not p.is_zero():
-            polys.append(p)
-            tags.append(tag)
+    for i in range(n):
+        for j in range(i + 1, n):
+            res = compat_residual(table, brackets, i, j)
+            polys.extend(_row(fractions, res[k]) for k in sorted(res))
+    tags = ["compatibility"] * len(polys)
 
     # entry (a, m) of the left and the right multiplication by e_i
     left = [[[x_index(n, i, a, m) for m in range(n)] for a in range(n)] for i in range(n)]
     right = [[[x_index(n, m, a, i) for m in range(n)] for a in range(n)] for i in range(n)]
-    one, minus_one = QQ(1), QQ(-1)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = g.bracket_basis(i, j)
-            for k in range(n):
-                terms = {((left[i][k][j], 1),): one, ((left[j][k][i], 1),): minus_one}
-                c = cij.get(k, QQ(0))
-                if c:
-                    terms[()] = -c
-                add("compatibility", terms)
 
     # the pairs of x_v and x_v^2, shared by every monomial that uses them
     nv = n ** 3
     lin = [(v, 1) for v in range(nv)]
     sq = [((v, 2),) for v in range(nv)]
-    fractions = {s: QQ(s) for s in range(-n, n + 1)}
 
     for tag, ops in (("left_commute", left), ("right_commute", right)):
         # cols[i][b][m] is entry (m, b) of the operator of e_i
@@ -201,9 +216,8 @@ def generate_lr_system(g: LieAlgebra) -> ConstraintSystem:
                             else:
                                 del terms[mono]
                         if terms:
-                            p = Polynomial.__new__(Polynomial)
-                            p.terms = {mono: fractions[s] for mono, s in terms.items()}
-                            polys.append(p)
+                            row = {mono: fractions[s] for mono, s in terms.items()}
+                            polys.append(Polynomial.wrap(row))
                             tags.append(tag)
     return ConstraintSystem(g, polys, tags)
 
@@ -270,42 +284,20 @@ def _identity_rows(g: LieAlgebra) -> list[tuple[str, Polynomial]]:
     """Tagged linear rows: the lemma suite's identities that are linear in
     the product, evaluated on the generic product.
 
-    In the generic product, component a of e_p . e_q is the unknown
-    x[p][a][q], so every residual component is an affine form in the
-    unknowns and each nonzero one becomes a row.  The identities run on
-    int scalars wherever a value is integral (basis vectors, unknowns,
-    structure constants); each row's coefficients then become the one
-    Fraction this call keeps for their value.
+    Every residual component is then an affine form in the unknowns, and
+    each nonzero one becomes a row.  The identities run on int scalars
+    wherever a value is integral (basis vectors, unknowns, structure
+    constants); each row's coefficients then become the one Fraction
+    this call keeps for their value.
     """
     n = g.dim
-
-    def ints(v: Vector) -> SparseVec:
-        """The nonzero entries of v, each integral one as an int."""
-        return {k: _scalar(c) for k, c in enumerate(v) if c}
-
-    def poly(terms: dict) -> Polynomial:
-        p = Polynomial.__new__(Polynomial)
-        p.terms = terms
-        return p
-
-    table = {
-        (p, q): {a: poly({((x_index(n, p, a, q), 1),): 1}) for a in range(n)}
-        for p in range(n)
-        for q in range(n)
-    }
-    prod = partial(bilinear_sparse, table)
-    brackets = {key: ints(_densify(n, v)) for key, v in g.table.items()}
+    prod = partial(bilinear_sparse, _generic_product(n))
+    brackets = {key: _ints(_densify(n, v)) for key, v in g.table.items()}
     brak = partial(bilinear_sparse, brackets)
     sides = (("left", prod), ("right", opposite(prod)))
     basis = [{i: 1} for i in range(n)]
     rows: list[tuple[str, Polynomial]] = []
-    fractions: dict = {}
-
-    def row(c) -> Polynomial:
-        """c with its coefficients replaced by this call's shared Fractions."""
-        terms = c.terms if isinstance(c, Polynomial) else {(): c}
-        get, put = fractions.get, fractions.setdefault
-        return poly({m: get(x) or put(x, QQ(x)) for m, x in terms.items()})
+    row = partial(_row, {})
 
     def emit(tag: str, residual) -> None:
         rows.extend((tag, row(residual[a])) for a in sorted(residual))
@@ -350,7 +342,7 @@ def _identity_rows(g: LieAlgebra) -> list[tuple[str, Polynomial]]:
                 for v in s.basis_vectors():
                     emit(
                         f"{side}_preserves_{kind}_central",
-                        ideal_residual(act, s, basis[i], ints(v)),
+                        ideal_residual(act, s, basis[i], _ints(v)),
                     )
 
     z = lie_center(g)
@@ -360,7 +352,7 @@ def _identity_rows(g: LieAlgebra) -> list[tuple[str, Polynomial]]:
             for dv in derived.basis_vectors():
                 emit(
                     f"center_kills_derived_{side}",
-                    center_kills_derived_residual(act, ints(zv), ints(dv)),
+                    center_kills_derived_residual(act, _ints(zv), _ints(dv)),
                 )
 
     top = len(lcs.terms) + 1
@@ -374,7 +366,7 @@ def _identity_rows(g: LieAlgebra) -> list[tuple[str, Polynomial]]:
                 for v in src_b.basis_vectors():
                     emit(
                         "series_product_grading",
-                        grading_residual(prod, tgt, ints(u), ints(v)),
+                        grading_residual(prod, tgt, _ints(u), _ints(v)),
                     )
     return rows
 

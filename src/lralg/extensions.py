@@ -50,6 +50,7 @@ from .linalg import (
     zero_vector,
 )
 from .lr import Checks, LRAlgebra, VerificationReport, lr_from_table, verify_axioms
+from .lr import compat_residual, lr1_residual, lr2_residual
 
 
 class ExtensionError(ValueError):
@@ -250,10 +251,10 @@ def verify_lift_conditions(d: ExtensionData, l: LiftData) -> VerificationReport:
     """Check the lift conditions over all basis tuples.
 
     Each of the twelve is the kernel part of one residual on the lifted
-    table: LR1(u, v, w) = u(vw) - v(uw), LR2(u, v, w) = (uv)w - (uw)v or
-    compat(u, v) = uv - vu - [u, v] with the bracket of
-    ExtensionData.bracket_table.  At kernel a, c and base x, y, z basis
-    vectors:
+    table, lr.lr1_residual LR1(u, v, w) = u(vw) - v(uw), lr.lr2_residual
+    LR2(u, v, w) = (uv)w - (uw)v or lr.compat_residual compat(u, v) =
+    uv - vu - [u, v] with the bracket of ExtensionData.bracket_table.  At
+    kernel a, c and base x, y, z basis vectors:
 
         omega_skew_matches_cocycle  (x, y)     compat(x, y)
         phi_difference_is_action    (x,)       compat(x, c)
@@ -276,21 +277,8 @@ def verify_lift_conditions(d: ExtensionData, l: LiftData) -> VerificationReport:
     p, m = d.a_dim, d.b.dim
     checks = Checks(p)
     t = lift_product_tensor(d, l)
-    brak = d.bracket_table
-    act = partial(basis_action, t)
-
-    def at(u, v):
-        return t.get((u, v), {})
-
-    def lr1(u, v, w):
-        return _sub(act(u, at(v, w), True), act(v, at(u, w), True))
-
-    def lr2(u, v, w):
-        return _sub(act(w, at(u, v), False), act(v, at(u, w), False))
-
-    def compat(u, v):
-        return _sub(_sub(at(u, v), at(v, u)), brak.get((u, v), {}))
-
+    lr1, lr2 = partial(lr1_residual, t), partial(lr2_residual, t)
+    compat = partial(compat_residual, t, d.bracket_table)
     kernel = partial(_kernel_check, checks)
     kernel_matrix = partial(_kernel_matrix, checks)
 
@@ -300,7 +288,8 @@ def verify_lift_conditions(d: ExtensionData, l: LiftData) -> VerificationReport:
     for i in range(p):
         for j in range(p):
             for k in range(p):
-                assoc = _sub(act(k, at(i, j), False), act(i, at(j, k), True))
+                ij_k = basis_action(t, k, t.get((i, j), {}), False)
+                assoc = _sub(ij_k, basis_action(t, i, t.get((j, k), {}), True))
                 checks.sparse("kernel_product_associative", (i, j, k), assoc)
     base = [(i + 1, j + 1, l.b_product[i][j]) for i in range(m) for j in range(m)]
     base_report = verify_axioms(lr_from_table(d.b, base, validate=False))

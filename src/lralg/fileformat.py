@@ -504,9 +504,7 @@ def _parse_poly_line(
             raise ParseError(line_no, pos + 1, "malformed variable, expected x[i][j][k]")
         if ch not in "+-":
             raise ParseError(line_no, pos + 1, "expected '+' or '-' between terms")
-    p = Polynomial.__new__(Polynomial)
-    p.terms = terms
-    return p
+    return Polynomial.wrap(terms)
 
 
 @dataclass
@@ -631,11 +629,13 @@ def parse_extension_text(text: str):
     if b_dim is None:
         raise ParseError(1, 1, "missing base line")
     zero = (QQ(0),) * a_dim
-    omega = [[zero] * b_dim for _ in range(b_dim)]
+    # with no omega line, None: ExtensionData's zero cochain, built without qq
+    omega = [[zero] * b_dim for _ in range(b_dim)] if omegas.entries else None
     for i, j, v in omegas.entries:
         omega[i - 1][j - 1] = v
         omega[j - 1][i - 1] = tuple(-c for c in v)
-    phi = tuple(phis.get(i, Matrix.zero(a_dim, a_dim)) for i in range(1, b_dim + 1))
+    zero_phi = Matrix.zero(a_dim, a_dim)
+    phi = tuple(phis.get(i, zero_phi) for i in range(1, b_dim + 1))
     b = lie_from_table(b_dim, brackets.entries)
     return name or "unnamed", ExtensionData(a_dim, b, phi, omega)
 

@@ -133,6 +133,14 @@ class Polynomial:
                     clean[m] = c
         self.terms = clean
 
+    @staticmethod
+    def wrap(terms: dict) -> "Polynomial":
+        """The polynomial whose terms are this dict itself: no copy and no
+        coefficient conversion, so every coefficient must be nonzero."""
+        p = Polynomial.__new__(Polynomial)
+        p.terms = terms
+        return p
+
     @classmethod
     def zero(cls) -> "Polynomial":
         return cls()
@@ -197,7 +205,10 @@ class Polynomial:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def __add__(self, other) -> "Polynomial":
+        """polynomial + polynomial or rational; a new constant term comes last."""
+        if not isinstance(other, Polynomial):
+            other = Polynomial.constant(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             s = out[m] + c if m in out else c
@@ -205,16 +216,12 @@ class Polynomial:
                 out[m] = s
             else:
                 out.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
+        return Polynomial.wrap(out)
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial.__new__(Polynomial)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return Polynomial.wrap({m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
+    def __sub__(self, other) -> "Polynomial":
         return self + (-other)
 
     def __radd__(self, other) -> "Polynomial":
@@ -229,9 +236,8 @@ class Polynomial:
             c = qq(c)
         if c == 1:
             return self
-        p = Polynomial.__new__(Polynomial)
-        p.terms = {} if c == 0 else {m: c * x for m, x in self.terms.items()}
-        return p
+        terms = {} if c == 0 else {m: c * x for m, x in self.terms.items()}
+        return Polynomial.wrap(terms)
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -245,9 +251,7 @@ class Polynomial:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
+        return Polynomial.wrap(out)
 
     __rmul__ = scale
 
@@ -314,9 +318,7 @@ class Polynomial:
                     t = t * powers[v, e]
                 for m2, c2 in t.terms.items():
                     bump(m2, c2)
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
+        return Polynomial.wrap(out)
 
     def to_string(self, namer=None) -> str:
         if not self.terms:
@@ -416,9 +418,7 @@ def _reduce(
                 work[t] = s
             else:
                 del work[t]
-    p = Polynomial.__new__(Polynomial)
-    p.terms = remainder
-    return p
+    return Polynomial.wrap(remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -442,9 +442,7 @@ def _s_polynomial(a: Divisor, b: Divisor, l: Monomial) -> Polynomial:
             out[t] = old - c
         else:
             del out[t]
-    p = Polynomial.__new__(Polynomial)
-    p.terms = out
-    return p
+    return Polynomial.wrap(out)
 
 
 @dataclass

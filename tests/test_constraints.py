@@ -57,13 +57,18 @@ from lralg.lr import (
     LRAlgebra,
     ad_product_residual,
     center_kills_derived_residual,
+    compat_residual,
     derivation_residual,
     grading_residual,
     ideal_residual,
+    lr1_residual,
+    lr2_residual,
     lr_from_table,
     opposite,
+    verify_axioms,
 )
 from lralg.poly import Polynomial
+from test_reports import perturbed_tables
 
 
 def test_variable_indexing_round_trip():
@@ -197,6 +202,78 @@ def test_generated_system_matches_the_fraction_oracle(base):
         # the order of the terms is pinned too: it is the order of the file
         assert list(got.terms.items()) == list(want.terms.items())
         assert all(type(c) is QQ for c in got.terms.values())
+
+
+def residual_rows(g):
+    """(tag, where, row) of each row generate_lr_system(g) should emit, in
+    its order, read off the lr residuals on the generic product P: the
+    compatibility row (i, j, k) is component k of compat(P; i, j), the
+    commute rows (i, j, a, b) component a of LR1(P; i, j, b) and of
+    LR2(P; b, j, i), and a row that is zero as a polynomial is left out."""
+    n = g.dim
+    gp = constraints._generic_product(n)
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            res = compat_residual(gp, g.table, i, j)
+            out += [("compatibility", (i, j, k), res[k]) for k in sorted(res)]
+    sides = (
+        ("left_commute", lambda i, j, b: lr1_residual(gp, i, j, b)),
+        ("right_commute", lambda i, j, b: lr2_residual(gp, b, j, i)),
+    )
+    for tag, residual in sides:
+        for i in range(n):
+            for j in range(i + 1, n):
+                cols = [residual(i, j, b) for b in range(n)]
+                out += [
+                    (tag, (i, j, a, b), col[a])
+                    for a in range(n)
+                    for b, col in enumerate(cols)
+                    if a in col
+                ]
+    return out
+
+
+@pytest.mark.parametrize(
+    "base",
+    [lie_r2, lie_n3, lie_n4, lie_n3_plus_line, free4_two_gen_lie],
+    ids=["r2", "n3", "n4", "n3r", "free4_2gen"],
+)
+def test_generated_system_is_the_lr_residuals_on_the_generic_product(base):
+    g = base()
+    s = generate_lr_system(g)
+    want = residual_rows(g)
+    assert s.tags == [tag for tag, _, _ in want]
+    for got, (_, _, row) in zip(s.polys, want):
+        assert got.terms == row.terms
+
+
+def test_generated_system_matches_verify_axioms():
+    """On every perturbed product table but free3_lr(3)'s, the nonzero rows
+    of the generated system are the nonzero residual components of
+    verify_axioms, value for value."""
+    skip = free3_lie(3)
+    for g, entries in perturbed_tables():
+        if g == skip:
+            continue
+        a = lr_from_table(g, entries, validate=False)
+        where = [w for _, w, _ in residual_rows(g)]
+        got = {
+            (tag, where[idx]): value
+            for idx, tag, value in evaluate_candidate(generate_lr_system(g), a)
+        }
+        want = {}
+        for v in verify_axioms(a).violations:
+            for c, value in enumerate(v.residual):
+                if value and v.check == "compat":
+                    want["compatibility", v.where + (c,)] = value
+                elif value and v.check == "left_commute":
+                    i, j, b = v.where
+                    want["left_commute", (i, j, c, b)] = value
+                elif value:
+                    b, i, j = v.where
+                    want["right_commute", (i, j, c, b)] = -value
+        assert got == want
 
 
 # sha256 of the tags, then the rows in system-file text, of
@@ -678,6 +755,12 @@ def test_polynomial_arithmetic_keeps_fractions():
     results = (p, p.scale(2), 2 * p, p * 3, p + q, p - q, q - p, Polynomial.linear({3: 4}))
     for r in results:
         assert coefficient_types([r]) == {QQ}, r
+    # a rational on the right, as on the left; a new constant term comes last
+    x = Polynomial.variable(0)
+    assert list((x + 1).terms.items()) == [(((0, 1),), QQ(1)), ((), QQ(1))]
+    assert list((x - QQ(1, 2)).terms.items()) == [(((0, 1),), QQ(1)), ((), QQ(-1, 2))]
+    assert coefficient_types([x + 1, x - QQ(1, 2), q - 1]) == {QQ}
+    assert (q + 1).terms == {((0, 1), (2, 1)): QQ(1)}
 
 
 # sha256 of repr(trace), and the stats without "elapsed", of

@@ -1,0 +1,50 @@
+"""Every module-level import in lralg is used by its module.
+
+A name bound by an import and never read again is left behind when the
+code that read it goes; no linter runs here, so this scans the package
+with ast.  __init__.py is left out: its imports are the public API.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lralg"
+
+
+def imported_names(tree: ast.Module):
+    """(name bound, line) of each import at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                yield bound, node.lineno
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, and the names listed in __all__."""
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {
+                c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)
+            }
+    return used
+
+
+def test_every_module_import_is_used():
+    files = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert len(files) > 5
+    unused = {}
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = used_names(tree)
+        for name, line in imported_names(tree):
+            if name not in used:
+                unused.setdefault(path.name, []).append(f"{name} (line {line})")
+    assert unused == {}
