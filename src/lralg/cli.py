@@ -263,7 +263,10 @@ def _parse_rational_list(spec: str) -> list[Fraction]:
         return []
     out = []
     for piece in spec.split(","):
-        out.append(Fraction(piece.strip()))
+        try:
+            out.append(Fraction(piece.strip()))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {piece.strip()!r}") from None
     return out
 
 

@@ -15,7 +15,13 @@ generated system consists of
   * quadratic rows forcing the left multiplications to commute,
   * quadratic rows forcing the right multiplications to commute,
 
-and has a solution exactly when an LR-structure exists.
+and has a solution exactly when an LR-structure exists.  A commute row
+is entry (a, b) of O_i O_j - O_j O_i, i < j, for O = L or O = R: the
+sum over m of O_i[a][m] O_j[m][b] - O_j[a][m] O_i[m][b].  Each of these
+2n products multiplies two distinct unknowns, and no two of them are
+the same monomial but the pair at m == a == b, which cancels.  So a row
+is written as its products with coefficient +1 or -1, with nothing to
+sum, square or cancel, and no row is empty.
 
 Structural reduction adds linear consequences of the axioms: the lemma
 suite's identities that are linear in the product, evaluated on the
@@ -41,11 +47,11 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, permutations, product as iproduct
 from typing import Mapping
 
 from .lie import LieAlgebra, SparseVec, _densify, bilinear_sparse, center as lie_center
-from .lie import lower_central_series, upper_central_series
+from .lie import derived_series, lower_central_series, upper_central_series
 from .lie import _sparsify, sparse_add, sparse_sub
 from .linalg import QQ, Eliminator, Matrix, Subspace, Vector, _scalar, qq
 from .lr import (
@@ -55,6 +61,7 @@ from .lr import (
     compat_residual,
     derivation_residual,
     grading_residual,
+    ideal_product,
     ideal_residual,
     opposite,
 )
@@ -163,13 +170,16 @@ def generate_lr_system(g: LieAlgebra) -> ConstraintSystem:
     """The axioms on the generic product, in a fixed deterministic order:
     the compatibility rows lr.compat_residual(i, j), i < j, then the left
     and the right commute rows (i, j, a, b), i < j: component a of
-    lr.lr1_residual(i, j, b) and of lr.lr2_residual(b, j, i).  Evaluated
-    that way the commute rows took ten times as long on g13, so each is
-    summed here as 2n products of unknowns with coefficient +1 or -1 in
-    ints; a test holds them to the residuals.  Each coefficient becomes
-    the one Fraction this call keeps for its value."""
+    lr.lr1_residual(i, j, b) and of lr.lr2_residual(b, j, i), written as
+    the distinct products of entry (a, b) of O_i O_j - O_j O_i, in the
+    order of m, the + product before the - one, m == a == b left out.
+    That makes n*C(n,2) + 2*C(n,2)*n^2 rows.  Evaluating the residuals
+    generically took ten times as long on g13; a test holds the rows to
+    them.  Each coefficient is the one Fraction this call keeps for its
+    value."""
     n = g.dim
-    fractions = {s: QQ(s) for s in range(-n, n + 1)}
+    plus, minus = QQ(1), QQ(-1)
+    fractions = {1: plus, -1: minus}
     table = _generic_product(n)
     brackets = {key: _ints(_densify(n, v)) for key, v in g.table.items()}
     polys: list[Polynomial] = []
@@ -182,43 +192,26 @@ def generate_lr_system(g: LieAlgebra) -> ConstraintSystem:
     # entry (a, m) of the left and the right multiplication by e_i
     left = [[[x_index(n, i, a, m) for m in range(n)] for a in range(n)] for i in range(n)]
     right = [[[x_index(n, m, a, i) for m in range(n)] for a in range(n)] for i in range(n)]
-
-    # the pairs of x_v and x_v^2, shared by every monomial that uses them
-    nv = n ** 3
-    lin = [(v, 1) for v in range(nv)]
-    sq = [((v, 2),) for v in range(nv)]
+    # the pair (v, 1) of x_v, shared by every monomial that uses it
+    lin = [(v, 1) for v in range(n ** 3)]
 
     for tag, ops in (("left_commute", left), ("right_commute", right)):
         # cols[i][b][m] is entry (m, b) of the operator of e_i
         cols = [[list(col) for col in zip(*op)] for op in ops]
         for i in range(n):
             for j in range(i + 1, n):
-                for row_i, row_j in zip(ops[i], ops[j]):
-                    for col_i, col_j in zip(cols[i], cols[j]):
-                        # entry (a, b) of oi oj - oj oi, summed over m
-                        terms: dict = {}
-                        get = terms.get
-                        for v1, v2, w1, w2 in zip(row_i, col_j, row_j, col_i):
-                            mono = sq[v1] if v1 == v2 else (
-                                (lin[v1], lin[v2]) if v1 < v2 else (lin[v2], lin[v1])
-                            )
-                            s = get(mono, 0) + 1
-                            if s:
-                                terms[mono] = s
-                            else:
-                                del terms[mono]
-                            mono = sq[w1] if w1 == w2 else (
-                                (lin[w1], lin[w2]) if w1 < w2 else (lin[w2], lin[w1])
-                            )
-                            s = get(mono, 0) - 1
-                            if s:
-                                terms[mono] = s
-                            else:
-                                del terms[mono]
-                        if terms:
-                            row = {mono: fractions[s] for mono, s in terms.items()}
-                            polys.append(Polynomial.wrap(row))
-                            tags.append(tag)
+                for a, (row_i, row_j) in enumerate(zip(ops[i], ops[j])):
+                    for b, (col_i, col_j) in enumerate(zip(cols[i], cols[j])):
+                        skip = a if a == b else -1
+                        row: dict = {}
+                        for m, (v1, v2, w1, w2) in enumerate(
+                            zip(row_i, col_j, row_j, col_i)
+                        ):
+                            if m != skip:
+                                row[(lin[v1], lin[v2]) if v1 < v2 else (lin[v2], lin[v1])] = plus
+                                row[(lin[w1], lin[w2]) if w1 < w2 else (lin[w2], lin[w1])] = minus
+                        polys.append(Polynomial.wrap(row))
+                        tags.append(tag)
     return ConstraintSystem(g, polys, tags)
 
 
@@ -550,27 +543,10 @@ def buchberger_certify(
 # isomorphism search
 
 
-_FINGERPRINT_KEYS = (
-    "dim",
-    "complete",
-    "lower_central_dims",
-    "derived_dims",
-    "upper_central_dims",
-    "product_span_dims",
-    "left_annihilator_dim",
-    "right_annihilator_dim",
-    "trace_form_rank_ll",
-    "trace_form_rank_rr",
-    "trace_form_rank_lr",
-)
-
-
 def lr_fingerprint(a: LRAlgebra) -> dict:
     """Basis-independent invariants of an LR-algebra, used to tell
-    non-isomorphic structures apart quickly."""
-    from .lie import derived_series
-    from .lr import ideal_product
-
+    non-isomorphic structures apart quickly; iso_search compares them in
+    the order of the returned dict."""
     g = a.g
     n = a.dim
     lcs = lower_central_series(g)
@@ -658,8 +634,6 @@ def _is_lr_isomorphism(a1: LRAlgebra, a2: LRAlgebra, t: Matrix) -> bool:
 
 def _det_poly(entries: list[list[Polynomial]]) -> Polynomial:
     """Determinant by expansion over permutations; fine for small sizes."""
-    from itertools import permutations
-
     n = len(entries)
     acc = Polynomial.zero()
     for perm in permutations(range(n)):
@@ -692,7 +666,7 @@ def iso_search(a1: LRAlgebra, a2: LRAlgebra) -> IsoResult:
     system; its inconsistency certifies non-isomorphism.
     """
     f1, f2 = lr_fingerprint(a1), lr_fingerprint(a2)
-    for key in _FINGERPRINT_KEYS:
+    for key in f1:
         if f1[key] != f2[key]:
             return IsoResult(
                 "distinguished",
@@ -703,8 +677,6 @@ def iso_search(a1: LRAlgebra, a2: LRAlgebra) -> IsoResult:
 
     # heuristic search over signed permutation matrices
     if n <= 4:
-        from itertools import permutations, product as iproduct
-
         for perm in permutations(range(n)):
             for signs in iproduct((QQ(1), QQ(-1)), repeat=n):
                 t = Matrix(

@@ -355,6 +355,25 @@ def test_construct_extension(tmp_path, capsys):
     assert "singular" in err
 
 
+def test_construct_rejects_bad_rationals_with_one_error_line(tmp_path, capsys):
+    """A zero denominator in --coeffs or --lift exits 2 with one error
+    line, as a malformed rational does, instead of a traceback."""
+    tiny = tmp_path / "tiny.ext"
+    tiny.write_text(
+        "extension tiny\nkernel 1\nbase 1\nphi 1 = [1]\n", encoding="utf-8"
+    )
+    commands = (
+        ("construct", "filiform", "5", "--coeffs"),
+        ("construct", "extension", str(tiny), "--lift"),
+    )
+    for argv in commands:
+        for bad in ("1/0", "abc", "0/0"):
+            code, out, err = run(capsys, *argv, bad)
+            assert (code, out) == (2, ""), (argv, bad)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert repr(bad) in err
+
+
 def test_construct_extension_at_the_size_cap(tmp_path, capsys):
     """An empty datum at the cap of 64 on both sides builds in seconds,
     with no bracket lines."""

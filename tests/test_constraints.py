@@ -40,7 +40,7 @@ from lralg.constraints import (
 )
 from lralg import constraints
 from lralg.constraints import _identity_rows, x_index
-from lralg.constructions import free3_lie, free3_lr, free4_two_gen_lie
+from lralg.constructions import free3_lie, free3_lr, free4_two_gen_lie, free_two_step_lie
 from lralg.extensions import extension_lie_algebra, random_abelian_extension
 from lralg.fileformat import format_system
 from lralg.lie import (
@@ -285,6 +285,67 @@ def test_g13_system_is_pinned():
     s = generate_lr_system(counterexample_g13())
     text = "\n".join(s.tags) + "\n" + format_system(13, s.polys)
     assert hashlib.sha256(text.encode()).hexdigest() == G13_SYSTEM_SHA256
+
+
+def seeded_extension(seed):
+    d, _ = random_abelian_extension(random.Random(seed), 2, 3)
+    return extension_lie_algebra(d)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        lie_r2,
+        lie_n3,
+        lie_n4,
+        lie_n3_plus_line,
+        counterexample_g13,
+        lambda: free3_lie(3),
+        free4_two_gen_lie,
+        lambda: free_two_step_lie(3),
+        lambda: seeded_extension(5),
+        lambda: seeded_extension(6),
+        lambda: seeded_extension(7),
+        lambda: lie_n3_half(),
+        lambda: lie_r3_two_thirds(),
+    ],
+    ids=[
+        "r2", "n3", "n4", "n3r", "g13", "free3_3", "free4_2gen", "free2step_3",
+        "ext5", "ext6", "ext7", "n3_half", "r3_two_thirds",
+    ],
+)
+def test_raw_system_has_its_closed_form(base):
+    """n*C(n,2) compatibility rows, then the left and the right commute
+    rows (i, j, a, b), i < j, in that order: entry (a, b) of
+    O_i O_j - O_j O_i has 2n products of two distinct unknowns with
+    coefficient +1 or -1, n of each sign, but for a == b, where the two
+    products at m == a cancel."""
+    g = base()
+    n = g.dim
+    pairs = n * (n - 1) // 2
+    s = generate_lr_system(g)
+    assert len(s.polys) == n * pairs + 2 * pairs * n * n
+    assert s.tags == (
+        ["compatibility"] * (n * pairs)
+        + ["left_commute"] * (pairs * n * n)
+        + ["right_commute"] * (pairs * n * n)
+    )
+    where = [
+        (i, j, a, b)
+        for i in range(n)
+        for j in range(i + 1, n)
+        for a in range(n)
+        for b in range(n)
+    ]
+    commute = s.polys[n * pairs:]
+    for (i, j, a, b), p in zip(where + where, commute):
+        half = n - 1 if a == b else n
+        coeffs = list(p.terms.values())
+        assert len(coeffs) == 2 * half, (i, j, a, b)
+        assert (coeffs.count(1), coeffs.count(-1)) == (half, half), (i, j, a, b)
+        for mono in p.terms:
+            assert len(mono) == 2 and all(e == 1 for _, e in mono), mono
+            assert mono[0][0] != mono[1][0], mono
 
 
 def test_assignment_from_lr_reads_the_tensor():
