@@ -35,6 +35,7 @@ from .constructions import (
     NotTwoStepNilpotent,
     SpecViolation,
     filiform_lr,
+    free3_dimension,
     free3_lr,
     free4_two_gen_lr,
     halved_adjoint_lr,
@@ -53,6 +54,7 @@ from .extensions import (
     LiftConditionsFailed,
 )
 from .fileformat import (
+    MAX_SYSTEM_DIM,
     MissingSection,
     ParseError,
     format_algebra,
@@ -270,9 +272,16 @@ def _parse_rational_list(spec: str) -> list[Fraction]:
     return out
 
 
+def _check_dim(dim: int) -> None:
+    """Refuse, before building, an algebra that no reader would accept."""
+    if dim > MAX_SYSTEM_DIM:
+        raise ValueError(f"dimension {dim} is above the cap of {MAX_SYSTEM_DIM}")
+
+
 def _cmd_construct(args) -> int:
     if args.what == "filiform":
         n = args.n
+        _check_dim(n)
         free = _parse_rational_list(args.coeffs or "")
         spec = FiliformSpec.from_free_row(n, free)
         a = filiform_lr(spec)
@@ -283,6 +292,7 @@ def _cmd_construct(args) -> int:
         a = halved_adjoint_lr(g)
         name = f"{f.name}_halfad"
     elif args.what == "free3":
+        _check_dim(free3_dimension(args.n))
         a = free3_lr(args.n)
         name = f"free_two_solvable_{args.n}gen"
     elif args.what == "free4-2gen":

@@ -22,7 +22,9 @@ Polynomial system files:
 
 One polynomial per line over the product unknowns x[i][j][k] (the
 coefficient of e_j in e_i . e_k, all indices 1-based), written largest
-term first in the graded order.  The dimension is at most 64.
+term first in the graded order.  The dimension is at most 64.  Files
+are written in one canonical spacing, which is read fastest; any
+spacing the grammar allows is read too, with the same errors.
 
 Extension files:
 
@@ -56,12 +58,12 @@ from dataclasses import dataclass
 from functools import cache, partial
 from typing import Iterable, Sequence
 
-from .constraints import x_index, x_name
+from .constraints import _gc_paused, x_index, x_name
 from .extensions import ExtensionData
 from .lie import LieAlgebra, SparseVec, _sparsify, lie_from_table
 from .linalg import QQ, Matrix, Vector
 from .lr import LRAlgebra, lr_from_table
-from .poly import MONO_ONE, Polynomial, signed_sum
+from .poly import MONO_ONE, Polynomial, _Cache, line_writer
 
 # Largest dimension of an algebra or system file, and largest kernel or
 # base size of an extension file.  A system keeps a bit per unknown
@@ -231,6 +233,14 @@ def _parse_vector(sc: _Scanner, dim: int, prefix: str) -> Vector:
     return tuple(out)
 
 
+def _signed_sum(parts: list[str]) -> str:
+    """Nonempty terms, each written with its own sign, as `a + b - c`."""
+    out = parts[0]
+    for piece in parts[1:]:
+        out += f" - {piece[1:]}" if piece[0] == "-" else f" + {piece}"
+    return out
+
+
 def _format_vector(v: SparseVec, prefix: str = "e") -> str:
     parts = []
     for idx in sorted(v):
@@ -241,7 +251,7 @@ def _format_vector(v: SparseVec, prefix: str = "e") -> str:
             parts.append(f"-{sym}")
         elif c:
             parts.append(f"{c}*{sym}")
-    return signed_sum(parts) if parts else "0"
+    return _signed_sum(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
@@ -400,15 +410,28 @@ _TERM = (
 )
 
 
+# The canonical spacing, as format_system writes it: terms joined by
+# ' + ' or ' - ' with a leading '-' on the first, a coefficient p or p/q
+# then ' * ', and at most two factors joined by ' * '.
+_CANON_COEFF = r"[0-9]+(?:/[0-9]+)?"
+_CANON_FACTOR = r"x\[[0-9]+\]\[[0-9]+\]\[[0-9]+\](?:\^[0-9]+)?"
+_CANON_TERM = (
+    rf"(?:{_CANON_COEFF}"
+    rf"|(?:{_CANON_COEFF} \* )?{_CANON_FACTOR}(?: \* {_CANON_FACTOR})?)"
+)
+
+
 @cache
 def _term_patterns() -> tuple[re.Pattern, ...]:
-    """The term, rest-of-factors, sign and blank patterns, compiled on the
-    first system parse, so that importing lralg compiles none of them."""
+    """The term, rest-of-factors, sign and blank patterns of the walk,
+    then the canonical line pattern, compiled on the first system parse,
+    so that importing lralg compiles none of them."""
     return (
         re.compile(_TERM),
         re.compile(rf"{_NEXT}({_FACTOR})"),
         re.compile(r"[ \t]*(?:[-+][ \t]*)?"),
         re.compile(r"[ \t]*"),
+        re.compile(rf"-?{_CANON_TERM}(?: [-+] {_CANON_TERM})*"),
     )
 
 
@@ -444,7 +467,7 @@ def _parse_poly_line(
     term stops, the line ends or the next term's sign follows; anything
     else is the error of the grammar at that point.  ``patterns`` is
     _term_patterns()."""
-    term_re, rest_re, sign_re, blank_re = patterns
+    term_re, rest_re, sign_re, blank_re, _ = patterns
     terms: dict = {}
     pos, end = 0, len(body)
     while True:
@@ -507,6 +530,74 @@ def _parse_poly_line(
     return Polynomial.wrap(terms)
 
 
+class _Unread(Exception):
+    """A line in the canonical spacing that the walk must read."""
+
+
+def _head_value(head: str) -> QQ:
+    """The coefficient of a canonical term from its sign and written
+    coefficient: '-' is -1, '+3/4' is 3/4.  A zero coefficient or
+    denominator is left to the walk, which drops the term or reports
+    the error."""
+    if head == "+":
+        return _ONE
+    if head == "-":
+        return _MINUS_ONE
+    try:
+        value = QQ(head)
+    except ZeroDivisionError:
+        raise _Unread from None
+    if not value:
+        raise _Unread
+    return value
+
+
+def _read_canonical(
+    body: str,
+    line_no: int,
+    dim: int,
+    cache: FactorCache,
+    heads: _Cache,
+    line_re: re.Pattern,
+) -> Polynomial | None:
+    """The polynomial of a line in the canonical spacing, read with one
+    match of the whole line and a split into its terms; None when the
+    line is not in that spacing, a check fails, a variable repeats in a
+    term or a monomial repeats in the line.  The walk then reads it, so
+    the language and every error stay the walk's.  heads maps a term's
+    sign and written coefficient to its value (a _Cache of _head_value)."""
+    if line_re.fullmatch(body) is None:
+        return None
+    # Once ' * ' is closed up, the blanks left are those around the
+    # signs, so the tokens alternate sign and term.
+    tokens = body.replace(" * ", "*").split(" ")
+    first = tokens[0]
+    tokens[:1] = ("-", first[1:]) if first[0] == "-" else ("+", first)
+    monos, coeffs = [], []
+    pairs = iter(tokens)
+    try:
+        for sign, term in zip(pairs, pairs):
+            factors = term.split("*")
+            coeffs.append(heads[sign if term[0] == "x" else sign + factors.pop(0)])
+            if not factors:
+                monos.append(MONO_ONE)
+                continue
+            f = factors[0]
+            a = cache.get(f) or _read_factor(f, 0, line_no, dim, cache)
+            if len(factors) == 1:
+                monos.append((a,))
+                continue
+            f = factors[1]
+            b = cache.get(f) or _read_factor(f, 0, line_no, dim, cache)
+            if a[0] == b[0]:
+                return None
+            monos.append((a, b) if a[0] < b[0] else (b, a))
+    except (ParseError, _Unread):
+        return None
+    terms = dict(zip(monos, coeffs))
+    return Polynomial.wrap(terms) if len(terms) == len(monos) else None
+
+
 @dataclass
 class SystemFile:
     dim: int
@@ -520,10 +611,12 @@ def parse_system_text(text: str) -> SystemFile:
     return _parse_system_lines((text,))
 
 
+@_gc_paused()
 def _parse_system_lines(chunks: Iterable[str]) -> SystemFile:
     dim: int | None = None
     polys: list[Polynomial] = []
     cache: FactorCache = {}
+    heads = _Cache(_head_value)
     patterns = _term_patterns()
     for line_no, body in _content_lines(chunks):
         if _first_word(body) == "dim":
@@ -531,7 +624,10 @@ def _parse_system_lines(chunks: Iterable[str]) -> SystemFile:
         elif dim is None:
             raise ParseError(line_no, 1, "dim must come before polynomials")
         else:
-            polys.append(_parse_poly_line(body, line_no, dim, cache, patterns))
+            p = _read_canonical(body, line_no, dim, cache, heads, patterns[4])
+            if p is None:
+                p = _parse_poly_line(body, line_no, dim, cache, patterns)
+            polys.append(p)
     if dim is None:
         raise ParseError(1, 1, "missing dim line")
     return SystemFile(dim, polys)
@@ -539,9 +635,13 @@ def _parse_system_lines(chunks: Iterable[str]) -> SystemFile:
 
 def parse_system_file(path) -> SystemFile:
     """Reads the file a line at a time, so neither its whole text nor a
-    list of its lines is held beside the polynomials.  A file that fails
-    is read again whole, so it fails as its text does: a decoding error
-    anywhere in it comes before a parse error, at its byte offset."""
+    list of its lines is held beside the polynomials, with the cyclic
+    collector paused.  A line in the canonical spacing is read with one
+    match of the whole line; any other line, and any line on which a
+    check fails, by the positional walk, which gives every error its
+    line and column.  A file that fails is read again whole, so it fails
+    as its text does: a decoding error anywhere in it comes before a
+    parse error, at its byte offset."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return _parse_system_lines(fh)
@@ -551,8 +651,12 @@ def parse_system_file(path) -> SystemFile:
 
 
 def format_system(dim: int, polys: Sequence[Polynomial]) -> str:
-    namer = cache(partial(x_name, dim))  # a variable's name is built once
-    return "\n".join([f"dim {dim}", *(p.to_string(namer) for p in polys)]) + "\n"
+    """The `dim` line, then one line per polynomial as
+    Polynomial.to_string writes it with x[i][j][k] names.  Every line is
+    in the canonical spacing that the parser reads fastest, and the text
+    is joined once, final line break included."""
+    line = line_writer(partial(x_name, dim))
+    return "\n".join([f"dim {dim}", *map(line, polys), ""])
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ Schoenemann).  Pending pairs carry their lcm and its degree.
 import time
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping
 
 from .linalg import QQ, qq
 
@@ -111,12 +113,75 @@ def _heap_key(m: Monomial) -> tuple:
     return (-sum(e for _, e in m), tuple([x for v, e in m for x in (v, -e)]))
 
 
-def signed_sum(parts: list[str]) -> str:
-    """Nonempty terms, each written with its own sign, as `a + b - c`."""
-    out = parts[0]
-    for piece in parts[1:]:
-        out += f" - {piece[1:]}" if piece[0] == "-" else f" + {piece}"
-    return out
+def _graded_order(terms: Mapping[Monomial, QQ]) -> list[Monomial]:
+    """The monomials of terms from the biggest down.  When every exponent
+    is 1, mono_key is the length and then the variables ascending, so
+    sorting the monomials themselves and then, stably, by length gives
+    the order with no key call per term."""
+    if max(map(itemgetter(1), chain.from_iterable(terms)), default=1) == 1:
+        monos = sorted(terms)
+        monos.sort(key=len, reverse=True)
+        return monos
+    return sorted(terms, key=mono_key, reverse=True)
+
+
+class _Cache(dict):
+    """A dict that fills a missing key with make(key)."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _sign_text(c) -> str:
+    """What comes before a monomial with coefficient c in a later term:
+    ' + ', ' - ' or ' - 1/2 * '."""
+    if c == 1:
+        return " + "
+    if c == -1:
+        return " - "
+    s = str(c)
+    return f" - {s[1:]} * " if s[0] == "-" else f" + {s} * "
+
+
+def line_writer(namer) -> Callable[["Polynomial"], str]:
+    """The one writer of polynomial text, `3 * x0^2 - x0 * x1 - 1/2`:
+    terms from the biggest monomial down, factors joined by ' * ', a
+    coefficient of 1 or -1 left out, and 0 for the zero polynomial.
+    namer(v) names variable v.  Factor texts and coefficient signs are
+    built once per writer; the signs are kept by id of the coefficient,
+    beside the coefficient itself, so that no id is reused meanwhile."""
+    names = _Cache(lambda f: namer(f[0]) if f[1] == 1 else f"{namer(f[0])}^{f[1]}")
+    signs: dict[int, tuple[object, str]] = {}
+
+    def line(p: "Polynomial") -> str:
+        terms = p.terms
+        if not terms:
+            return "0"
+        parts = []
+        for m in _graded_order(terms):
+            c = terms[m]
+            if not m:  # the constant, which comes last
+                s = str(c)
+                parts.append(f" - {s[1:]}" if s[0] == "-" else f" + {s}")
+                break
+            sign = signs.get(id(c))
+            if sign is None:
+                sign = signs[id(c)] = (c, _sign_text(c))
+            if len(m) == 2:
+                a, b = m
+                parts.append(f"{sign[1]}{names[a]} * {names[b]}")
+            else:
+                parts.append(f"{sign[1]}{' * '.join(map(names.__getitem__, m))}")
+        text = "".join(parts)
+        return text[3:] if text[1] == "+" else f"-{text[3:]}"
+
+    return line
 
 
 class Polynomial:
@@ -197,7 +262,7 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Monomial, QQ]]:
         """Terms from biggest monomial down."""
-        return sorted(self.terms.items(), key=lambda t: mono_key(t[0]), reverse=True)
+        return [(m, self.terms[m]) for m in _graded_order(self.terms)]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
@@ -321,22 +386,7 @@ class Polynomial:
         return Polynomial.wrap(out)
 
     def to_string(self, namer=None) -> str:
-        if not self.terms:
-            return "0"
-        namer = namer or (lambda v: f"x{v}")
-        parts = []
-        for m, c in self.sorted_terms():
-            body = " * ".join([namer(v) if e == 1 else f"{namer(v)}^{e}" for v, e in m])
-            if not body:
-                piece = str(c)
-            elif c == 1:
-                piece = body
-            elif c == -1:
-                piece = f"-{body}"
-            else:
-                piece = f"{c} * {body}"
-            parts.append(piece)
-        return signed_sum(parts)
+        return line_writer(namer or "x{}".format)(self)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_string()})"

@@ -1,7 +1,8 @@
 """End-to-end tests for the command line front end.
 
 Everything runs in-process through main(argv) so exit codes, stdout and
-stderr are all observable.  Input files are produced either by hand or
+stderr are all observable, except where a fresh interpreter must answer
+within a time limit.  Input files are produced either by hand or
 by round-tripping the tool's own dump output through tmp_path.
 """
 
@@ -15,6 +16,7 @@ import pytest
 from lralg.catalog import catalog_entry, catalog_list, sample_params
 from lralg.cli import main
 from lralg.fileformat import parse_algebra_text, format_algebra
+from test_fileformat import run_lralg_briefly
 
 
 def run(capsys, *argv):
@@ -311,6 +313,10 @@ def test_construct_free_families(capsys):
     assert out.splitlines()[1] == "dim 5"
     code, again, err = run(capsys, "construct", "free3", "2")
     assert again == out
+    # dimension 55, below the cap of 64
+    code, out, err = run(capsys, "construct", "free3", "5")
+    assert code == 0, err
+    assert out.splitlines()[1] == "dim 55"
 
     code, out, err = run(capsys, "construct", "free4-2gen", "--json")
     assert code == 0
@@ -318,6 +324,23 @@ def test_construct_free_families(capsys):
     assert payload["dim"] == 8
     assert payload["complete"] is True
     assert payload["name"] == "free_nilpotent_4step_2gen"
+
+
+@pytest.mark.parametrize(
+    "argv, dim",
+    [
+        (["free3", "6"], 91),
+        (["free3", "10"], 385),
+        (["filiform", "65", "--coeffs", ",".join(["0"] * 61)], 65),
+    ],
+    ids=["free3-6", "free3-10", "filiform-65"],
+)
+def test_construct_refuses_dimensions_above_the_cap(argv, dim):
+    """An algebra no reader would accept is refused before it is built,
+    in a fresh interpreter that must answer within 5 s."""
+    done = run_lralg_briefly("construct", *argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: dimension {dim} is above the cap of 64\n"
 
 
 def test_construct_extension(tmp_path, capsys):

@@ -42,7 +42,13 @@ from lralg import constraints
 from lralg.constraints import _identity_rows, x_index
 from lralg.constructions import free3_lie, free3_lr, free4_two_gen_lie, free_two_step_lie
 from lralg.extensions import extension_lie_algebra, random_abelian_extension
-from lralg.fileformat import format_system
+from lralg import fileformat
+from lralg.fileformat import (
+    ParseError,
+    format_system,
+    parse_system_file,
+    parse_system_text,
+)
 from lralg.lie import (
     _sparsify,
     abelian_lie,
@@ -758,9 +764,10 @@ def test_pending_rows_are_taken_in_the_order_of_their_sorted_pairs():
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
-def test_builders_pause_gc_and_restore_its_state(monkeypatch, enabled):
-    """generate_lr_system and structural_reduce run with the cyclic
-    collector off and leave it as they found it, also when they raise."""
+def test_builders_pause_gc_and_restore_its_state(monkeypatch, tmp_path, enabled):
+    """generate_lr_system, structural_reduce and the system parsers run
+    with the cyclic collector off and leave it as they found it, also
+    when they raise."""
     seen = []
 
     def probe_rows(g):
@@ -771,11 +778,32 @@ def test_builders_pause_gc_and_restore_its_state(monkeypatch, enabled):
         seen.append(gc.isenabled())
         raise RuntimeError("boom")
 
+    read_canonical = fileformat._read_canonical
+    read = []
+
+    def probe_read(*args):
+        read.append(gc.isenabled())
+        return read_canonical(*args)
+
     was_enabled = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
         system = generate_lr_system(lie_n3())
         assert gc.isenabled() is enabled
+        text = format_system(3, system.polys)
+        path, bad = tmp_path / "n3.sys", tmp_path / "bad.sys"
+        path.write_text(text, encoding="utf-8")
+        bad.write_text(text + "x[4][1][1]\n", encoding="utf-8")
+        monkeypatch.setattr(fileformat, "_read_canonical", probe_read)
+        assert parse_system_file(path).polys == system.polys
+        assert gc.isenabled() is enabled
+        assert parse_system_text(text).polys == system.polys
+        assert gc.isenabled() is enabled
+        failing = (parse_system_file, bad), (parse_system_text, bad.read_text())
+        for parse, arg in failing:
+            with pytest.raises(ParseError, match="out of range"):
+                parse(arg)
+            assert gc.isenabled() is enabled
         monkeypatch.setattr(constraints, "_identity_rows", probe_rows)
         structural_reduce(system)
         assert gc.isenabled() is enabled
@@ -790,6 +818,8 @@ def test_builders_pause_gc_and_restore_its_state(monkeypatch, enabled):
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert seen == [False, False, False]
+    # every polynomial line of every parse is read with it off
+    assert len(read) > 4 * len(system.polys) and not any(read)
 
 
 def coefficient_types(polys):

@@ -30,7 +30,7 @@ from lralg.catalog import (
     sample_params,
 )
 from lralg.cli import main
-from lralg.constraints import generate_lr_system, x_index
+from lralg.constraints import generate_lr_system, x_index, x_name
 from lralg.constructions import FiliformSpec, filiform_lr
 from lralg.extensions import (
     ExtensionData,
@@ -51,7 +51,7 @@ from lralg.fileformat import (
 )
 from lralg.lie import lie_from_table
 from lralg.linalg import Matrix
-from lralg.poly import Polynomial
+from lralg.poly import Polynomial, mono_key
 
 
 HEISENBERG_TEXT = """algebra heisenberg
@@ -369,16 +369,35 @@ def test_system_dim_is_capped_at_64(tmp_path, capsys):
     capsys.readouterr()
 
 
-def run_lralg_briefly(*args) -> subprocess.CompletedProcess:
-    """The CLI in a fresh interpreter, failing the test after 5 s."""
+def run_python(*args, timeout: float = 5) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the source tree on its path, failing the
+    test after timeout seconds."""
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run(
-        [sys.executable, "-m", "lralg", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
-        timeout=5,
+        timeout=timeout,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
+
+
+def run_lralg_briefly(*args) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, failing the test after 5 s."""
+    return run_python("-m", "lralg", *args)
+
+
+def test_import_compiles_no_system_line_pattern():
+    """The system-line patterns are compiled on the first system parse,
+    so importing lralg stays cheap for runs that read no system file."""
+    code = (
+        "import lralg\n"
+        "assert lralg.fileformat._term_patterns.cache_info().currsize == 0\n"
+        "lralg.parse_system_text('dim 1\\nx[1][1][1]\\n')\n"
+        "assert lralg.fileformat._term_patterns.cache_info().currsize == 1\n"
+    )
+    done = run_python("-c", code, timeout=30)
+    assert done.returncode == 0, done.stderr
 
 
 def test_huge_algebra_dim_exits_2_at_once(tmp_path):
@@ -476,6 +495,74 @@ def test_raw_systems_parse_back(lie):
     g = lie()
     raw = generate_lr_system(g).polys
     assert parse_system_text(format_system(g.dim, raw)).polys == raw
+
+
+def oracle_to_string(p: Polynomial, namer) -> str:
+    """The line writer's oracle: a mono_key sort of every polynomial, a
+    piece per term, and the pieces joined by their own signs."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for m, c in sorted(p.terms.items(), key=lambda t: mono_key(t[0]), reverse=True):
+        body = " * ".join([namer(v) if e == 1 else f"{namer(v)}^{e}" for v, e in m])
+        if not body:
+            piece = str(c)
+        elif c == 1:
+            piece = body
+        elif c == -1:
+            piece = f"-{body}"
+        else:
+            piece = f"{c} * {body}"
+        parts.append(piece)
+    out = parts[0]
+    for piece in parts[1:]:
+        out += f" - {piece[1:]}" if piece[0] == "-" else f" + {piece}"
+    return out
+
+
+def oracle_format_system(dim: int, polys) -> str:
+    lines = [oracle_to_string(p, lambda v: x_name(dim, v)) for p in polys]
+    return "\n".join([f"dim {dim}", *lines]) + "\n"
+
+
+COEFFS = st.one_of(st.sampled_from([QQ(1), QQ(-1)]), RATIONALS)
+
+
+@st.composite
+def written_systems(draw):
+    """Polynomials over x[i][j][k] at dims 2 to 13: the zero polynomial,
+    constants, degrees up to 9, coefficients 1, -1 and rationals; about
+    half of them may have squares, the rest are squarefree."""
+    n = draw(st.integers(2, 13))
+    var = st.integers(0, n**3 - 1)
+    polys = []
+    for _ in range(draw(st.integers(0, 6))):
+        exps = st.integers(1, 3) if draw(st.booleans()) else st.just(1)
+        mono = st.dictionaries(var, exps, max_size=3)
+        mono = mono.map(lambda m: tuple(sorted(m.items())))
+        polys.append(Polynomial(draw(st.dictionaries(mono, COEFFS, max_size=6))))
+    return n, polys
+
+
+X0, X1 = x_index(2, 0, 0, 0), x_index(2, 0, 0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(written_systems())
+@example((2, [Polynomial({((X0, 1), (X1, 1)): QQ(1), ((X0, 1),): QQ(-1), (): QQ(2)})]))
+@example((2, [Polynomial({((X0, 2),): QQ(1), ((X0, 1), (X1, 1)): QQ(1, 2)})]))
+@example((2, [Polynomial()]))
+def test_format_system_matches_the_mono_key_writer(case):
+    n, polys = case
+    text = format_system(n, polys)
+    assert text == oracle_format_system(n, polys)
+    assert parse_system_text(text).polys == polys
+    # polynomials made one at a time, with fresh coefficients that die
+    # with them, so a coefficient's id is free for the next one's
+    fresh = (Polynomial({m: QQ(str(c)) for m, c in p.terms.items()}) for p in polys)
+    assert format_system(n, fresh) == text
+    for p in polys:
+        assert p.to_string() == oracle_to_string(p, "x{}".format)
 
 
 @pytest.mark.parametrize(
@@ -642,6 +729,21 @@ MUTATION_BASES = [
     "x[ 1 ][2 ][1] ^3 *x[2][2][1] * x[1][2][1] - 1 / 3 - x[2][1][1]",
     *format_system(2, generate_lr_system(lie_r2()).polys).splitlines()[1:8],
     *format_system(3, generate_lr_system(lie_n3()).polys).splitlines()[-4:],
+    # g13 as format_system writes it: the first left commute row and a
+    # compatibility row of the raw system, then two reduced residuals,
+    # one with a rational coefficient and one with a square
+    "x[1][1][2] * x[2][2][1] + x[1][1][3] * x[2][3][1] + x[1][1][4] * x[2][4][1]"
+    " + x[1][1][5] * x[2][5][1] + x[1][1][6] * x[2][6][1] + x[1][1][7] * x[2][7][1]"
+    " + x[1][1][8] * x[2][8][1] + x[1][1][9] * x[2][9][1] + x[1][1][10] * x[2][10][1]"
+    " + x[1][1][11] * x[2][11][1] + x[1][1][12] * x[2][12][1]"
+    " + x[1][1][13] * x[2][13][1] - x[1][2][1] * x[2][1][2] - x[1][3][1] * x[2][1][3]"
+    " - x[1][4][1] * x[2][1][4] - x[1][5][1] * x[2][1][5] - x[1][6][1] * x[2][1][6]"
+    " - x[1][7][1] * x[2][1][7] - x[1][8][1] * x[2][1][8] - x[1][9][1] * x[2][1][9]"
+    " - x[1][10][1] * x[2][1][10] - x[1][11][1] * x[2][1][11]"
+    " - x[1][12][1] * x[2][1][12] - x[1][13][1] * x[2][1][13]",
+    "x[1][5][2] - x[2][5][1] - 1",
+    "-x[1][6][4] * x[4][7][4] + 1/2 * x[4][7][4]",
+    "-x[1][6][1] * x[4][6][4] + x[1][6][4]^2 - x[1][6][4]",
 ]
 MUTATION_CHARS = "x[]0123456789^*/+- \t\u00b2\u0663"
 
@@ -663,7 +765,7 @@ def mutated_lines(draw):
 
 
 @settings(max_examples=1500, deadline=None)
-@given(mutated_lines(), st.integers(2, 3))
+@given(mutated_lines(), st.sampled_from([2, 3, 13]))
 @example("x[1][1][1] - 3 / 0 * x[1][2][1]", 2)
 @example("x[1][1][1] - 3 /", 2)
 @example("x[1][1][1]^ * x[1][2][1]", 2)
@@ -678,6 +780,12 @@ def mutated_lines(draw):
 @example("1" + " " * 20000 + "+ 1", 2)
 @example("x[1][1][1]" + " \t" * 10000 + "* x[1][2][1]^" + " " * 20000 + "- 2 /", 2)
 @example("+" + " " * 20000 + "x[1][1][1]" + " " * 20000 + "*", 2)
+# canonical lines that the fast read hands back to the walk
+@example("x[14][1][1]", 13)
+@example("1/0 * x[1][1][1]", 2)
+@example("x[1][1][1] * x[1][1][1]", 2)
+@example("x[1][1][1] - x[1][1][1]", 2)
+@example("x[1][1][1] - 0 * x[1][2][1]", 2)
 def test_term_pattern_agrees_with_the_scanner(line, dim):
     def outcome(parse):
         try:
