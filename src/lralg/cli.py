@@ -300,6 +300,7 @@ def _cmd_construct(args) -> int:
         name = "free_nilpotent_4step_2gen"
     else:  # extension
         ext_name, data = parse_extension_file(args.file)
+        _check_dim(data.a_dim + data.b.dim)
         if args.lift:
             e = tuple(_parse_rational_list(args.lift))
             if len(e) != data.b.dim:

@@ -50,10 +50,10 @@ from functools import partial
 from itertools import chain, permutations, product as iproduct
 from typing import Mapping
 
-from .lie import LieAlgebra, SparseVec, _densify, bilinear_sparse, center as lie_center
+from .lie import LieAlgebra, SparseVec, bilinear_sparse, center as lie_center
 from .lie import derived_series, lower_central_series, upper_central_series
 from .lie import _sparsify, sparse_add, sparse_sub
-from .linalg import QQ, Eliminator, Matrix, Subspace, Vector, _scalar, qq
+from .linalg import QQ, Eliminator, Matrix, Subspace, _scalar, qq
 from .lr import (
     LRAlgebra,
     ad_product_residual,
@@ -152,9 +152,9 @@ def _generic_product(n: int) -> dict:
     }
 
 
-def _ints(v: Vector) -> SparseVec:
-    """The nonzero entries of v, each integral one as an int."""
-    return {k: _scalar(c) for k, c in enumerate(v) if c}
+def _ints(v: SparseVec) -> SparseVec:
+    """v in ascending coordinates, each integral entry as an int."""
+    return {k: _scalar(v[k]) for k in sorted(v)}
 
 
 def _row(fractions: dict, c) -> Polynomial:
@@ -181,7 +181,7 @@ def generate_lr_system(g: LieAlgebra) -> ConstraintSystem:
     plus, minus = QQ(1), QQ(-1)
     fractions = {1: plus, -1: minus}
     table = _generic_product(n)
-    brackets = {key: _ints(_densify(n, v)) for key, v in g.table.items()}
+    brackets = {key: _ints(v) for key, v in g.table.items()}
     polys: list[Polynomial] = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -285,7 +285,7 @@ def _identity_rows(g: LieAlgebra) -> list[tuple[str, Polynomial]]:
     """
     n = g.dim
     prod = partial(bilinear_sparse, _generic_product(n))
-    brackets = {key: _ints(_densify(n, v)) for key, v in g.table.items()}
+    brackets = {key: _ints(v) for key, v in g.table.items()}
     brak = partial(bilinear_sparse, brackets)
     sides = (("left", prod), ("right", opposite(prod)))
     basis = [{i: 1} for i in range(n)]
@@ -332,7 +332,7 @@ def _identity_rows(g: LieAlgebra) -> list[tuple[str, Polynomial]]:
             continue
         for side, act in sides:
             for i in range(n):
-                for v in s.basis_vectors():
+                for v in s.rows:
                     emit(
                         f"{side}_preserves_{kind}_central",
                         ideal_residual(act, s, basis[i], _ints(v)),
@@ -341,8 +341,8 @@ def _identity_rows(g: LieAlgebra) -> list[tuple[str, Polynomial]]:
     z = lie_center(g)
     derived = gamma(2)
     for side, act in sides:
-        for zv in z.basis_vectors():
-            for dv in derived.basis_vectors():
+        for zv in z.rows:
+            for dv in derived.rows:
                 emit(
                     f"center_kills_derived_{side}",
                     center_kills_derived_residual(act, _ints(zv), _ints(dv)),
@@ -355,8 +355,8 @@ def _identity_rows(g: LieAlgebra) -> list[tuple[str, Polynomial]]:
             tgt = gamma(i + j + 1)
             if src_a.dim == 0 or src_b.dim == 0 or tgt.dim == n:
                 continue
-            for u in src_a.basis_vectors():
-                for v in src_b.basis_vectors():
+            for u in src_a.rows:
+                for v in src_b.rows:
                     emit(
                         "series_product_grading",
                         grading_residual(prod, tgt, _ints(u), _ints(v)),

@@ -14,7 +14,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    nullspace,
+    kernel,
     qq,
     unit_vector,
     vec_is_zero,
@@ -305,13 +305,9 @@ def direct_sum_with_abelian(g: LieAlgebra, extra: int) -> LieAlgebra:
 
 def bracket_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of [a, b]."""
-    bs = [_sparsify(v) for v in b.basis_vectors()]
-    vecs = [
-        _densify(g.dim, bilinear_sparse(g.table, _sparsify(u), v))
-        for u in a.basis_vectors()
-        for v in bs
-    ]
-    return Subspace.from_vectors(g.dim, vecs)
+    return Subspace.from_sparse(
+        g.dim, (bilinear_sparse(g.table, u, v) for u in a.rows for v in b.rows)
+    )
 
 
 # -- series --------------------------------------------------------------
@@ -362,13 +358,12 @@ def derived_series(g: LieAlgebra) -> SeriesReport:
 
 def _centralizer_mod(g: LieAlgebra, s: Subspace) -> Subspace:
     """{x : [e_j, x] in s for every j}: the kernel of x -> ([e_j, x] mod s)_j,
-    whose block j has the columns s.reduce([e_j, e_k])."""
-    n = g.dim
-    rows = []
-    for j in range(n):
-        cols = [s.reduce(_densify(n, g.bracket_basis(j, k))) for k in range(n)]
-        rows.extend(Matrix.from_columns(cols).entries)
-    return nullspace(Matrix(rows))
+    whose row (j, m) holds ([e_j, e_k] mod s)[m] at column k."""
+    rows: dict[tuple[int, int], SparseVec] = {}
+    for (j, k), w in g.table.items():
+        for m, c in s.reduce_sparse(w).items():
+            rows.setdefault((j, m), {})[k] = c
+    return kernel(g.dim, rows.values())
 
 
 def center(g: LieAlgebra) -> Subspace:

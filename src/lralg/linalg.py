@@ -2,10 +2,11 @@
 
 Everything here is built on Fraction, so results are exact: no tolerances,
 no floating point anywhere.  Matrices are small dense immutable arrays;
-subspaces are kept in reduced row echelon form so that equality of
-subspaces is plain syntactic equality of their canonical bases.  One
-sparse Eliminator does all row reduction: RREF, rank, kernels, inverses,
-subspace bases and the structural reduction of constraint systems.
+subspaces are kept in reduced row echelon form, as sparse rows, so that
+equality of subspaces is plain syntactic equality of their canonical
+bases.  One sparse Eliminator does all row reduction: RREF, rank,
+kernels, inverses, subspace bases and the structural reduction of
+constraint systems.
 Inside, it keeps each integral scalar as an int, which is exact and
 much cheaper; what it hands out is Fractions.
 """
@@ -14,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 QQ = Fraction
+ZERO, ONE = QQ(0), QQ(1)
 
 Vector = tuple[QQ, ...]
 
@@ -335,6 +337,10 @@ class Eliminator:
         }
 
 
+def _sparse_rows(m: Matrix) -> list[dict]:
+    return [{c: x for c, x in enumerate(row) if x} for row in m.entries]
+
+
 def _eliminate(m: Matrix) -> Eliminator:
     """The rows of m fed to an Eliminator, column c as variable cols-1-c,
     so that its largest-variable pivots are the leftmost columns."""
@@ -345,23 +351,9 @@ def _eliminate(m: Matrix) -> Eliminator:
     return elim
 
 
-def _reduced_rows(m: Matrix) -> list[list[QQ]]:
-    """The nonzero rows of the RREF of m, top to bottom.  The pivot
-    x_c = sum a_f x_f is the row with 1 at c and -a_f at each free f."""
-    last = m.cols - 1
-    rows = []
-    for p, (expr, _) in sorted(_eliminate(m).finalize().items(), reverse=True):
-        row = [QQ(0)] * m.cols
-        row[last - p] = QQ(1)
-        for v, c in expr.items():
-            row[last - v] = -c
-        rows.append(row)
-    return rows
-
-
 def rref(m: Matrix) -> Matrix:
     """Reduced row echelon form.  Canonical: pivots 1, pivot columns cleared."""
-    rows = _reduced_rows(m)
+    rows = list(Subspace.from_sparse(m.cols, _sparse_rows(m)).basis_vectors())
     rows.extend([QQ(0)] * m.cols for _ in range(m.rows - len(rows)))
     return Matrix(rows)
 
@@ -377,138 +369,174 @@ def pivot_columns(reduced: Matrix) -> tuple[int, ...]:
     return tuple(pivots)
 
 
+def kernel(n: int, rows: Iterable[dict]) -> "Subspace":
+    """{x in QQ^n : sum_c row[c] x_c = 0 for every row}, from sparse rows
+    {column: value}.  Column c is Eliminator variable c, so each pivot is
+    solved in terms of the free columns left of it: the kernel vector of
+    free column f (1 at f, and at each pivot that pivot's coefficient of
+    f) leads at f, and these vectors are already the canonical basis."""
+    elim = Eliminator()
+    for row in rows:
+        elim.add({c: x for c, x in row.items() if x}, 0)
+    solved = elim.finalize()
+    basis = {f: {f: ONE} for f in range(n) if f not in solved}
+    for p in sorted(solved):
+        for f, c in solved[p][0].items():
+            basis[f][p] = c
+    return Subspace(n, tuple(basis.values()))
+
+
 def nullspace(m: Matrix) -> "Subspace":
     """Kernel of m as a canonical subspace of the domain."""
-    red = rref(m)
-    pivots = pivot_columns(red)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [QQ(0)] * m.cols
-        v[f] = QQ(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red.entries[r][f]
-        basis.append(tuple(v))
-    return Subspace.from_vectors(m.cols, basis)
+    return kernel(m.cols, _sparse_rows(m))
+
+
+def operator_is_nilpotent(columns: Sequence[dict]) -> bool:
+    """True iff some power of the operator on QQ^n is zero, where
+    columns[j] is the image of e_j as a sparse vector {row: value}.
+
+    Follows the image chain mV, m^2 V, ... on sparse vectors: each term
+    lies in the one before, so the chain stops for good at the first
+    term whose dimension does not drop, and is nilpotent iff that is 0.
+    """
+    n = len(columns)
+    space = Subspace.from_sparse(n, columns)
+    while space.dim:
+        images = []
+        for v in space.rows:
+            acc: dict = {}
+            for j, c in v.items():
+                for i, d in columns[j].items():
+                    acc[i] = acc[i] + c * d if i in acc else c * d
+            images.append(acc)
+        image = Subspace.from_sparse(n, images)
+        if image.dim == space.dim:
+            return False
+        space = image
+    return True
 
 
 def matrix_is_nilpotent(m: Matrix) -> bool:
-    """True iff some power of m is zero.
-
-    Follows the image chain mV, m^2 V, ... starting from the column span,
-    which must reach 0 within dim steps; equivalent to the rank of the
-    powers dropping to zero, but never forms a dense power explicitly,
-    and exploits sparsity of the columns.
-    """
+    """True iff some power of the square matrix m is zero."""
     if not m.is_square():
         raise DimensionMismatch("nilpotency of a non-square matrix")
-    n = m.rows
-    cols: dict[int, list[tuple[int, QQ]]] = {}
-    for j in range(n):
-        col = [(i, m.entries[i][j]) for i in range(n) if m.entries[i][j] != 0]
-        if col:
-            cols[j] = col
-
-    def apply_sparse(v: Vector) -> Vector:
-        acc = [QQ(0)] * n
-        for j, vj in enumerate(v):
-            if vj != 0 and j in cols:
-                for i, c in cols[j]:
-                    acc[i] += vj * c
-        return tuple(acc)
-
-    space = Subspace.from_vectors(
-        n, [tuple(m.entries[i][j] for i in range(n)) for j in cols]
-    )
-    for _ in range(n):
-        if space.dim == 0:
-            return True
-        image = [apply_sparse(v) for v in space.basis_vectors()]
-        new = Subspace.from_vectors(n, [v for v in image if any(x != 0 for x in v)])
-        if new == space:
-            return False
-        space = new
-    return space.dim == 0
+    return operator_is_nilpotent(_sparse_rows(m.transpose()))
 
 
 class Subspace:
-    """Subspace of QQ^n held as an RREF basis; equality is syntactic."""
+    """Subspace of QQ^n held as an RREF basis; equality is syntactic.
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    `rows` is that basis top to bottom as sparse rows {column: value},
+    each starting at its pivot and ascending in column; the dense `basis`
+    matrix is built from them when first asked for.
+    """
 
-    def __init__(self, ambient_dim: int, basis: Matrix):
+    __slots__ = ("ambient_dim", "rows", "_by_pivot", "_basis")
+
+    def __init__(self, ambient_dim: int, rows: tuple[dict, ...]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_pivots", None)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_by_pivot", {next(iter(r)): r for r in rows})
+        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
+    def from_sparse(cls, ambient_dim: int, vectors: Iterable[dict]) -> "Subspace":
+        """The span of sparse vectors {column: value}, reduced by one
+        Eliminator with column c as variable n-1-c, so that its pivots
+        are the leftmost columns."""
+        last = ambient_dim - 1
+        elim = Eliminator()
+        for v in vectors:
+            elim.add({last - c: x for c, x in v.items() if x}, 0)
+        rows = []
+        for p, (expr, _) in sorted(elim.finalize().items(), reverse=True):
+            row = {last - p: ONE}
+            for v in sorted(expr, reverse=True):
+                row[last - v] = -expr[v]
+            rows.append(row)
+        return cls(ambient_dim, tuple(rows))
+
+    @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable[Vector]) -> "Subspace":
-        vecs = [tuple(qq(x) for x in v) for v in vectors]
-        for v in vecs:
+        sparse = []
+        for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatch(
                     f"vector length {len(v)} != ambient dim {ambient_dim}"
                 )
-        return cls(ambient_dim, Matrix(_reduced_rows(Matrix(vecs))))
+            sparse.append({c: qq(x) for c, x in enumerate(v) if x})
+        return cls.from_sparse(ambient_dim, sparse)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix([]))
+        return cls(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
+        return cls(ambient_dim, tuple({i: ONE} for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
+
+    @property
+    def basis(self) -> Matrix:
+        if self._basis is None:
+            n = self.ambient_dim
+            dense = [[r.get(j, ZERO) for j in range(n)] for r in self.rows]
+            object.__setattr__(self, "_basis", Matrix(dense))
+        return self._basis
 
     def basis_vectors(self) -> tuple[Vector, ...]:
         return self.basis.entries
 
     def pivots(self) -> tuple[int, ...]:
-        if self._pivots is None:
-            object.__setattr__(self, "_pivots", pivot_columns(self.basis))
-        return self._pivots
+        return tuple(self._by_pivot)
+
+    def reduce_sparse(self, v: dict) -> dict:
+        """The sparse residual of v after reduction by the basis, with no
+        zero entries; empty iff v is a member.
+
+        Scalars of v may be rationals or polynomials: a polynomial
+        residual is the linear condition for v to lie in the subspace.
+        """
+        res = dict(v)
+        rows = self._by_pivot
+        for p in sorted(p for p in v if p in rows):
+            f = res[p]
+            if f:
+                for j, c in rows[p].items():
+                    t = f * c
+                    res[j] = res[j] - t if j in res else -t
+        return {j: c for j, c in res.items() if c}
 
     def reduce(self, v: Vector) -> Vector:
-        """Residual of v after reduction by the basis; zero iff v is a member.
-
-        Entries of v may be rationals or polynomials: a polynomial residual
-        is the linear condition for v to lie in the subspace.
-        """
+        """Residual of v after reduction by the basis; zero iff v is a member."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch(
                 f"vector length {len(v)} != ambient dim {self.ambient_dim}"
             )
-        res = list(v)
-        for row, p in zip(self.basis.entries, self.pivots()):
-            f = res[p]
-            if f:
-                for j, c in enumerate(row):
-                    if c:
-                        res[j] -= f * c
-        return tuple(res)
+        res = self.reduce_sparse({j: x for j, x in enumerate(v) if x})
+        return tuple(res.get(j, ZERO) for j in range(self.ambient_dim))
 
     def contains(self, v: Vector) -> bool:
         return vec_is_zero(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis_vectors())
+        return not any(self.reduce_sparse(r) for r in other.rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(frozenset(r.items()) for r in self.rows)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of QQ^{self.ambient_dim})"
@@ -517,9 +545,7 @@ class Subspace:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient spaces")
-    return Subspace.from_vectors(
-        a.ambient_dim, list(a.basis_vectors()) + list(b.basis_vectors())
-    )
+    return Subspace.from_sparse(a.ambient_dim, a.rows + b.rows)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:

@@ -36,14 +36,7 @@ from .lie import (
     upper_central_series,
     vector_operator,
 )
-from .linalg import (
-    QQ,
-    Matrix,
-    Subspace,
-    Vector,
-    matrix_is_nilpotent,
-    nullspace,
-)
+from .linalg import QQ, Matrix, Subspace, Vector, kernel, operator_is_nilpotent
 from .poly import Polynomial
 
 
@@ -146,8 +139,13 @@ class LRAlgebra:
 
     def _compute_complete(self) -> bool:
         # Left multiplications commute in a valid instance, so nilpotency
-        # of every L(x) follows from nilpotency of the basis operators.
-        return all(matrix_is_nilpotent(self.left_mult_basis(i)) for i in range(self.g.dim))
+        # of every L(x) follows from nilpotency of the basis operators,
+        # whose columns L(e_i) e_j are the table entries.
+        n, t = self.g.dim, self.table
+        return all(
+            operator_is_nilpotent([t.get((i, j), {}) for j in range(n)])
+            for i in range(n)
+        )
 
     # -- products ------------------------------------------------------
 
@@ -266,23 +264,25 @@ def is_complete(a: LRAlgebra) -> bool:
 
 
 def center(a: LRAlgebra) -> Subspace:
-    """Kernel of all L(e_i) - R(e_i); coincides with the Lie center."""
-    n = a.dim
-    rows = []
-    for i in range(n):
-        rows.extend((a.left_mult_basis(i) - a.right_mult_basis(i)).entries)
-    if not rows:
-        return Subspace.full(n)
-    return nullspace(Matrix(rows))
+    """Kernel of all L(e_i) - R(e_i); coincides with the Lie center.
+
+    Row (i, m) holds (e_i e_j - e_j e_i)[m] at column j, so the entry
+    e_i e_j adds to row (i, m) at column j and takes from row (j, m) at
+    column i."""
+    rows: dict[tuple[int, int], SparseVec] = {}
+    for (i, j), w in a.table.items():
+        for m, c in w.items():
+            for key, col, x in (((i, m), j, c), ((j, m), i, -c)):
+                row = rows.setdefault(key, {})
+                row[col] = row[col] + x if col in row else x
+    return kernel(a.dim, rows.values())
 
 
 def ideal_product(a: LRAlgebra, s: Subspace, t: Subspace) -> Subspace:
     """Span of s . t."""
-    vecs = []
-    for u in s.basis_vectors():
-        for v in t.basis_vectors():
-            vecs.append(a.product(u, v))
-    return Subspace.from_vectors(a.dim, vecs)
+    return Subspace.from_sparse(
+        a.dim, (a.product_sparse(u, v) for u in s.rows for v in t.rows)
+    )
 
 
 # -- identities linear in the product ------------------------------------
@@ -305,7 +305,7 @@ def _modulo(s: Subspace, v: SparseVec) -> SparseVec:
     """v reduced by the basis of s; zero iff v lies in s."""
     if not v or not s.dim:
         return v
-    return _sparsify(s.reduce(_densify(s.ambient_dim, v)))
+    return s.reduce_sparse(v)
 
 
 def opposite(prod):
@@ -352,12 +352,11 @@ def grading_residual(prod, target: Subspace, u: SparseVec, v: SparseVec) -> Spar
 
 def is_two_sided_ideal(a: LRAlgebra, s: Subspace) -> bool:
     """A.s inside s and s.A inside s, checked on basis elements."""
-    sides = (a.product_sparse, opposite(a.product_sparse))
     return not any(
-        ideal_residual(act, s, {i: QQ(1)}, _sparsify(v))
-        for v in s.basis_vectors()
+        _modulo(s, basis_action(a.table, i, v, left))
+        for v in s.rows
         for i in range(a.dim)
-        for act in sides
+        for left in (True, False)
     )
 
 
@@ -432,9 +431,9 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
     tag = ()
     if n > _EXHAUSTIVE_4TUPLE_CUTOFF:
         tag = ("span",)
-        pspan = Subspace.from_vectors(n, [_densify(n, v) for _, v in prods])
-        prods = [((k,), _sparsify(u)) for k, u in enumerate(pspan.basis_vectors())]
-        braks = [((k,), _sparsify(u)) for k, u in enumerate(derived.basis_vectors())]
+        pspan = Subspace.from_sparse(n, (v for _, v in prods))
+        prods = [((k,), u) for k, u in enumerate(pspan.rows)]
+        braks = [((k,), u) for k, u in enumerate(derived.rows)]
     for ku, u in prods:
         for kv, v in prods:
             res = _sub(prod(u, v), prod(v, u))
@@ -458,8 +457,7 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
         checks.flag("upper_series_two_sided_ideal", ("Z", idx + 1), not ok)
 
     # center annihilates the derived subalgebra on both sides
-    zb = [_sparsify(v) for v in center(a).basis_vectors()]
-    db = [_sparsify(v) for v in derived.basis_vectors()]
+    zb, db = center(a).rows, derived.rows
     for side, act in (("left", prod), ("right", rprod)):
         checks.flag(
             "center_kills_derived",
@@ -476,9 +474,9 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
                 "series_product_grading",
                 (i + 1, j + 1),
                 any(
-                    grading_residual(prod, target, _sparsify(u), _sparsify(v))
-                    for u in gamma(i + 1).basis_vectors()
-                    for v in gamma(j + 1).basis_vectors()
+                    grading_residual(prod, target, u, v)
+                    for u in gamma(i + 1).rows
+                    for v in gamma(j + 1).rows
                 ),
             )
 

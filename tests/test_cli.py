@@ -398,15 +398,21 @@ def test_construct_rejects_bad_rationals_with_one_error_line(tmp_path, capsys):
 
 
 def test_construct_extension_at_the_size_cap(tmp_path, capsys):
-    """An empty datum at the cap of 64 on both sides builds in seconds,
-    with no bracket lines."""
+    """An empty 32/32 datum builds its dimension-64 algebra, at the cap,
+    in seconds and with no bracket lines; an empty 64/64 datum is refused
+    before it is built, as no reader would accept dimension 128."""
     empty = tmp_path / "empty.ext"
-    empty.write_text("extension empty\nkernel 64\nbase 64\n", encoding="utf-8")
+    empty.write_text("extension empty\nkernel 32\nbase 32\n", encoding="utf-8")
     t0 = time.monotonic()
     code, out, err = run(capsys, "construct", "extension", str(empty))
     assert time.monotonic() - t0 < 30
     assert code == 0, err
-    assert out == "algebra empty\ndim 128\n"
+    assert out == "algebra empty\ndim 64\n"
+
+    empty.write_text("extension empty\nkernel 64\nbase 64\n", encoding="utf-8")
+    code, out, err = run(capsys, "construct", "extension", str(empty))
+    assert (code, out) == (2, "")
+    assert err == "error: dimension 128 is above the cap of 64\n"
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from lralg.linalg import (
     Eliminator,
     Matrix,
     Subspace,
+    kernel,
     matrix_is_nilpotent,
     nullspace,
     pivot_columns,
@@ -27,6 +28,7 @@ from lralg.linalg import (
     vec_scale,
     vector,
 )
+from lralg.poly import Polynomial
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -234,6 +236,73 @@ def test_rref_rank_nullspace_inverse_match_dense_oracle(m):
         else:
             with pytest.raises(ZeroDivisionError):
                 m.inverse()
+
+
+def sparse_rows(m):
+    return [{c: x for c, x in enumerate(row) if x} for row in m.entries]
+
+
+def dense_nullspace(m):
+    """The kernel basis read off dense_rref, then itself brought to RREF."""
+    red = [row for row in dense_rref(m).entries if any(row)]
+    pivots = pivot_columns(Matrix(red))
+    basis = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = [QQ(0)] * m.cols
+        v[f] = QQ(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return [row for row in dense_rref(Matrix(basis)).entries if any(row)]
+
+
+def dense_reduce(basis, v):
+    """The dense reduction loop Subspace.reduce ran before the sparse one,
+    as a sparse residual."""
+    res = list(v)
+    for row, p in zip(basis.entries, pivot_columns(basis)):
+        f = res[p]
+        if f:
+            for j, c in enumerate(row):
+                if c:
+                    res[j] -= f * c
+    return {j: x for j, x in enumerate(res) if x}
+
+
+polynomial_entries = st.builds(
+    lambda c, v, k: Polynomial.variable(v).scale(c) + k,
+    rationals,
+    st.integers(0, 2),
+    rationals,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(awkward_matrices(), st.data())
+def test_sparse_subspace_kernel_and_reduce_match_dense(m, data):
+    """The sparse constructor, kernel and reduce against the dense oracle,
+    on matrices with zero rows, empty shapes and full rank alike."""
+    s = Subspace.from_sparse(m.cols, sparse_rows(m))
+    assert s == Subspace.from_vectors(m.cols, m.entries)
+    assert s.basis.entries == tuple(row for row in dense_rref(m).entries if any(row))
+    k = kernel(m.cols, sparse_rows(m))
+    assert k == nullspace(m)
+    assert list(k.basis.entries) == dense_nullspace(m)
+    for entries in (st.one_of(st.just(QQ(0)), rationals), polynomial_entries):
+        v = data.draw(st.lists(entries, min_size=m.cols, max_size=m.cols))
+        expect = dense_reduce(s.basis, v)
+        assert s.reduce_sparse({j: x for j, x in enumerate(v) if x}) == expect
+        assert {j: x for j, x in enumerate(s.reduce(v)) if x} == expect
+
+
+@pytest.mark.parametrize(
+    "m",
+    [Matrix([]), Matrix.zero(3, 4), Matrix.identity(4), Matrix([[0, 2, 1], [0, 0, 0], [3, 0, 1]])],
+    ids=["empty", "zero", "full", "zero-row"],
+)
+def test_sparse_subspace_edge_cases(m):
+    assert Subspace.from_sparse(m.cols, sparse_rows(m)) == Subspace.from_vectors(m.cols, m.entries)
+    assert list(kernel(m.cols, sparse_rows(m)).basis.entries) == dense_nullspace(m)
 
 
 @settings(max_examples=60, deadline=None)
