@@ -95,7 +95,8 @@ class Checks:
     """The bookkeeping behind every verification report: a count per
     check name and the violations in run order, each residual dense.
 
-    `names` are counted from zero even when no check of theirs runs.
+    `names` are counted from zero even when no check of theirs runs;
+    `bulk` counts a block at once and records only its nonzero residuals.
     """
 
     def __init__(self, dim: int, names: Sequence[str] = ()):
@@ -105,8 +106,14 @@ class Checks:
 
     def sparse(self, name: str, where: tuple, residual: SparseVec) -> None:
         """A sparse residual of length dim; nonzero is a violation."""
-        dense = _densify(self.dim, residual) if residual else ()
-        self.flag(name, where, bool(residual), dense)
+        self.bulk({name: 1}, [(name, where, residual)] if residual else ())
+
+    def bulk(self, counts: dict[str, int], failed: Iterable[tuple]) -> None:
+        """counts[name] checks of each name, of which `failed` holds the
+        nonzero ones as (name, where, sparse residual) in run order."""
+        self.counts.update((k, self.counts.get(k, 0) + c) for k, c in counts.items() if c)
+        for name, where, residual in failed:
+            self.violations.append(Violation(name, where, _densify(self.dim, residual)))
 
     def flag(self, name: str, where: tuple, failed: bool, residual=()) -> None:
         self.counts[name] = self.counts.get(name, 0) + 1
@@ -213,12 +220,8 @@ def lr_from_table(
         report = verify_axioms(a)
         if not report.ok:
             v = report.violations[0]
-            raisers = {
-                "left_commute": LR1Violation,
-                "right_commute": LR2Violation,
-                "compat": CompatViolation,
-            }
-            raise raisers[v.check](*v.where, v.residual)
+            raisers = dict(left_commute=LR1Violation, right_commute=LR2Violation)
+            raise raisers.get(v.check, CompatViolation)(*v.where, v.residual)
     return a
 
 
@@ -247,15 +250,29 @@ def compat_residual(table, brackets, u: int, v: int) -> SparseVec:
 
 
 def verify_axioms(a: LRAlgebra) -> VerificationReport:
-    """Check LR1, LR2 and bracket compatibility over all basis tuples."""
+    """Check LR1, LR2 and bracket compatibility over all basis tuples.
+
+    LR1(i, j, k) acts on e_i e_k and e_j e_k, LR2(k, i, j) on e_k e_i and
+    e_k e_j; where the table holds none of them every term is zero.  So
+    the axioms are evaluated only where an inner product can be nonzero,
+    and the other triples are counted in bulk."""
     n, t, brackets = a.dim, a.table, a.g.table
-    checks = Checks(n, ("left_commute", "right_commute", "compat"))
+    right_of = [{k for u, k in t if u == i} for i in range(n)]  # (i, k) a key
+    left_of = [{k for k, v in t if v == i} for i in range(n)]  # (k, i) a key
+    failed = []
     for i in range(n):
         for j in range(i + 1, n):
-            checks.sparse("compat", (i, j), compat_residual(t, brackets, i, j))
-            for k in range(n):
-                checks.sparse("left_commute", (i, j, k), lr1_residual(t, i, j, k))
-                checks.sparse("right_commute", (k, i, j), lr2_residual(t, k, i, j))
+            if res := compat_residual(t, brackets, i, j):
+                failed.append(("compat", (i, j), res))
+            lks, rks = right_of[i] | right_of[j], left_of[i] | left_of[j]
+            for k in sorted(lks | rks):
+                if k in lks and (res := lr1_residual(t, i, j, k)):
+                    failed.append(("left_commute", (i, j, k), res))
+                if k in rks and (res := lr2_residual(t, k, i, j)):
+                    failed.append(("right_commute", (k, i, j), res))
+    checks = Checks(n, ("left_commute", "right_commute", "compat"))
+    pairs = n * (n - 1) // 2
+    checks.bulk(dict(left_commute=n * pairs, right_commute=n * pairs, compat=pairs), failed)
     return checks.report()
 
 
@@ -371,6 +388,25 @@ def _at_basis(n: int, residual: SparseVec) -> list[SparseVec]:
     return split
 
 
+def _through_generic(table, n: int, z: SparseVec):
+    """The bilinear map of `table`, with u.z = sum_m u_m (e_m.z) and z.v
+    built from the images e_m.z and z.e_m, each computed once here."""
+    zl = [basis_action(table, m, z, True) for m in range(n)]  # e_m.z
+    zr = [basis_action(table, m, z, False) for m in range(n)]  # z.e_m
+
+    def op(u: SparseVec, v: SparseVec) -> SparseVec:
+        if v is not z and u is not z:
+            return bilinear_sparse(table, u, v)
+        w, img = (u, zl) if v is z else (v, zr)
+        acc: SparseVec = {}
+        for m, c in w.items():
+            term = img[m] if c == 1 else {k: p * c for k, p in img[m].items()}
+            acc = _add(acc, term) if acc else term
+        return acc
+
+    return op
+
+
 _EXHAUSTIVE_4TUPLE_CUTOFF = 20
 
 
@@ -381,8 +417,9 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
     tuple of basis indices (or series indices) that produced it.  The
     identities linear in the product are the ones the structural
     constraint reduction turns into rows; those linear in their last
-    argument run per pair (i, j) on the generic vector z, and report each
-    (i, j, k) as a loop over k would.  The two quartic identities run
+    argument run per pair (i, j) on the generic vector z, reading the
+    images e_m z, z e_m and [e_m, z] computed once per call, and report
+    each (i, j, k) as a loop over k would.  The two quartic identities run
     over bases of the product span / derived subalgebra once the
     dimension makes the raw 4-tuple loop unreasonable (by bilinearity).
     """
@@ -390,21 +427,24 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
     g = a.g
     checks = Checks(n)
     basis = [{i: QQ(1)} for i in range(n)]
-    prod = a.product_sparse
-    rprod = opposite(prod)
-    brak = g.bracket_sparse
-
     # the generic vector z: a residual's coefficient of t_k is its value at e_k
     z = {k: Polynomial.variable(k) for k in range(n)}
+    prod = _through_generic(a.table, n, z)
+    rprod = opposite(prod)
+    brak = _through_generic(g.table, n, z)
 
     def per_pair(left: str, right: str, residual) -> None:
+        failed = []
         for i in range(n):
             for j in range(n):
                 lres = _at_basis(n, residual(prod, 1, basis[i], basis[j]))
                 rres = _at_basis(n, residual(rprod, -1, basis[i], basis[j]))
                 for k in range(n):
-                    checks.sparse(left, (i, j, k), lres[k])
-                    checks.sparse(right, (i, j, k), rres[k])
+                    if lres[k]:
+                        failed.append((left, (i, j, k), lres[k]))
+                    if rres[k]:
+                        failed.append((right, (i, j, k), rres[k]))
+        checks.bulk({left: n**3, right: n**3}, failed)
 
     # cyclic product identities
     def cycle(act, _, x, y):

@@ -86,6 +86,54 @@ def test_check_json_schema(tmp_path, capsys):
     }
 
 
+LEMMA_NAMES = (
+    "ad_product_rule_left",
+    "ad_product_rule_right",
+    "center_kills_derived",
+    "derived_brackets_vanish",
+    "left_derivation",
+    "lower_series_two_sided_ideal",
+    "product_cycle_left",
+    "product_cycle_right",
+    "product_square_commute",
+    "right_derivation",
+    "series_product_grading",
+    "two_step_solvable",
+    "upper_series_two_sided_ideal",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, axioms, lemmas",
+    [
+        (
+            ["free3", "4"],
+            (435, 13050, 13050),
+            (27000, 27000, 2, 676, 27000, 5, 27000, 27000, 676, 27000, 25, 1, 4),
+        ),
+        (
+            ["filiform", "7", "--coeffs=2,-1,3"],
+            (21, 147, 147),
+            (343, 343, 2, 256, 343, 8, 343, 343, 121, 343, 64, 1, 7),
+        ),
+    ],
+    ids=["free3-4", "filiform-7"],
+)
+def test_check_counts_on_constructed_algebras(tmp_path, capsys, argv, axioms, lemmas):
+    """Every check is counted, including those counted in bulk because
+    their residual is known to be zero."""
+    code, out, err = run(capsys, "construct", *argv)
+    assert code == 0, err
+    path = tmp_path / "a.alg"
+    path.write_text(out, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path), "--lemmas", "--json")
+    assert code == 0, err
+    payload = json.loads(out)
+    names = ("compat", "left_commute", "right_commute")
+    assert payload["axioms"]["counts"] == dict(zip(names, axioms))
+    assert payload["lemmas"]["counts"] == dict(zip(LEMMA_NAMES, lemmas))
+
+
 def test_check_axiom_violation_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.alg"
     path.write_text(

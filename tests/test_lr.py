@@ -23,7 +23,8 @@ from lralg.catalog import (
     lie_r2,
     sample_params,
 )
-from lralg.constructions import free3_lr, free4_two_gen_lr
+from lralg.constructions import FiliformSpec, filiform_lr, free3_lr, free4_two_gen_lr
+from lralg.extensions import invertible_generator_lift, random_abelian_extension
 from lralg.lie import LieAlgebra, lie_from_table
 from lralg.lie import sparse_add as add
 from lralg.lr import (
@@ -34,11 +35,14 @@ from lralg.lr import (
     LRAlgebra,
     center,
     ad_product_residual,
+    compat_residual,
     derivation_residual,
     ideal_product,
     is_complete,
     is_two_sided_ideal,
     lemma_suite,
+    lr1_residual,
+    lr2_residual,
     lr_from_table,
     opposite,
     verify_axioms,
@@ -352,35 +356,134 @@ def random_products():
         yield LRAlgebra(g, random_table(rng, g.dim, dense))
 
 
-def test_lemma_suite_matches_per_triple_checks():
-    """lemma_suite checks the six families once per basis pair, on the
-    generic vector; its whole report must equal the per-triple one."""
-    algebras = [
+def seeded_filiform(rng, n):
+    row = [QQ(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n - 4)]
+    return filiform_lr(FiliformSpec.from_free_row(n, row))
+
+
+def seeded_lift(rng, a_dim, b_dim):
+    return invertible_generator_lift(*random_abelian_extension(rng, a_dim, b_dim))
+
+
+def catalog_samples():
+    return [
         catalog_get(key, params)
         for key in catalog_list()
         for params in sample_params(catalog_entry(key))
     ]
-    algebras += [free3_lr(3), free4_two_gen_lr()]
+
+
+def assert_lemma_suite_matches_oracle(a):
+    """lemma_suite's whole report equals the one assembled from the
+    per-triple checks and lemma_suite's own other families; returns it."""
+    report = lemma_suite(a)
+    head, tail = per_triple_checks(a)
+    others = [v for v in report.violations if v.check not in LINEAR_IN_LAST]
+    violations = head.violations + others + tail.violations
+    counts = dict(head.counts)
+    counts.update((c, m) for c, m in report.counts.items() if c not in LINEAR_IN_LAST)
+    counts.update(tail.counts)
+    got = [(v.check, v.where, v.residual) for v in report.violations]
+    assert got == [(v.check, v.where, v.residual) for v in violations]
+    assert all(type(c) is QQ for v in report.violations for c in v.residual)
+    assert report.ok == (not violations)
+    assert list(report.counts.items()) == list(counts.items())
+    return report
+
+
+def test_lemma_suite_matches_per_triple_checks():
+    """lemma_suite checks the six families once per basis pair, on the
+    generic vector; its whole report must equal the per-triple one.  The
+    seeded filiform of dimension 9 and the 4x4 lift are the sparse cases,
+    where most generic images and triples are zero."""
+    algebras = catalog_samples() + [free3_lr(3), free4_two_gen_lr()]
+    algebras += [seeded_filiform(random.Random(3), 9), seeded_lift(random.Random(4), 4, 4)]
     broken = list(random_products())
     flagged = set()
     for a in algebras + broken:
-        report = lemma_suite(a)
+        report = assert_lemma_suite_matches_oracle(a)
         flagged.update(v.check for v in report.violations)
         assert report.ok == (a not in broken)
-        head, tail = per_triple_checks(a)
-        others = [v for v in report.violations if v.check not in LINEAR_IN_LAST]
-        violations = head.violations + others + tail.violations
-        counts = dict(head.counts)
-        counts.update(
-            (c, m) for c, m in report.counts.items() if c not in LINEAR_IN_LAST
-        )
-        counts.update(tail.counts)
-        got = [(v.check, v.where, v.residual) for v in report.violations]
-        assert got == [(v.check, v.where, v.residual) for v in violations]
-        assert all(type(c) is QQ for v in report.violations for c in v.residual)
-        assert report.ok == (not violations)
-        assert list(report.counts.items()) == list(counts.items())
     assert flagged.issuperset(LINEAR_IN_LAST)
+
+
+def axiom_oracle(a):
+    """verify_axioms as a loop over every basis tuple, recording by hand:
+    (ok, [(check, where, dense residual)] in run order, counts items)."""
+    n, t, brackets = a.dim, a.table, a.g.table
+    counts = {"left_commute": 0, "right_commute": 0, "compat": 0}
+    violations = []
+
+    def record(check, where, residual):
+        counts[check] += 1
+        if residual:
+            violations.append((check, where, tuple(residual.get(m, QQ(0)) for m in range(n))))
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            record("compat", (i, j), compat_residual(t, brackets, i, j))
+            for k in range(n):
+                record("left_commute", (i, j, k), lr1_residual(t, i, j, k))
+                record("right_commute", (k, i, j), lr2_residual(t, k, i, j))
+    return not violations, violations, list(counts.items())
+
+
+def assert_verify_axioms_matches_oracle(a):
+    report = verify_axioms(a)
+    got = [(v.check, v.where, v.residual) for v in report.violations]
+    assert (report.ok, got, list(report.counts.items())) == axiom_oracle(a)
+    assert all(type(c) is QQ for v in report.violations for c in v.residual)
+    return report
+
+
+def test_verify_axioms_matches_per_triple_oracle():
+    """verify_axioms evaluates LR1 and LR2 only where a table key names an
+    inner product and counts the other triples in bulk; its whole report
+    must equal the per-triple loop's, and lr_from_table must raise the
+    typed violation of the report's first entry."""
+    rng = random.Random(11)
+    algebras = catalog_samples() + [free3_lr(3), free3_lr(4), free4_two_gen_lr()]
+    algebras += [seeded_filiform(rng, n) for n in range(4, 10) for _ in range(3)]
+    algebras += [seeded_lift(rng, 1 + k % 4, 1 + k // 4) for k in range(16)]
+    broken = list(random_products())
+    raisers = {"left_commute": LR1Violation, "right_commute": LR2Violation}
+    for a in algebras + broken:
+        report = assert_verify_axioms_matches_oracle(a)
+        assert report.ok == (a not in broken)
+        n = a.dim
+        entries = [
+            (i + 1, j + 1, tuple(v.get(m, QQ(0)) for m in range(n)))
+            for (i, j), v in a.table.items()
+        ]
+        if report.ok:
+            assert lr_from_table(a.g, entries) == a
+            continue
+        first = report.violations[0]
+        with pytest.raises(raisers.get(first.check, CompatViolation)) as err:
+            lr_from_table(a.g, entries)
+        assert err.value.residual == first.residual
+        assert getattr(err.value, "triple", getattr(err.value, "pair", None)) == first.where
+
+
+SMALL_RATIONALS = st.sampled_from([QQ(-2), QQ(-1), QQ(1, 2), QQ(1), QQ(3)])
+
+
+@st.composite
+def sparse_product_tables(draw):
+    """A product on r2, n3 or n4 with a few nonzero components; some keys
+    hold an explicit empty vector, which the trusting constructor allows."""
+    g = draw(st.sampled_from([lie_r2, lie_n3, lie_n4]))()
+    index = st.integers(0, g.dim - 1)
+    keys = draw(st.lists(st.tuples(index, index), unique=True, max_size=8))
+    table = {k: draw(st.dictionaries(index, SMALL_RATIONALS, max_size=2)) for k in keys}
+    return LRAlgebra(g, table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_product_tables())
+def test_checks_on_sparse_tables_match_per_triple_oracles(a):
+    assert_verify_axioms_matches_oracle(a)
+    assert_lemma_suite_matches_oracle(a)
 
 
 def test_generic_residual_must_be_linear():
