@@ -23,6 +23,12 @@ coefficient, and a bit mask of the leading monomial's variables, which
 rejects most reducers and most pair-criterion tests before any
 exponent is compared (divisibility masks after Bachmann and
 Schoenemann).  Pending pairs carry their lcm and its degree.
+
+Inside division, S-polynomials and the basis routine, scalars follow
+``linalg.Eliminator``'s rule: each integral coefficient is held as an
+int, which is exact and several times cheaper, and a coefficient becomes
+a Fraction only where a division is inexact.  Inputs are converted as
+they are made monic, and every polynomial handed out holds Fractions.
 """
 
 import time
@@ -32,7 +38,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
-from .linalg import QQ, qq
+from .linalg import QQ, _quotient, _scalar, qq
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -258,7 +264,8 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        return _monic(self, self.leading_monomial())
+        c = self.terms[self.leading_monomial()]
+        return self if c == 1 else self.scale(QQ(1) / c)
 
     def sorted_terms(self) -> list[tuple[Monomial, QQ]]:
         """Terms from biggest monomial down."""
@@ -406,15 +413,35 @@ def _prepare(g: Polynomial, lm: Monomial | None = None) -> Divisor:
     return tail, lm, g.terms[lm], mono_mask(lm)
 
 
-def _monic(p: Polynomial, lm: Monomial) -> Polynomial:
-    """p.monic() for p with leading monomial lm."""
-    c = p.terms[lm]
-    return p if c == 1 else p.scale(QQ(1) / c)
+def _ints(p: Polynomial) -> Polynomial:
+    """p with each integral coefficient as an int."""
+    return Polynomial.wrap({m: _scalar(c) for m, c in p.terms.items()})
+
+
+def _monic_ints(p: Polynomial, lm: Monomial) -> Polynomial:
+    """p divided by its coefficient at lm, its leading monomial, with each
+    integral coefficient as an int."""
+    c = _scalar(p.terms[lm])
+    if c == 1:
+        return _ints(p)
+    return Polynomial.wrap({m: _quotient(_scalar(x), c) for m, x in p.terms.items()})
+
+
+def _fractions(polys: list[Polynomial]) -> list[Polynomial]:
+    """polys with each coefficient as a Fraction, one shared object per
+    value."""
+    fractions: dict = {}
+    get, put = fractions.get, fractions.setdefault
+    return [
+        Polynomial.wrap({m: get(c) or put(c, QQ(c)) for m, c in p.terms.items()})
+        for p in polys
+    ]
 
 
 def reduce_full(f: Polynomial, basis: Iterable[Polynomial]) -> Polynomial:
     """Fully reduce f modulo the basis (remainder of multivariate division)."""
-    return _reduce(f, [_prepare(g) for g in basis if g.terms])
+    divisors = [_prepare(_ints(g)) for g in basis if g.terms]
+    return _fractions([_reduce(_ints(f), divisors)])[0]
 
 
 def _reduce(
@@ -454,7 +481,7 @@ def _reduce(
         else:
             remainder[m] = c
             continue
-        factor = c if lc == 1 else c / lc
+        factor = c if lc == 1 else _quotient(c, lc)
         shift = mono_div(m, lm)
         for gm, gc in tail:
             t = mono_mul(gm, shift)
@@ -472,8 +499,8 @@ def _reduce(
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    a, b = _prepare(f), _prepare(g)
-    return _s_polynomial(a, b, mono_lcm(a[1], b[1]))
+    a, b = _prepare(_ints(f)), _prepare(_ints(g))
+    return _fractions([_s_polynomial(a, b, mono_lcm(a[1], b[1]))])[0]
 
 
 def _s_polynomial(a: Divisor, b: Divisor, l: Monomial) -> Polynomial:
@@ -481,10 +508,10 @@ def _s_polynomial(a: Divisor, b: Divisor, l: Monomial) -> Polynomial:
     lcm l; the leading terms cancel, so only the tails are formed."""
     (ta, lma, lca, _), (tb, lmb, lcb, _) = a, b
     sa, sb = mono_div(l, lma), mono_div(l, lmb)
-    out = {mono_mul(m, sa): c if lca == 1 else c / lca for m, c in ta}
+    out = {mono_mul(m, sa): c if lca == 1 else _quotient(c, lca) for m, c in ta}
     for m, c in tb:
         t = mono_mul(m, sb)
-        c = c if lcb == 1 else c / lcb
+        c = c if lcb == 1 else _quotient(c, lcb)
         old = out.get(t)
         if old is None:
             out[t] = -c
@@ -577,8 +604,9 @@ def groebner_basis(
     stats = {"pairs_processed": 0, "zero_reductions": 0, "max_degree_seen": 0}
 
     def out(status, basis):
+        result = GroebnerResult(status, _fractions(basis), stats)
         stats["elapsed"] = time.monotonic() - t0
-        return GroebnerResult(status, basis, stats)
+        return result
 
     def exhausted(reason: str, basis):
         stats["reason"] = reason
@@ -600,7 +628,7 @@ def groebner_basis(
                 trace.append(("input_constant", str(p.constant_value())))
             return out("complete", [Polynomial.constant(1)])
         lm = p.leading_monomial()
-        g.append((_monic(p, lm), lm))
+        g.append((_monic_ints(p, lm), lm))
         stats["max_degree_seen"] = max(stats["max_degree_seen"], mono_degree(lm))
 
     # basis[k] is prepared once as divisors[k]; lms and masks repeat its
@@ -656,7 +684,7 @@ def groebner_basis(
             if trace is not None:
                 trace.append(("spair", i, j, "degree_capped", d))
             continue
-        if not insert(_monic(r, lm), lm):
+        if not insert(_monic_ints(r, lm), lm):
             return exhausted("time", basis)
         if trace is not None:
             trace.append(("spair", i, j, "new", len(basis) - 1))
@@ -686,7 +714,7 @@ def groebner_basis(
         if r is None:
             return exhausted("time", basis)
         if not r.is_zero():
-            reduced.append(r.monic())
+            reduced.append(_monic_ints(r, r.leading_monomial()))
     reduced.sort(key=lambda p: mono_key(p.leading_monomial()))
     if any(p.is_constant() for p in reduced):
         reduced = [Polynomial.constant(1)]

@@ -540,6 +540,15 @@ def test_solve_consistent_and_budget(tmp_path, capsys):
     raw = tmp_path / "raw.txt"
     code, out, err = run(capsys, "constraints", n3, "-o", str(raw))
     assert code == 0
+    code, out, err = run(capsys, "solve", str(raw), "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "basis_size": 29,
+        "pairs_processed": 113,
+        "status": "solutions_may_exist",
+        "trace_length": 113,
+    }
+
     code, out, err = run(capsys, "solve", str(raw), "--max-basis", "1")
     assert code == 0
     assert out.strip() == "budget_exhausted"

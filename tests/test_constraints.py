@@ -73,7 +73,7 @@ from lralg.lr import (
     opposite,
     verify_axioms,
 )
-from lralg.poly import Polynomial
+from lralg.poly import Polynomial, groebner_basis, reduce_full, s_polynomial
 from test_reports import perturbed_tables
 
 
@@ -854,6 +854,35 @@ def test_polynomial_arithmetic_keeps_fractions():
     assert (q + 1).terms == {((0, 1), (2, 1)): QQ(1)}
 
 
+def test_groebner_results_hold_only_fractions():
+    # the engine runs on int scalars; what it hands out is Fractions, on
+    # the complete, unit-ideal and every budget_exhausted path
+    x, y, z = (Polynomial.variable(v) for v in range(3))
+    one = Polynomial.constant(1)
+    gens = [2 * x + y + z, 3 * x * y + y * z + z * x, x * y * z - one]
+    res = groebner_basis(gens)
+    assert res.status == "complete" and len(res.basis) > 1
+    assert coefficient_types(res.basis) == {QQ}
+    res = groebner_basis([x * x, 2 * x - one])
+    assert res.is_unit_ideal and coefficient_types(res.basis) == {QQ}
+    for budget, reason in [
+        ({"max_basis_size": 3}, "basis_size"),
+        ({"max_degree": 2}, "degree"),
+        ({"time_budget": 0.0}, "time"),
+    ]:
+        res = groebner_basis(gens, **budget)
+        assert (res.status, res.stats["reason"]) == ("budget_exhausted", reason)
+        assert coefficient_types(res.basis) == {QQ}, reason
+    # a stop while the inputs are made monic, at the 1024th input
+    many = [Polynomial.variable(v).scale(2) + one for v in range(2048)]
+    res = groebner_basis(many, time_budget=0.0)
+    assert res.stats["reason"] == "time" and len(res.basis) == 1023
+    assert coefficient_types(res.basis) == {QQ}
+    # results with non-integral and with only integral coefficients
+    for a, b in [(gens[0], gens[1]), (x * x - y, y * y - one)]:
+        assert coefficient_types([reduce_full(b, [a]), s_polynomial(a, b)]) == {QQ}
+
+
 # sha256 of repr(trace), and the stats without "elapsed", of
 # buchberger_certify on raw or reduced systems under the solve defaults:
 # pins which S-pair is taken when and what it reduced to.
@@ -878,9 +907,21 @@ CERTIFY_TRACES = [
     ),
     (
         lie_n4,
+        False,
+        "7d04a93756c5d644b06ce0fbc837337fff355d6de906adcae8f3e1d4a65e29e5",
+        424, 369, 4,
+    ),
+    (
+        lie_n4,
         True,
         "47b1ba7a226b172975fdec5051ad968c24927650b28a669fb2b6a6a20e6d1dda",
         54, 42, 6,
+    ),
+    (
+        lie_n3_plus_line,
+        True,
+        "a13fed84139c8c0a7b03e95893e4d181a83faf34cf2f813be1be3e366afaa95f",
+        595, 525, 6,
     ),
 ]
 

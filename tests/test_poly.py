@@ -66,12 +66,14 @@ def rand_poly(rng, nvars=3, nterms=4, degree=3):
     return p
 
 
+small_monomials = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(1, 2)),
+    max_size=2,
+    unique_by=lambda t: t[0],
+).map(lambda pairs: tuple(sorted(pairs)))
+
 small_polys = st.dictionaries(
-    st.lists(
-        st.tuples(st.integers(0, 2), st.integers(1, 2)),
-        max_size=2,
-        unique_by=lambda t: t[0],
-    ).map(lambda pairs: tuple(sorted(pairs))),
+    small_monomials,
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
     max_size=4,
 ).map(Polynomial)
@@ -296,6 +298,17 @@ def test_reduce_full_matches_rescanning_division(f, basis):
     assert list(got.terms) == list(want.terms)
 
 
+def test_division_by_int_coefficients_is_exact():
+    # int coefficients in, an inexact quotient out as a Fraction, not a float
+    g = Polynomial.wrap({((0, 1),): 2, (): 1})
+    r = reduce_full(Polynomial.wrap({((0, 1),): 1}), [g])
+    assert r.terms == {(): QQ(-1, 2)}
+    assert {type(c) for c in r.terms.values()} == {QQ}
+    s = s_polynomial(g, Polynomial.wrap({((1, 1),): 3, (): 1}))
+    assert s.terms == {((1, 1),): QQ(1, 2), ((0, 1),): QQ(-1, 3)}
+    assert {type(c) for c in s.terms.values()} == {QQ}
+
+
 def test_s_polynomial_cancels_leading_terms():
     f = x * x * y.scale(1) + z
     g = x * y * y - one
@@ -366,6 +379,31 @@ def test_groebner_on_random_infeasible_systems():
         r = groebner_basis(polys)
         assert r.status == "complete"
         assert r.is_unit_ideal
+
+
+nonzero_rationals = st.fractions(
+    min_value=-7, max_value=7, max_denominator=5
+).filter(bool)
+
+
+integral_polys = st.dictionaries(
+    small_monomials, st.integers(-6, 6).filter(bool).map(QQ), max_size=4
+).map(Polynomial)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(integral_polys, nonzero_rationals), min_size=1, max_size=4)
+)
+def test_reduced_basis_is_unchanged_by_scaling_generators(gens):
+    # the reduced basis of an ideal is unique: generators with integral
+    # coefficients, which the engine holds as ints, and their rational
+    # multiples, which it holds as Fractions, must give the same one
+    want = groebner_basis([p for p, _ in gens])
+    got = groebner_basis([p.scale(c) for p, c in gens])
+    assert want.status == got.status == "complete"
+    assert got.basis == want.basis
+    assert all(type(c) is QQ for p in got.basis for c in p.terms.values())
 
 
 def test_groebner_budget_paths():
