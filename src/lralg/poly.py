@@ -22,7 +22,10 @@ basis is held as prepared divisors: tail, leading monomial and
 coefficient, and a bit mask of the leading monomial's variables, which
 rejects most reducers and most pair-criterion tests before any
 exponent is compared (divisibility masks after Bachmann and
-Schoenemann).  Pending pairs carry their lcm and its degree.
+Schoenemann).  The divisors are filed by the first variable of their
+leading monomial, so that a term is tried only against divisors whose
+first variable it contains.  Pending pairs carry their lcm and wait
+in a heap on (degree, i, j).
 
 Inside division, S-polynomials and the basis routine, scalars follow
 ``linalg.Eliminator``'s rule: each integral coefficient is held as an
@@ -31,6 +34,7 @@ a Fraction only where a division is inexact.  Inputs are converted as
 they are made monic, and every polynomial handed out holds Fractions.
 """
 
+import sys
 import time
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
@@ -56,7 +60,7 @@ class MissingAssignment(PolyError):
 
 
 def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+    return sum(map(itemgetter(1), m))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -116,7 +120,7 @@ def _heap_key(m: Monomial) -> tuple:
     lexicographic comparison because two monomials of one degree never
     have one term sequence as a prefix of the other.  The inner tuple is
     flat to create one object per key, not one per variable."""
-    return (-sum(e for _, e in m), tuple([x for v, e in m for x in (v, -e)]))
+    return (-mono_degree(m), tuple([x for v, e in m for x in (v, -e)]))
 
 
 def _graded_order(terms: Mapping[Monomial, QQ]) -> list[Monomial]:
@@ -413,6 +417,25 @@ def _prepare(g: Polynomial, lm: Monomial | None = None) -> Divisor:
     return tail, lm, g.terms[lm], mono_mask(lm)
 
 
+# Divisors filed by the first variable of their leading monomial, -1 for
+# a constant, each bucket as (list index, mask, leading monomial, divisor)
+# with the indices ascending.
+Index = dict[int, list[tuple[int, int, Monomial, Divisor]]]
+
+
+def _file(index: Index, k: int, d: Divisor) -> None:
+    """File divisor d, whose list index k is above every filed one."""
+    lm = d[1]
+    index.setdefault(lm[0][0] if lm else -1, []).append((k, d[3], lm, d))
+
+
+def _index(divisors: Iterable[tuple[int, Divisor]]) -> Index:
+    index: Index = {}
+    for k, d in divisors:
+        _file(index, k, d)
+    return index
+
+
 def _ints(p: Polynomial) -> Polynomial:
     """p with each integral coefficient as an int."""
     return Polynomial.wrap({m: _scalar(c) for m, c in p.terms.items()})
@@ -441,21 +464,27 @@ def _fractions(polys: list[Polynomial]) -> list[Polynomial]:
 def reduce_full(f: Polynomial, basis: Iterable[Polynomial]) -> Polynomial:
     """Fully reduce f modulo the basis (remainder of multivariate division)."""
     divisors = [_prepare(_ints(g)) for g in basis if g.terms]
-    return _fractions([_reduce(_ints(f), divisors)])[0]
+    return _fractions([_reduce(_ints(f), _index(enumerate(divisors)))])[0]
 
 
 def _reduce(
-    f: Polynomial, divisors: list[Divisor], deadline: float | None = None
+    f: Polynomial, index: Index, deadline: float | None = None
 ) -> Polynomial | None:
-    """Divide f by the first divisor whose leading monomial divides the
-    biggest remaining term, until no term is divisible.
+    """Divide f by the divisor of lowest list index whose leading monomial
+    divides the biggest remaining term, until no term is divisible.
 
-    Terms wait in a heap; an entry whose monomial has left ``work`` is
-    stale and skipped.  A popped monomial never returns, since every term
-    a reduction step adds is smaller than the one it removes.  With a
-    deadline (a ``time.monotonic()`` value) the clock is read every 1024
-    pops, and None is returned once the deadline has passed.
+    A divisor of a term has its first variable in the term, so only the
+    buckets of the term's variables are searched, each up to the best
+    index found so far; a constant divides every term.  Terms wait in a
+    heap; an entry whose monomial has left ``work`` is stale and skipped.
+    A popped monomial never returns, since every term a reduction step
+    adds is smaller than the one it removes.  With a deadline (a
+    ``time.monotonic()`` value) the clock is read every 1024 pops, and
+    None is returned once the deadline has passed.
     """
+    # the lowest-index constant divides every term; it is the best so far
+    # at each pop
+    constant = index[-1][0] if -1 in index else (sys.maxsize, 0, MONO_ONE, None)
     work = dict(f.terms)
     heap = [(_heap_key(m), m) for m in work]
     heapify(heap)
@@ -471,16 +500,22 @@ def _reduce(
             continue
         outside = ~mono_mask(m)
         exps = None
-        for tail, lm, lc, mask in divisors:
-            if mask & outside:
-                continue
-            if exps is None:
-                exps = dict(m)
-            if all(exps[v] >= e for v, e in lm):
-                break
-        else:
+        best, _, _, divisor = constant
+        for v, _ in m:
+            for k, mask, lm, d in index.get(v, ()):
+                if k >= best:
+                    break
+                if mask & outside:
+                    continue
+                if exps is None:
+                    exps = dict(m)
+                if all(exps[v] >= e for v, e in lm):
+                    best, divisor = k, d
+                    break
+        if divisor is None:
             remainder[m] = c
             continue
+        tail, lm, lc, _ = divisor
         factor = c if lc == 1 else _quotient(c, lc)
         shift = mono_div(m, lm)
         for gm, gc in tail:
@@ -533,50 +568,81 @@ class GroebnerResult:
         return any(p.is_constant() and not p.is_zero() for p in self.basis)
 
 
-# Pending S-pairs (i, j), i < j, with the degree and the lcm of the two
-# leading monomials.
-Pairs = dict[tuple[int, int], tuple[int, Monomial]]
+# Pending S-pairs (i, j), i < j, with the lcm of the two leading
+# monomials.
+Pairs = dict[tuple[int, int], Monomial]
 
 
 def _update_pairs(
-    pairs: Pairs, lms: list[Monomial], masks: list[int], t: int, deadline: float | None
-) -> Pairs | None:
-    """Pair update with the standard pruning criteria on adding element t;
-    None once the deadline, read every 64 new pairs, has passed."""
+    pairs: Pairs,
+    queue: list[tuple[int, int, int]],
+    lms: list[Monomial],
+    masks: list[int],
+    t: int,
+    deadline: float | None,
+) -> bool:
+    """Pair update with the standard pruning criteria on adding element t:
+    the chain criterion drops old pairs from pairs, and each new pair
+    (i, t) kept goes into pairs and, as (degree, i, t), onto the heap
+    queue.  False once the deadline, read every 64 new pairs, has passed;
+    pairs and queue are then unchanged."""
     lt, mt = lms[t], masks[t]
-    fresh = [mono_lcm(lms[i], lt) for i in range(t)]
+    # the lcm of pair (i, t) has the variables masks[i] | mt, and it is a
+    # plain product where those are disjoint
+    exps_t = dict(lt)
+    fresh: list[Monomial] = []
+    for i in range(t):
+        if masks[i] & mt:
+            out = exps_t.copy()
+            for v, e in lms[i]:
+                if out.get(v, 0) < e:
+                    out[v] = e
+            fresh.append(tuple(sorted(out.items())))
+        else:
+            fresh.append(tuple(sorted(lms[i] + lt)))
     # drop new pairs whose lcm is a proper multiple of another new pair's
-    # lcm; the lcm of pair (i, t) has the variables masks[i] | mt
-    keep: dict[int, tuple[int, Monomial, int]] = {}
+    # lcm.  Only kept lcms of lower degree are tried, since one of equal
+    # degree divides only by being equal.
+    kept: list[tuple[Monomial, int]] = []  # ascending in degree
+    lower: list[tuple[Monomial, int]] = []  # those below the current degree
+    degree = -1
+    first: dict[Monomial, int] = {}  # the first kept i of each lcm
     for d, i in sorted((mono_degree(l), i) for i, l in enumerate(fresh)):
         if not i & 63 and deadline is not None and time.monotonic() > deadline:
-            return None
+            return False
+        if d != degree:
+            lower, degree = kept[:], d
         l, lmask = fresh[i], masks[i] | mt
-        for _, lj, jmask in keep.values():
-            if not jmask & ~lmask and lj != l and mono_divides(lj, l):
+        outside = ~lmask
+        exps = None
+        for lj, jmask in lower:
+            if jmask & outside:
+                continue
+            if exps is None:
+                exps = dict(l)
+            if all(exps[v] >= e for v, e in lj):
                 break
         else:
-            keep[i] = (d, l, lmask)
+            kept.append((l, lmask))
+            first.setdefault(l, i)
+    # chain criterion on the old pairs
+    drop = [
+        (i, j)
+        for (i, j), l in pairs.items()
+        if not mt & ~(masks[i] | masks[j])
+        and mono_divides(lt, l)
+        and fresh[i] != l
+        and fresh[j] != l
+    ]
+    for ij in drop:
+        del pairs[ij]
     # among equal lcms keep a single representative, and drop pairs with
     # coprime leading terms outright
-    by_lcm: dict[Monomial, int] = {}
-    for i, (_, l, _) in keep.items():
-        by_lcm.setdefault(l, i)
-    new_pairs = {(i, t): keep[i][:2] for i in by_lcm.values() if masks[i] & mt}
-    # chain criterion on the old pairs
-    survivors = {}
-    for (i, j), dl in pairs.items():
-        l = dl[1]
-        if (
-            not mt & ~(masks[i] | masks[j])
-            and mono_divides(lt, l)
-            and fresh[i] != l
-            and fresh[j] != l
-        ):
-            continue
-        survivors[(i, j)] = dl
-    survivors.update(new_pairs)
-    return survivors
+    for l, i in first.items():
+        if masks[i] & mt:
+            pairs[i, t] = l
+            heappush(queue, (mono_degree(l), i, t))
+    return True
 
 
 def groebner_basis(
@@ -631,40 +697,46 @@ def groebner_basis(
         g.append((_monic_ints(p, lm), lm))
         stats["max_degree_seen"] = max(stats["max_degree_seen"], mono_degree(lm))
 
-    # basis[k] is prepared once as divisors[k]; lms and masks repeat its
-    # leading monomial and variable mask for the pair update
+    # basis[k] is prepared once as divisors[k] and filed in index; lms
+    # and masks repeat its leading monomial and variable mask for the pair
+    # update.  queue holds (degree, i, j) for every pair put in pairs,
+    # including those the chain criterion has dropped since: those are
+    # skipped when popped, which is exact as no pair is put in twice.
     basis: list[Polynomial] = []
     divisors: list[Divisor] = []
+    index: Index = {}
     lms: list[Monomial] = []
     masks: list[int] = []
     pairs: Pairs = {}
+    queue: list[tuple[int, int, int]] = []
 
     def insert(p: Polynomial, lm: Monomial) -> bool:
-        nonlocal pairs
         d = _prepare(p, lm)
+        k = len(basis)
         basis.append(p)
         divisors.append(d)
-        lms.append(d[1])
+        _file(index, k, d)
+        lms.append(lm)
         masks.append(d[3])
-        pairs = _update_pairs(pairs, lms, masks, len(basis) - 1, deadline)
-        return pairs is not None
+        return _update_pairs(pairs, queue, lms, masks, k, deadline)
 
     for p, lm in g:
         if out_of_time() or not insert(p, lm):
             return exhausted("time", [p for p, _ in g])
 
     truncated = False
-    while pairs:
+    while queue:
+        _, i, j = heappop(queue)
+        l = pairs.pop((i, j), None)
+        if l is None:
+            continue
         if out_of_time():
             return exhausted("time", basis)
         if len(basis) > max_basis_size:
             return exhausted("basis_size", basis)
-        pair = min(pairs, key=lambda ij: (pairs[ij][0], ij))
-        _, l = pairs.pop(pair)
-        i, j = pair
         stats["pairs_processed"] += 1
         s = _s_polynomial(divisors[i], divisors[j], l)
-        r = _reduce(s, divisors, deadline)
+        r = _reduce(s, index, deadline)
         if r is None:
             return exhausted("time", basis)
         if r.is_zero():
@@ -707,14 +779,19 @@ def groebner_basis(
             for k2 in range(len(lms))
         ):
             live.append(k)
+    # Each survivor's leading term is divisible by no other survivor, and
+    # its own leading monomial divides no smaller term, so its tail is
+    # reduced against all survivors and its leading term put back first.
+    index = _index((k, divisors[k]) for k in live)
     reduced = []
-    for idx, k in enumerate(live):
-        others = [divisors[k2] for k2 in live[:idx] + live[idx + 1 :]]
-        r = None if out_of_time() else _reduce(basis[k], others, deadline)
+    for k in live:
+        tail, lm, lc, _ = divisors[k]
+        if out_of_time():
+            return exhausted("time", basis)
+        r = _reduce(Polynomial.wrap(dict(tail)), index, deadline)
         if r is None:
             return exhausted("time", basis)
-        if not r.is_zero():
-            reduced.append(_monic_ints(r, r.leading_monomial()))
+        reduced.append(_monic_ints(Polynomial.wrap({lm: lc, **r.terms}), lm))
     reduced.sort(key=lambda p: mono_key(p.leading_monomial()))
     if any(p.is_constant() for p in reduced):
         reduced = [Polynomial.constant(1)]

@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction as QQ
 from functools import cmp_to_key
+from heapq import heappop
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from lralg.poly import (
     PolyError,
     Polynomial,
     groebner_basis,
+    mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -263,39 +265,70 @@ def oracle_reduce(f, basis):
     return Polynomial({m: c for m, c in remainder.items() if c != 0})
 
 
-division_polys = st.dictionaries(
-    st.dictionaries(st.integers(0, 3), st.integers(1, 3), max_size=3).map(
-        lambda d: tuple(sorted(d.items()))
-    ),
-    st.fractions(min_value=-5, max_value=5, max_denominator=6),
-    max_size=5,
-).map(Polynomial)
+def division_polys(terms=5):
+    return st.dictionaries(
+        st.dictionaries(st.integers(0, 9), st.integers(1, 3), max_size=3).map(
+            lambda d: tuple(sorted(d.items()))
+        ),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        max_size=terms,
+    ).map(Polynomial)
 
 
 @st.composite
 def division_bases(draw):
-    """Small bases, some with a zero element and with several elements
-    sharing a leading monomial (a scaled copy, or a copy without its
-    smallest term)."""
-    basis = draw(st.lists(division_polys, max_size=4))
+    """Bases of up to about ten elements whose leading monomials start
+    at different variables, some with a zero element, some with a nonzero
+    constant, and with several elements sharing a leading monomial (a
+    scaled copy, or a copy without its smallest term)."""
+    basis = draw(st.lists(division_polys(terms=3), max_size=6))
     for g in [g for g in basis if g.terms]:
         if draw(st.booleans()):
             basis.append(g.scale(draw(st.sampled_from([QQ(-1), QQ(2), QQ(1, 3)]))))
         if len(g.terms) > 1 and draw(st.booleans()):
             basis.append(Polynomial(dict(g.sorted_terms()[:-1])))
-    if draw(st.booleans()):
-        basis.insert(draw(st.integers(0, len(basis))), Polynomial.zero())
+    for extra in (Polynomial.zero(), Polynomial.constant(draw(st.sampled_from([3, -1])))):
+        if draw(st.integers(0, 3)) == 0:
+            basis.insert(draw(st.integers(0, len(basis))), extra)
     return draw(st.permutations(basis))
 
 
+@st.composite
+def division_cases(draw):
+    """A basis and a dividend, with some dividend terms at the lcm of two
+    leading monomials, which divisors in two buckets both divide."""
+    basis = draw(division_bases())
+    f = draw(division_polys())
+    lms = [g.leading_monomial() for g in basis if g.degree() > 0]
+    if lms:
+        for _ in range(draw(st.integers(0, 3))):
+            a, b = draw(st.sampled_from(lms)), draw(st.sampled_from(lms))
+            f = f + Polynomial({mono_lcm(a, b): QQ(draw(st.integers(1, 3)))})
+    return f, basis
+
+
 @settings(max_examples=300, deadline=None)
-@given(division_polys, division_bases())
-def test_reduce_full_matches_rescanning_division(f, basis):
+@given(division_cases())
+def test_reduce_full_matches_rescanning_division(case):
+    f, basis = case
     want = oracle_reduce(f, basis)
     got = reduce_full(f, basis)
     assert got == want
     # terms come out from the biggest down, as the rescan finds them
     assert list(got.terms) == list(want.terms)
+
+
+def test_division_takes_the_lowest_index_across_buckets():
+    # x0*x1*x2 is divisible by x1*x2 (index 0, filed under x1) and by
+    # x0*x1 (index 1, filed under x0): the first divisor in list order
+    # is index 0, though the bucket of x0 is searched first
+    v = [Polynomial.variable(k) for k in range(5)]
+    f = v[0] * v[1] * v[2]
+    basis = [v[1] * v[2] - v[3], v[0] * v[1] - v[4]]
+    assert reduce_full(f, basis) == v[0] * v[3] == oracle_reduce(f, basis)
+    assert reduce_full(f, basis[::-1]) == v[2] * v[4] == oracle_reduce(f, basis[::-1])
+    # a constant divides every term, at whatever index it stands
+    assert reduce_full(f, [*basis, 5 * one]).is_zero()
 
 
 def test_division_by_int_coefficients_is_exact():
@@ -464,9 +497,91 @@ def test_time_budget_covers_input_preparation():
 def test_pair_update_stops_at_its_deadline():
     lms = [((v, 1), (v + 1, 1)) for v in range(200)]
     masks = [mono_mask(m) for m in lms]
-    full = update_pairs({}, lms, masks, 199, None)
-    assert update_pairs({}, lms, masks, 199, time.monotonic() + 60) == full
-    assert update_pairs({}, lms, masks, 199, time.monotonic() - 1) is None
+
+    def update(deadline):
+        pairs, queue = {}, []
+        return update_pairs(pairs, queue, lms, masks, 199, deadline), pairs, queue
+
+    full = update(None)
+    assert full[0] and full[1]
+    assert update(time.monotonic() + 60) == full
+    assert update(time.monotonic() - 1) == (False, {}, [])
+
+
+def oracle_update_pairs(pairs, lms, masks, t, deadline):
+    """The pair update as a rebuild: the pending pairs after adding element
+    t, with the new pairs' lcms checked against every kept lcm."""
+    lt, mt = lms[t], masks[t]
+    fresh = [mono_lcm(lms[i], lt) for i in range(t)]
+    # drop new pairs whose lcm is a proper multiple of another new pair's
+    # lcm; the lcm of pair (i, t) has the variables masks[i] | mt
+    keep = {}
+    for d, i in sorted((mono_degree(l), i) for i, l in enumerate(fresh)):
+        if not i & 63 and deadline is not None and time.monotonic() > deadline:
+            return None
+        l, lmask = fresh[i], masks[i] | mt
+        for _, lj, jmask in keep.values():
+            if not jmask & ~lmask and lj != l and mono_divides(lj, l):
+                break
+        else:
+            keep[i] = (d, l, lmask)
+    # among equal lcms keep a single representative, and drop pairs with
+    # coprime leading terms outright
+    by_lcm = {}
+    for i, (_, l, _) in keep.items():
+        by_lcm.setdefault(l, i)
+    new_pairs = {(i, t): keep[i][:2] for i in by_lcm.values() if masks[i] & mt}
+    # chain criterion on the old pairs
+    survivors = {}
+    for (i, j), dl in pairs.items():
+        l = dl[1]
+        if (
+            not mt & ~(masks[i] | masks[j])
+            and mono_divides(lt, l)
+            and fresh[i] != l
+            and fresh[j] != l
+        ):
+            continue
+        survivors[(i, j)] = dl
+    survivors.update(new_pairs)
+    return survivors
+
+
+pair_monomials = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(1, 3)),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda t: t[0],
+).map(lambda pairs: tuple(sorted(pairs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(pair_monomials, min_size=1, max_size=8),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3)), min_size=1, max_size=24),
+)
+def test_pair_update_matches_the_rebuilding_oracle(pool, steps):
+    """Each step adds a leading monomial from a small pool, so that some
+    repeat, and then takes up to three pending pairs the way the engine
+    does: the queue must give the pair of least (degree, i, j)."""
+    lms, masks = [], []
+    pairs, queue, want = {}, [], {}
+    for pick, takes in steps:
+        lms.append(pool[pick % len(pool)])
+        masks.append(mono_mask(lms[-1]))
+        t = len(lms) - 1
+        want = oracle_update_pairs(want, lms, masks, t, None)
+        assert update_pairs(pairs, queue, lms, masks, t, None)
+        assert pairs == {ij: l for ij, (_, l) in want.items()}
+        assert {(i, j) for _, i, j in queue} >= set(pairs)
+        for _ in range(min(takes, len(want))):
+            ij = min(want, key=lambda ij: (want[ij][0], ij))
+            del want[ij]
+            d, i, j = heappop(queue)
+            while (i, j) not in pairs:
+                d, i, j = heappop(queue)
+            assert (i, j) == ij
+            assert mono_degree(pairs.pop(ij)) == d
 
 
 def power(v, e):
