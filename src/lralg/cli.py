@@ -232,15 +232,6 @@ def _cmd_catalog(args) -> int:
                 print(f"  at {params}: {reason}")
         return 0 if ok else 1
     # dump
-    if args.key == "g13":
-        from .catalog import counterexample_g13
-
-        text = format_algebra("g13", counterexample_g13())
-        if args.json:
-            _emit_json({"key": "g13", "complete": None, "text": text})
-        else:
-            print(text, end="")
-        return 0
     params = {}
     for spec in args.param or []:
         if "=" not in spec:
@@ -250,6 +241,18 @@ def _cmd_catalog(args) -> int:
             params[name.strip()] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise _Failure(f"bad rational for parameter {name!r}: {value!r}")
+    if args.key == "g13":
+        from .catalog import counterexample_g13
+
+        if params:
+            extra = ", ".join(sorted(params))
+            raise ParamOutOfDomain(f"g13: unexpected parameter(s) {extra}")
+        text = format_algebra("g13", counterexample_g13())
+        if args.json:
+            _emit_json({"key": "g13", "complete": None, "text": text})
+        else:
+            print(text, end="")
+        return 0
     a = catalog_get(args.key, params)
     name = args.key.replace("/", "_")
     text = format_algebra(name, a.g, a)

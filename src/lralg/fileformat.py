@@ -23,8 +23,9 @@ Polynomial system files:
 One polynomial per line over the product unknowns x[i][j][k] (the
 coefficient of e_j in e_i . e_k, all indices 1-based), written largest
 term first in the graded order.  The dimension is at most 64.  Files
-are written in one canonical spacing, which is read fastest; any
-spacing the grammar allows is read too, with the same errors.
+are written in one canonical spacing, which is read fastest; any other
+line is read by the same scanner as algebra and extension entries, so
+every spacing the grammar allows is read, with the same errors.
 
 Extension files:
 
@@ -393,23 +394,6 @@ def format_algebra(
 # polynomial system files
 
 
-# A factor x[i][j][k] or x[i][j][k]^e.  The exponent's digits may be
-# missing here, so that a term stops past the '^' and the error points
-# where the number should be; likewise a denominator's after '/'.
-_FACTOR = r"x\[\s*\d+\s*\]\[\s*\d+\s*\]\[\s*\d+\s*\](?:[ \t]*\^[ \t]*\d*)?"
-_NEXT = r"[ \t]*(?:\*[ \t]*)?"
-# One term: sign, then a coefficient p or p/q or else a variable, then
-# the factors, each after an optional '*'.  The first two factors have
-# their own groups, as most monomials are read from them alone; any
-# later ones are read from the rest.  No two blank runs can split the
-# same blanks, so a long run is read in linear time.
-_TERM = (
-    rf"[ \t]*(?:(?P<sign>[-+])[ \t]*)?(?:(?P<num>\d+)(?:[ \t]*/[ \t]*(?P<den>\d*))?|(?=x))"
-    rf"(?:{_NEXT}(?P<f1>{_FACTOR}))?(?:{_NEXT}(?P<f2>{_FACTOR}))?"
-    rf"(?P<rest>(?:{_NEXT}{_FACTOR})*)[ \t]*"
-)
-
-
 # The canonical spacing, as format_system writes it: terms joined by
 # ' + ' or ' - ' with a leading '-' on the first, a coefficient p or p/q
 # then ' * ', and at most two factors joined by ' * '.
@@ -422,111 +406,68 @@ _CANON_TERM = (
 
 
 @cache
-def _term_patterns() -> tuple[re.Pattern, ...]:
-    """The term, rest-of-factors, sign and blank patterns of the walk,
-    then the canonical line pattern, compiled on the first system parse,
-    so that importing lralg compiles none of them."""
+def _term_patterns() -> tuple[re.Pattern, re.Pattern]:
+    """The variable pattern x[i][j][k] and the canonical line pattern,
+    compiled on the first system parse, so that importing lralg compiles
+    neither."""
     return (
-        re.compile(_TERM),
-        re.compile(rf"{_NEXT}({_FACTOR})"),
-        re.compile(r"[ \t]*(?:[-+][ \t]*)?"),
-        re.compile(r"[ \t]*"),
+        re.compile(r"x\[\s*(\d+)\s*\]\[\s*(\d+)\s*\]\[\s*(\d+)\s*\]"),
         re.compile(rf"-?{_CANON_TERM}(?: [-+] {_CANON_TERM})*"),
     )
 
 
 _ONE, _MINUS_ONE = QQ(1), QQ(-1)
 
-# A parse keeps one (variable, exponent) pair per distinct factor text,
-# checked when it is first read.
+# A parse keeps one (variable, exponent) pair per distinct canonical
+# factor text, checked when it is first read.
 FactorCache = dict[str, tuple[int, int]]
 
 
-def _read_factor(
-    text: str, at: int, line_no: int, dim: int, cache: FactorCache
-) -> tuple[int, int]:
-    """The pair of a factor not yet in the cache, which starts at column
-    at + 1: indices in 1..dim and a positive exponent."""
-    i, j, k, *e = map(int, _DIGITS.findall(text))
-    for idx in (i, j, k):
-        if not 1 <= idx <= dim:
-            raise ParseError(line_no, at + 1, f"variable index {idx} out of range 1..{dim}")
-    if "^" in text and not e:
-        raise ParseError(line_no, at + len(text) + 1, "expected a number")
-    exp = e[0] if e else 1
-    if exp <= 0:
-        raise ParseError(line_no, at + 1, "exponent must be positive")
-    pair = cache[text] = (x_index(dim, i - 1, j - 1, k - 1), exp)
-    return pair
+def _parse_poly_line(body: str, line_no: int, dim: int, var_re: re.Pattern) -> Polynomial:
+    """Sum of terms [sign] (rational | factor) ([*] factor)..., read by
+    the scanner of algebra and extension entries.  A factor is x[i][j][k]
+    with indices in 1..dim and an optional positive exponent ^e."""
+    sc = _Scanner(body, line_no)
 
-
-def _parse_poly_line(
-    body: str, line_no: int, dim: int, cache: FactorCache, patterns: tuple
-) -> Polynomial:
-    """Sum of terms, each read by one match of the term pattern.  Where a
-    term stops, the line ends or the next term's sign follows; anything
-    else is the error of the grammar at that point.  ``patterns`` is
-    _term_patterns()."""
-    term_re, rest_re, sign_re, blank_re, _ = patterns
-    terms: dict = {}
-    pos, end = 0, len(body)
-    while True:
-        m = term_re.match(body, pos)
+    def factor(exps: dict[int, int]):
+        sc.skip_ws()
+        at = sc.pos
+        m = var_re.match(body, at)
         if m is None:
-            at = sign_re.match(body, pos).end()
-            raise ParseError(line_no, at + 1, "expected a coefficient or a variable")
-        sign, num, den, f1, f2, rest = m.groups()
-        if num is None:
-            coeff = _MINUS_ONE if sign == "-" else _ONE
+            sc.fail("malformed variable, expected x[i][j][k]")
+        i, j, k = map(int, m.groups())
+        for idx in (i, j, k):
+            if not 1 <= idx <= dim:
+                sc.fail(f"variable index {idx} out of range 1..{dim}")
+        sc.pos = m.end()
+        exp = sc.integer() if sc.take("^") else 1
+        if exp <= 0:
+            sc.fail("exponent must be positive", at)
+        v = x_index(dim, i - 1, j - 1, k - 1)
+        exps[v] = exps.get(v, 0) + exp
+
+    terms: dict = {}
+    first = True
+    while not sc.done():
+        neg = sc.take("-")
+        if not (neg or sc.take("+") or first):
+            sc.fail("expected '+' or '-' between terms")
+        first = False
+        coeff, exps = _ONE, {}
+        if sc.peek() == "x":
+            factor(exps)
+        elif _DIGITS.match(body, sc.pos):
+            coeff = sc.rational()
         else:
-            if den is None:
-                coeff = QQ(int(num))
-            elif den == "":
-                raise ParseError(line_no, m.start("den") + 1, "expected a number")
-            elif int(den) == 0:
-                raise ParseError(line_no, m.start("num") + 1, "zero denominator")
-            else:
-                coeff = QQ(int(num), int(den))
-            if sign == "-":
-                coeff = -coeff
-        if f1 is None:
-            mono = MONO_ONE
-        else:
-            a = cache.get(f1) or _read_factor(f1, m.start("f1"), line_no, dim, cache)
-            if f2 is None:
-                mono = (a,)
-            else:
-                b = cache.get(f2) or _read_factor(f2, m.start("f2"), line_no, dim, cache)
-                if rest or a[0] == b[0]:
-                    pairs = [a, b]
-                    for r in rest_re.finditer(body, m.start("rest"), m.end("rest")):
-                        t = r.group(1)
-                        pairs.append(
-                            cache.get(t) or _read_factor(t, r.start(1), line_no, dim, cache)
-                        )
-                    exps: dict[int, int] = {}
-                    for v, e in pairs:
-                        exps[v] = exps.get(v, 0) + e
-                    mono = tuple(sorted(exps.items()))
-                else:
-                    mono = (a, b) if a[0] < b[0] else (b, a)
-        old = terms.get(mono)
-        val = coeff if old is None else old + coeff
+            sc.fail("expected a coefficient or a variable")
+        while sc.take("*") or sc.peek() == "x":
+            factor(exps)
+        mono = tuple(sorted(exps.items()))
+        val = terms.get(mono, 0) + (-coeff if neg else coeff)
         if val:
             terms[mono] = val
         else:
             terms.pop(mono, None)
-        pos = m.end()
-        if pos == end:
-            break
-        ch = body[pos]
-        if ch == "*":
-            at = blank_re.match(body, pos + 1).end()
-            raise ParseError(line_no, at + 1, "malformed variable, expected x[i][j][k]")
-        if ch == "x":
-            raise ParseError(line_no, pos + 1, "malformed variable, expected x[i][j][k]")
-        if ch not in "+-":
-            raise ParseError(line_no, pos + 1, "expected '+' or '-' between terms")
     return Polynomial.wrap(terms)
 
 
@@ -552,13 +493,19 @@ def _head_value(head: str) -> QQ:
     return value
 
 
+def _read_factor(text: str, dim: int, cache: FactorCache) -> tuple[int, int]:
+    """The pair of a canonical factor not yet in the cache; _Unread when
+    an index is outside 1..dim or the exponent is zero."""
+    i, j, k, *e = map(int, _DIGITS.findall(text))
+    exp = e[0] if e else 1
+    if not (0 < i <= dim and 0 < j <= dim and 0 < k <= dim and exp > 0):
+        raise _Unread
+    pair = cache[text] = (x_index(dim, i - 1, j - 1, k - 1), exp)
+    return pair
+
+
 def _read_canonical(
-    body: str,
-    line_no: int,
-    dim: int,
-    cache: FactorCache,
-    heads: _Cache,
-    line_re: re.Pattern,
+    body: str, dim: int, cache: FactorCache, heads: _Cache, line_re: re.Pattern
 ) -> Polynomial | None:
     """The polynomial of a line in the canonical spacing, read with one
     match of the whole line and a split into its terms; None when the
@@ -583,16 +530,16 @@ def _read_canonical(
                 monos.append(MONO_ONE)
                 continue
             f = factors[0]
-            a = cache.get(f) or _read_factor(f, 0, line_no, dim, cache)
+            a = cache.get(f) or _read_factor(f, dim, cache)
             if len(factors) == 1:
                 monos.append((a,))
                 continue
             f = factors[1]
-            b = cache.get(f) or _read_factor(f, 0, line_no, dim, cache)
+            b = cache.get(f) or _read_factor(f, dim, cache)
             if a[0] == b[0]:
                 return None
             monos.append((a, b) if a[0] < b[0] else (b, a))
-    except (ParseError, _Unread):
+    except _Unread:
         return None
     terms = dict(zip(monos, coeffs))
     return Polynomial.wrap(terms) if len(terms) == len(monos) else None
@@ -617,16 +564,16 @@ def _parse_system_lines(chunks: Iterable[str]) -> SystemFile:
     polys: list[Polynomial] = []
     cache: FactorCache = {}
     heads = _Cache(_head_value)
-    patterns = _term_patterns()
+    var_re, line_re = _term_patterns()
     for line_no, body in _content_lines(chunks):
         if _first_word(body) == "dim":
             dim = _size_line(body, line_no, "dim", dim, MAX_SYSTEM_DIM)
         elif dim is None:
             raise ParseError(line_no, 1, "dim must come before polynomials")
         else:
-            p = _read_canonical(body, line_no, dim, cache, heads, patterns[4])
+            p = _read_canonical(body, dim, cache, heads, line_re)
             if p is None:
-                p = _parse_poly_line(body, line_no, dim, cache, patterns)
+                p = _parse_poly_line(body, line_no, dim, var_re)
             polys.append(p)
     if dim is None:
         raise ParseError(1, 1, "missing dim line")
@@ -638,8 +585,8 @@ def parse_system_file(path) -> SystemFile:
     list of its lines is held beside the polynomials, with the cyclic
     collector paused.  A line in the canonical spacing is read with one
     match of the whole line; any other line, and any line on which a
-    check fails, by the positional walk, which gives every error its
-    line and column.  A file that fails is read again whole, so it fails
+    check fails, by the scanner walk, which gives every error its line
+    and column.  A file that fails is read again whole, so it fails
     as its text does: a decoding error anywhere in it comes before a
     parse error, at its byte offset."""
     with open(path, "r", encoding="utf-8") as fh:

@@ -201,7 +201,7 @@ class Matrix:
         return result
 
     def rank(self) -> int:
-        return len(_eliminate(self).pivots)
+        return Subspace.from_sparse(self.cols, _sparse_rows(self)).dim
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -339,16 +339,6 @@ class Eliminator:
 
 def _sparse_rows(m: Matrix) -> list[dict]:
     return [{c: x for c, x in enumerate(row) if x} for row in m.entries]
-
-
-def _eliminate(m: Matrix) -> Eliminator:
-    """The rows of m fed to an Eliminator, column c as variable cols-1-c,
-    so that its largest-variable pivots are the leftmost columns."""
-    last = m.cols - 1
-    elim = Eliminator()
-    for row in m.entries:
-        elim.add({last - c: x for c, x in enumerate(row) if x}, QQ(0))
-    return elim
 
 
 def rref(m: Matrix) -> Matrix:

@@ -34,6 +34,7 @@ a Fraction only where a division is inexact.  Inputs are converted as
 they are made monic, and every polynomial handed out holds Fractions.
 """
 
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -664,7 +665,10 @@ def groebner_basis(
     and 1024 reduced terms, and before each insertion, S-pair and
     interreduction step.  A run stopped while making inputs monic returns
     those made so far; one stopped while inserting them returns them all.
+    A NaN time budget, which no clock passes, raises ValueError.
     """
+    if time_budget is not None and math.isnan(time_budget):
+        raise ValueError("time budget is NaN")
     t0 = time.monotonic()
     deadline = None if time_budget is None else t0 + time_budget
     stats = {"pairs_processed": 0, "zero_reductions": 0, "max_degree_seen": 0}

@@ -313,6 +313,15 @@ def test_catalog_dump_g13_has_no_product(capsys):
     assert "product" not in out
 
 
+def test_catalog_dump_g13_refuses_parameters(capsys):
+    code, out, err = run(capsys, "catalog", "dump", "g13", "--param", "alpha=1")
+    assert (code, out) == (1, "")
+    assert err == "error: g13: unexpected parameter(s) alpha\n"
+    code, out, err = run(capsys, "catalog", "dump", "g13", "--param", "bogus")
+    assert (code, out) == (1, "")
+    assert "--param needs name=value" in err
+
+
 # ---------------------------------------------------------------------------
 # construct
 
@@ -568,6 +577,14 @@ def test_solve_time_budget_holds_inside_one_reduction(tmp_path, capsys):
     assert time.monotonic() - t0 < 3
     assert code == 0
     assert json.loads(out)["status"] == "budget_exhausted"
+
+
+def test_solve_refuses_a_nan_time_budget(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text("dim 1\nx[1][1][1]^2 - 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(path), "--time-budget", "nan")
+    assert (code, out) == (2, "")
+    assert err == "error: time budget is NaN\n"
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lralg import fileformat
 from lralg.catalog import (
     catalog_entry,
     catalog_get,
@@ -30,7 +31,7 @@ from lralg.catalog import (
     sample_params,
 )
 from lralg.cli import main
-from lralg.constraints import generate_lr_system, x_index, x_name
+from lralg.constraints import generate_lr_system, structural_reduce, x_index, x_name
 from lralg.constructions import FiliformSpec, filiform_lr
 from lralg.extensions import (
     ExtensionData,
@@ -497,6 +498,28 @@ def test_raw_systems_parse_back(lie):
     assert parse_system_text(format_system(g.dim, raw)).polys == raw
 
 
+def test_written_systems_take_the_canonical_reader(monkeypatch):
+    """Every line format_system writes for the raw and reduced systems of
+    r2, n3, n4 and n3+line, and for the reduced g13 system, is read by
+    the canonical reader: with the scanner walk made to fail, each system
+    still parses back.  A writer change that sent lines to the walk would
+    slow the raw g13 read without changing any result."""
+    systems = []
+    for lie in (lie_r2, lie_n3, lie_n4, lie_n3_plus_line):
+        g = lie()
+        raw = generate_lr_system(g)
+        systems += [(g.dim, raw.polys), (g.dim, structural_reduce(raw).residual)]
+    g13 = counterexample_g13()
+    systems.append((g13.dim, structural_reduce(generate_lr_system(g13)).residual))
+
+    def walk(body, line_no, *args):
+        raise AssertionError(f"line {line_no} left the canonical reader: {body!r}")
+
+    monkeypatch.setattr(fileformat, "_parse_poly_line", walk)
+    for dim, polys in systems:
+        assert parse_system_text(format_system(dim, polys)).polys == polys
+
+
 def oracle_to_string(p: Polynomial, namer) -> str:
     """The line writer's oracle: a mono_key sort of every polynomial, a
     piece per term, and the pieces joined by their own signs."""
@@ -596,9 +619,10 @@ def test_system_file_reads_like_its_text(tmp_path, data):
     assert outcome(lambda: parse_system_file(path)) == whole
 
 
-# The character scanner that read polynomial lines before the term
-# pattern, kept as the oracle for it.  Its digit test was str.isdigit,
-# so a superscript digit reached int() and crashed it.
+# The character scanner that first read polynomial lines, kept as the
+# oracle for the parser: the canonical reader and the walk on
+# fileformat's _Scanner that reads every other line.  Its digit test was
+# str.isdigit, so a superscript digit reached int() and crashed it.
 
 
 class _OracleScanner:
@@ -797,17 +821,18 @@ def test_term_pattern_agrees_with_the_scanner(line, dim):
     try:
         want = outcome(lambda: [oracle_poly_line(line, 2, dim)] if line.strip() else [])
     except ValueError:
-        # the oracle's int() crash on a superscript digit; the term
-        # pattern reads no digit there and reports a position instead
+        # the oracle's int() crash on a superscript digit; the parser's
+        # digit test is int()'s, so it reads no digit there and reports
+        # a position instead
         assert "\u00b2" in line and isinstance(got, tuple)
         return
     assert got == want
 
 
-# Where a blank run is followed by no factor, each optional part of the
-# term pattern gives the run back one blank at a time.  Two blank runs
-# that could split the same blanks made that quadratic: 20,000 blanks
-# took seconds.
+# Long blank runs where a factor, a number or a sign may follow.  A
+# reader that gives such a run back one blank at a time, with two runs
+# able to split the same blanks, is quadratic there: 20,000 blanks take
+# seconds.
 BLANK_RUN_LINES = [
     "1" + " " * 20000 + "+ 1",
     "2 *" + " " * 20000 + "x[1][1][1] - 1",

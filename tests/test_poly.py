@@ -457,6 +457,12 @@ def test_groebner_budget_paths():
     assert r.stats["reason"] == "time"
 
 
+def test_nan_time_budget_is_refused():
+    # no clock passes t0 + nan, so such a budget would never stop a run
+    with pytest.raises(ValueError, match="NaN"):
+        groebner_basis([x * y - one], time_budget=float("nan"))
+
+
 def test_exhausted_basis_is_monic():
     # a stopped run returns the monic inputs and remainders found so far
     gens = [2 * x + y + z, 3 * x * y + y * z + z * x, x * y * z - one]
