@@ -237,8 +237,11 @@ def _cmd_catalog(args) -> int:
         if "=" not in spec:
             raise _Failure(f"--param needs name=value, got {spec!r}")
         name, _, value = spec.partition("=")
+        key = name.strip()
+        if key in params:
+            raise _Failure(f"--param {key} given more than once")
         try:
-            params[name.strip()] = Fraction(value.strip())
+            params[key] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise _Failure(f"bad rational for parameter {name!r}: {value!r}")
     if args.key == "g13":

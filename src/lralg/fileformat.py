@@ -117,32 +117,35 @@ def _name_line(body: str, line_no: int, keyword: str, earlier: str | None) -> st
 
 
 class _Scanner:
-    """Character scanner over one line, reporting 1-based columns."""
+    """Character scanner over one line from pos on, reporting 1-based
+    columns.  The blanks after a token are skipped once, as the token is
+    passed, so that pos is always at the next token or the end."""
 
-    def __init__(self, text: str, line_no: int):
+    def __init__(self, text: str, line_no: int, pos: int = 0):
         self.text = text
         self.line_no = line_no
-        self.pos = 0
+        self.skip(pos)
 
     def fail(self, message: str, at: int | None = None):
         col = (self.pos if at is None else at) + 1
         raise ParseError(self.line_no, col, message)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+    def skip(self, pos: int):
+        """Move to pos, then past the blanks there."""
+        text, end = self.text, len(self.text)
+        while pos < end and text[pos] in " \t":
+            pos += 1
+        self.pos = pos
 
     def done(self) -> bool:
-        self.skip_ws()
         return self.pos >= len(self.text)
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos : self.pos + 1]
 
     def take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
+        if self.text.startswith(ch, self.pos):
+            self.skip(self.pos + len(ch))
             return True
         return False
 
@@ -151,15 +154,13 @@ class _Scanner:
             self.fail(f"expected {ch!r}")
 
     def integer(self) -> int:
-        self.skip_ws()
         m = _DIGITS.match(self.text, self.pos)
         if m is None:
             self.fail("expected a number")
-        self.pos = m.end()
+        self.skip(m.end())
         return int(m.group())
 
     def rational(self) -> QQ:
-        self.skip_ws()
         start = self.pos
         sign = 1
         if self.take("-"):
@@ -186,13 +187,11 @@ def _size_line(
     if earlier is not None:
         raise ParseError(line_no, 1, f"duplicate {keyword} line")
     noun = _SIZE_NOUNS[keyword]
-    sc = _Scanner(body, line_no)
-    sc.pos = body.index(keyword) + len(keyword)
-    sc.skip_ws()
+    sc = _Scanner(body, line_no, body.index(keyword) + len(keyword))
     at = sc.pos
     n = sc.integer()
     if n <= 0:
-        sc.fail(f"{noun} must be positive")
+        sc.fail(f"{noun} must be positive", _DIGITS.match(body, at).end())
     if cap is not None and n > cap:
         sc.fail(f"{noun} {n} is above the cap of {cap}", at)
     if not sc.done():
@@ -205,7 +204,6 @@ def _parse_vector(sc: _Scanner, dim: int, prefix: str) -> Vector:
     out = [QQ(0)] * dim
     first = True
     while True:
-        sc.skip_ws()
         if sc.done():
             if first:
                 sc.fail("expected a vector expression")
@@ -217,12 +215,10 @@ def _parse_vector(sc: _Scanner, dim: int, prefix: str) -> Vector:
             pass
         elif not first:
             sc.fail("expected '+' or '-' between terms")
-        sc.skip_ws()
         coeff = QQ(1)
         if _DIGITS.match(sc.text, sc.pos):
             coeff = sc.rational()
             sc.take("*")
-        sc.skip_ws()
         at = sc.pos
         if not sc.take(prefix):
             sc.fail(f"expected basis symbol {prefix!r}", at)
@@ -286,8 +282,7 @@ class _Table:
         i, j = int(m.group(1)), int(m.group(2))
         if not (1 <= i <= size and 1 <= j <= size):
             raise ParseError(line_no, m.start(1) + 1, f"index out of range 1..{size}")
-        sc = _Scanner(body, line_no)
-        sc.pos = m.end()
+        sc = _Scanner(body, line_no, m.end())
         self.add(line_no, i, j, _parse_vector(sc, vec_size, self.section.prefix))
 
     def add(self, line_no: int, i: int, j: int, v: Vector):
@@ -423,27 +418,33 @@ _ONE, _MINUS_ONE = QQ(1), QQ(-1)
 FactorCache = dict[str, tuple[int, int]]
 
 
-def _parse_poly_line(body: str, line_no: int, dim: int, var_re: re.Pattern) -> Polynomial:
+def _parse_poly_line(
+    body: str, line_no: int, dim: int, var_re: re.Pattern, cache: FactorCache
+) -> Polynomial:
     """Sum of terms [sign] (rational | factor) ([*] factor)..., read by
     the scanner of algebra and extension entries.  A factor is x[i][j][k]
-    with indices in 1..dim and an optional positive exponent ^e."""
+    with indices in 1..dim and an optional positive exponent ^e.  Each
+    variable text read is kept in the canonical reader's cache, as a
+    factor of exponent 1."""
     sc = _Scanner(body, line_no)
 
     def factor(exps: dict[int, int]):
-        sc.skip_ws()
         at = sc.pos
         m = var_re.match(body, at)
         if m is None:
             sc.fail("malformed variable, expected x[i][j][k]")
-        i, j, k = map(int, m.groups())
-        for idx in (i, j, k):
-            if not 1 <= idx <= dim:
-                sc.fail(f"variable index {idx} out of range 1..{dim}")
-        sc.pos = m.end()
+        pair = cache.get(m.group())
+        if pair is None:
+            i, j, k = map(int, m.groups())
+            for idx in (i, j, k):
+                if not 1 <= idx <= dim:
+                    sc.fail(f"variable index {idx} out of range 1..{dim}")
+            pair = cache[m.group()] = (x_index(dim, i - 1, j - 1, k - 1), 1)
+        sc.skip(m.end())
         exp = sc.integer() if sc.take("^") else 1
         if exp <= 0:
             sc.fail("exponent must be positive", at)
-        v = x_index(dim, i - 1, j - 1, k - 1)
+        v = pair[0]
         exps[v] = exps.get(v, 0) + exp
 
     terms: dict = {}
@@ -463,7 +464,9 @@ def _parse_poly_line(body: str, line_no: int, dim: int, var_re: re.Pattern) -> P
         while sc.take("*") or sc.peek() == "x":
             factor(exps)
         mono = tuple(sorted(exps.items()))
-        val = terms.get(mono, 0) + (-coeff if neg else coeff)
+        val = -coeff if neg else coeff
+        if mono in terms:
+            val += terms[mono]
         if val:
             terms[mono] = val
         else:
@@ -573,7 +576,7 @@ def _parse_system_lines(chunks: Iterable[str]) -> SystemFile:
         else:
             p = _read_canonical(body, dim, cache, heads, line_re)
             if p is None:
-                p = _parse_poly_line(body, line_no, dim, var_re)
+                p = _parse_poly_line(body, line_no, dim, var_re, cache)
             polys.append(p)
     if dim is None:
         raise ParseError(1, 1, "missing dim line")
@@ -618,16 +621,16 @@ def _parse_matrix(sc: _Scanner, size: int) -> Matrix:
     rows: list[list[QQ]] = [[]]
     while True:
         rows[-1].append(sc.rational())
-        sc.skip_ws()
         if sc.take(","):
             continue
         if sc.take(";"):
             rows.append([])
             continue
+        close = sc.pos
         sc.expect("]")
         break
     if len(rows) != size or any(len(r) != size for r in rows):
-        sc.fail(f"matrix must be {size}x{size}")
+        sc.fail(f"matrix must be {size}x{size}", close + 1)
     return Matrix(rows)
 
 
@@ -662,8 +665,7 @@ def parse_extension_text(text: str):
                 raise ParseError(line_no, at, f"phi index out of range 1..{b_dim}")
             if i in phis:
                 raise ParseError(line_no, 1, f"duplicate phi {i}")
-            sc = _Scanner(body, line_no)
-            sc.pos = m.end()
+            sc = _Scanner(body, line_no, m.end())
             phis[i] = _parse_matrix(sc, a_dim)
             if not sc.done():
                 sc.fail("unexpected text after matrix")

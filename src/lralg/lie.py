@@ -432,13 +432,6 @@ class SolvabilityReport:
     is_two_step_solvable: bool
 
 
-def second_derived_is_zero(g: LieAlgebra) -> bool:
-    full = Subspace.full(g.dim)
-    d1 = bracket_subspaces(g, full, full)
-    d2 = bracket_subspaces(g, d1, d1)
-    return d2.dim == 0
-
-
 def classify_solvability(g: LieAlgebra) -> SolvabilityReport:
     ds = derived_series(g)
     d_dims = ds.dims()

@@ -348,17 +348,6 @@ def rref(m: Matrix) -> Matrix:
     return Matrix(rows)
 
 
-def pivot_columns(reduced: Matrix) -> tuple[int, ...]:
-    """Pivot column indices of a matrix already in RREF."""
-    pivots = []
-    for row in reduced.entries:
-        for j, x in enumerate(row):
-            if x != 0:
-                pivots.append(j)
-                break
-    return tuple(pivots)
-
-
 def kernel(n: int, rows: Iterable[dict]) -> "Subspace":
     """{x in QQ^n : sum_c row[c] x_c = 0 for every row}, from sparse rows
     {column: value}.  Column c is Eliminator variable c, so each pivot is
@@ -530,27 +519,3 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of QQ^{self.ambient_dim})"
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch("subspaces live in different ambient spaces")
-    return Subspace.from_sparse(a.ambient_dim, a.rows + b.rows)
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked coefficient problem."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch("subspaces live in different ambient spaces")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
-    # columns: coefficients on a-basis then b-basis; rows: ambient coordinates
-    cols = [v for v in a.basis_vectors()] + [vec_scale(-1, v) for v in b.basis_vectors()]
-    ker = nullspace(Matrix.from_columns(cols))
-    vecs = []
-    for coeff in ker.basis_vectors():
-        v = zero_vector(a.ambient_dim)
-        for c, bv in zip(coeff[: a.dim], a.basis_vectors()):
-            v = vec_add(v, vec_scale(c, bv))
-        vecs.append(v)
-    return Subspace.from_vectors(a.ambient_dim, vecs)

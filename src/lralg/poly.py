@@ -4,8 +4,7 @@ Variables are nonnegative integer ids.  Monomials are tuples of
 (variable, exponent) pairs sorted by variable id with positive
 exponents.  The term order is graded: total degree first, ties broken
 so that a lower variable id counts as the bigger variable.  It is
-defined once, as the native sort key ``mono_key``; the reversed key of
-the division heap derives from it.
+defined once, as the native sort key ``mono_key``.
 
 The module provides exact arithmetic, substitution and evaluation,
 polynomial reduction, S-polynomials, and a budgeted Groebner-basis
@@ -16,16 +15,33 @@ budget and says so.  Its time budget is checked while the inputs are
 made monic, before each input insertion, each S-pair and each
 interreduction step, and inside each pair update and each reduction.
 
-Division takes the biggest remaining term from a min-heap on the
-reversed key (heap-ordered division after Monagan and Pearce).  The
-basis is held as prepared divisors: tail, leading monomial and
-coefficient, and a bit mask of the leading monomial's variables, which
-rejects most reducers and most pair-criterion tests before any
-exponent is compared (divisibility masks after Bachmann and
-Schoenemann).  The divisors are filed by the first variable of their
-leading monomial, so that a term is tried only against divisors whose
-first variable it contains.  Pending pairs carry their lcm and wait
-in a heap on (degree, i, j).
+Inside division, S-polynomials and the basis routine a monomial is one
+int, its exponent vector packed into fields (packed exponent vectors
+after Bachmann and Schoenemann, and Monagan and Pearce): the total
+degree in the top field, then one field per variable that occurs in the
+inputs, the lowest id most significant.  The ints then order exactly as
+``mono_key``, a product is a sum and a quotient a difference.  Each
+variable field keeps its top bit clear as a guard, so that divisibility,
+lcm and the variable mask are a few whole-int operations (the guard bits
+that survive a subtraction, or an addition, mark the fields).  Fields
+are 8 bits or as wide as the inputs' degree needs.  An exponent never
+exceeds its monomial's degree, and degrees grow only through the lcm of
+an S-pair, so a run that takes a pair whose lcm reaches the guard bit
+starts again from the inputs with fields twice as wide (same deadline,
+trace and stats cut back).  Monomials are packed as the inputs are
+inserted and unpacked as results are handed out; ``Polynomial`` keeps
+tuples.  A packed monomial takes (variables + 1) * width bits, however
+few variables it has.
+
+Division takes the biggest remaining term from a min-heap of negated
+monomials (heap-ordered division after Monagan and Pearce).  The basis
+is held as prepared divisors: tail, leading monomial and coefficient,
+and the variable mask of the leading monomial, which rejects most
+reducers and most pair-criterion tests before any exponent is compared.
+The divisors are filed by the first variable of their leading monomial,
+so that a term is tried only against divisors whose first variable it
+contains.  Pending pairs carry their lcm and wait in a heap on (degree,
+i, j).
 
 Inside division, S-polynomials and the basis routine, scalars follow
 ``linalg.Eliminator``'s rule: each integral coefficient is held as an
@@ -75,53 +91,10 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(out.items()))
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """Does a divide b?"""
-    db = dict(b)
-    return all(db.get(v, 0) >= e for v, e in a)
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b; caller guarantees divisibility."""
-    out = dict(a)
-    for v, e in b:
-        r = out[v] - e
-        if r:
-            out[v] = r
-        else:
-            del out[v]
-    return tuple(sorted(out.items()))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    out = dict(a)
-    for v, e in b:
-        if out.get(v, 0) < e:
-            out[v] = e
-    return tuple(sorted(out.items()))
-
-
-def mono_mask(m: Monomial) -> int:
-    """Bit v is set for each variable v of m."""
-    mask = 0
-    for v, _ in m:
-        mask |= 1 << v
-    return mask
-
-
 def mono_key(m: Monomial) -> tuple:
     """Sort key of the graded order; ties go to the monomial with more of
     the bigger (lower-id) variable."""
     return (sum(e for _, e in m), tuple((-v, e) for v, e in m))
-
-
-def _heap_key(m: Monomial) -> tuple:
-    """mono_key reversed, so that a min-heap pops the biggest monomial:
-    (-degree, (v1, -e1, v2, -e2, ...)).  Negating each entry reverses the
-    lexicographic comparison because two monomials of one degree never
-    have one term sequence as a prefix of the other.  The inner tuple is
-    flat to create one object per key, not one per variable."""
-    return (-mono_degree(m), tuple([x for v, e in m for x in (v, -e)]))
 
 
 def _graded_order(terms: Mapping[Monomial, QQ]) -> list[Monomial]:
@@ -404,30 +377,85 @@ class Polynomial:
         return f"Polynomial({self.to_string()})"
 
 
-# A prepared divisor: the tail of a nonzero polynomial (every term but
-# the leading one), its leading monomial and coefficient, and the
+class _Packing:
+    """Packed monomials over the given variables (see the module
+    docstring): fields of at least width bits and wide enough that a
+    monomial of the given degree stays below every guard bit."""
+
+    __slots__ = ("width", "shift", "guard", "low", "spread", "top", "units", "names")
+
+    def __init__(self, variables: Iterable[int], degree: int, width: int = 8):
+        names = sorted(variables, reverse=True)  # names[p] has offset p * w
+        w = self.width = max(width, degree.bit_length() + 1)
+        shift = self.shift = len(names) * w  # offset of the degree
+        ones = ((1 << shift) - 1) // ((1 << w) - 1)  # 1 in every field
+        self.guard = ones << w - 1
+        self.low = self.guard - ones
+        # x * spread & top is the sum of x's fields, placed as a degree
+        self.spread, self.top = ones << w, (1 << shift + w) - (1 << shift)
+        self.units = {v: (1 << p * w) + (1 << shift) for p, v in enumerate(names)}
+        self.names = {p * w: v for p, v in enumerate(names)}
+
+    def pack(self, m: Monomial) -> int:
+        units = self.units
+        return sum([e * units[v] for v, e in m])
+
+    def unpack(self, t: int) -> Monomial:
+        out = []
+        field = (1 << self.width - 1) - 1
+        marks = self.mask(t)
+        while marks:
+            g = marks.bit_length() - 1
+            marks ^= 1 << g
+            o = g - self.width + 1
+            out.append((self.names[o], t >> o & field))
+        return tuple(out)
+
+    def terms(self, p: Polynomial) -> dict:
+        """p packed, with each integral coefficient as an int."""
+        pack = self.pack
+        return {pack(m): _scalar(c) for m, c in p.terms.items()}
+
+    def mask(self, t: int) -> int:
+        """The guard bit of each variable of t: a nonzero field carries
+        into its guard when all bits below it are added."""
+        return t + self.low & self.guard
+
+    def divides(self, a: int, b: int) -> bool:
+        """Does a divide b?  Subtracting a from b with every guard set
+        clears the guard of each field where a is bigger."""
+        return (b | self.guard) - a & self.guard == self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """b plus, in each field where a is bigger, the difference, and
+        those differences' sum on the degree."""
+        d = (a | self.guard) - b
+        bigger = d & self.guard
+        up = d & bigger - (bigger >> self.width - 1)
+        return b + up + (up * self.spread & self.top)
+
+
+# A prepared divisor: the tail of a nonzero packed polynomial (every term
+# but the leading one), its leading monomial and coefficient, and the
 # variable mask of the leading monomial.
-Divisor = tuple[list[tuple[Monomial, QQ]], Monomial, QQ, int]
+Divisor = tuple[list[tuple[int, QQ]], int, QQ, int]
 
 
-def _prepare(g: Polynomial, lm: Monomial | None = None) -> Divisor:
-    """g as a divisor; lm, when given, is its leading monomial."""
-    if lm is None:
-        lm = g.leading_monomial()
-    tail = [(m, c) for m, c in g.terms.items() if m != lm]
-    return tail, lm, g.terms[lm], mono_mask(lm)
+def _prepare(g: dict, lm: int, packing: _Packing) -> Divisor:
+    """Packed polynomial g, whose leading monomial is lm, as a divisor."""
+    tail = [(m, c) for m, c in g.items() if m != lm]
+    return tail, lm, g[lm], packing.mask(lm)
 
 
-# Divisors filed by the first variable of their leading monomial, -1 for
-# a constant, each bucket as (list index, mask, leading monomial, divisor)
-# with the indices ascending.
-Index = dict[int, list[tuple[int, int, Monomial, Divisor]]]
+# Divisors filed by the first variable of their leading monomial (the
+# bit length of its mask, 0 for a constant), each bucket as (list index,
+# mask, leading monomial, divisor) with the indices ascending.
+Index = dict[int, list[tuple[int, int, int, Divisor]]]
 
 
 def _file(index: Index, k: int, d: Divisor) -> None:
     """File divisor d, whose list index k is above every filed one."""
-    lm = d[1]
-    index.setdefault(lm[0][0] if lm else -1, []).append((k, d[3], lm, d))
+    index.setdefault(d[3].bit_length(), []).append((k, d[3], d[1], d))
 
 
 def _index(divisors: Iterable[tuple[int, Divisor]]) -> Index:
@@ -437,80 +465,81 @@ def _index(divisors: Iterable[tuple[int, Divisor]]) -> Index:
     return index
 
 
-def _ints(p: Polynomial) -> Polynomial:
-    """p with each integral coefficient as an int."""
-    return Polynomial.wrap({m: _scalar(c) for m, c in p.terms.items()})
+def _monic(terms: dict, lm) -> dict:
+    """terms divided by their coefficient at lm, their leading monomial."""
+    c = terms[lm]
+    return terms if c == 1 else {m: _quotient(x, c) for m, x in terms.items()}
 
 
-def _monic_ints(p: Polynomial, lm: Monomial) -> Polynomial:
-    """p divided by its coefficient at lm, its leading monomial, with each
-    integral coefficient as an int."""
-    c = _scalar(p.terms[lm])
-    if c == 1:
-        return _ints(p)
-    return Polynomial.wrap({m: _quotient(_scalar(x), c) for m, x in p.terms.items()})
-
-
-def _fractions(polys: list[Polynomial]) -> list[Polynomial]:
+def _fractions(polys: list[dict], packing: _Packing | None) -> list[Polynomial]:
     """polys with each coefficient as a Fraction, one shared object per
-    value."""
+    value, and each packed monomial unpacked once (none without a
+    packing)."""
     fractions: dict = {}
     get, put = fractions.get, fractions.setdefault
+    monos = _Cache(packing.unpack if packing else lambda m: m)
     return [
-        Polynomial.wrap({m: get(c) or put(c, QQ(c)) for m, c in p.terms.items()})
+        Polynomial.wrap({monos[m]: get(c) or put(c, QQ(c)) for m, c in p.items()})
         for p in polys
     ]
 
 
 def reduce_full(f: Polynomial, basis: Iterable[Polynomial]) -> Polynomial:
     """Fully reduce f modulo the basis (remainder of multivariate division)."""
-    divisors = [_prepare(_ints(g)) for g in basis if g.terms]
-    return _fractions([_reduce(_ints(f), _index(enumerate(divisors)))])[0]
+    basis = [g for g in basis if g.terms]
+    # division adds no term above the biggest it removes
+    packing = _Packing(
+        f.variables().union(*map(Polynomial.variables, basis)),
+        max(map(Polynomial.degree, [f, *basis])),
+    )
+    divisors = [_prepare(g, max(g), packing) for g in map(packing.terms, basis)]
+    r = _reduce(packing.terms(f), _index(enumerate(divisors)), packing)
+    return _fractions([r], packing)[0]
 
 
 def _reduce(
-    f: Polynomial, index: Index, deadline: float | None = None
-) -> Polynomial | None:
-    """Divide f by the divisor of lowest list index whose leading monomial
-    divides the biggest remaining term, until no term is divisible.
+    f: dict, index: Index, packing: _Packing, deadline: float | None = None
+) -> dict | None:
+    """Divide packed f by the divisor of lowest list index whose leading
+    monomial divides the biggest remaining term, until no term is
+    divisible.
 
     A divisor of a term has its first variable in the term, so only the
     buckets of the term's variables are searched, each up to the best
     index found so far; a constant divides every term.  Terms wait in a
-    heap; an entry whose monomial has left ``work`` is stale and skipped.
-    A popped monomial never returns, since every term a reduction step
-    adds is smaller than the one it removes.  With a deadline (a
-    ``time.monotonic()`` value) the clock is read every 1024 pops, and
-    None is returned once the deadline has passed.
+    heap of negated monomials; an entry whose monomial has left ``work``
+    is stale and skipped.  A popped monomial never returns, since every
+    term a reduction step adds is smaller than the one it removes.  With
+    a deadline (a ``time.monotonic()`` value) the clock is read every 1024
+    pops, and None is returned once the deadline has passed.
     """
+    guard, low = packing.guard, packing.low
     # the lowest-index constant divides every term; it is the best so far
     # at each pop
-    constant = index[-1][0] if -1 in index else (sys.maxsize, 0, MONO_ONE, None)
-    work = dict(f.terms)
-    heap = [(_heap_key(m), m) for m in work]
+    constant = index[0][0] if 0 in index else (sys.maxsize, 0, 0, None)
+    work = dict(f)
+    heap = [-m for m in work]
     heapify(heap)
-    remainder: dict[Monomial, QQ] = {}
+    remainder: dict = {}
     pops = 0
     while heap:
         pops += 1
         if not pops & 1023 and deadline is not None and time.monotonic() > deadline:
             return None
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
-        outside = ~mono_mask(m)
-        exps = None
+        marks = m + low & guard
+        outside, above = ~marks, m | guard
         best, _, _, divisor = constant
-        for v, _ in m:
-            for k, mask, lm, d in index.get(v, ()):
+        while marks:
+            key = marks.bit_length()
+            marks ^= 1 << key - 1
+            for k, mask, lm, d in index.get(key, ()):
                 if k >= best:
                     break
-                if mask & outside:
-                    continue
-                if exps is None:
-                    exps = dict(m)
-                if all(exps[v] >= e for v, e in lm):
+                if not mask & outside and above - lm & guard == guard:
                     best, divisor = k, d
                     break
         if divisor is None:
@@ -518,35 +547,38 @@ def _reduce(
             continue
         tail, lm, lc, _ = divisor
         factor = c if lc == 1 else _quotient(c, lc)
-        shift = mono_div(m, lm)
+        shift = m - lm
         for gm, gc in tail:
-            t = mono_mul(gm, shift)
+            t = gm + shift
             old = work.get(t)
             if old is None:
                 work[t] = -(factor * gc)
-                heappush(heap, (_heap_key(t), t))
+                heappush(heap, -t)
                 continue
             s = old - factor * gc
             if s:
                 work[t] = s
             else:
                 del work[t]
-    return Polynomial.wrap(remainder)
+    return remainder
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    a, b = _prepare(_ints(f)), _prepare(_ints(g))
-    return _fractions([_s_polynomial(a, b, mono_lcm(a[1], b[1]))])[0]
+    if not (f.terms and g.terms):
+        raise PolyError("zero polynomial has no leading term")
+    packing = _Packing(f.variables() | g.variables(), f.degree() + g.degree())
+    a, b = (_prepare(t, max(t), packing) for t in map(packing.terms, (f, g)))
+    return _fractions([_s_polynomial(a, b, packing.lcm(a[1], b[1]))], packing)[0]
 
 
-def _s_polynomial(a: Divisor, b: Divisor, l: Monomial) -> Polynomial:
+def _s_polynomial(a: Divisor, b: Divisor, l: int) -> dict:
     """S-polynomial of two prepared elements whose leading monomials have
     lcm l; the leading terms cancel, so only the tails are formed."""
     (ta, lma, lca, _), (tb, lmb, lcb, _) = a, b
-    sa, sb = mono_div(l, lma), mono_div(l, lmb)
-    out = {mono_mul(m, sa): c if lca == 1 else _quotient(c, lca) for m, c in ta}
+    sa, sb = l - lma, l - lmb
+    out = {m + sa: c if lca == 1 else _quotient(c, lca) for m, c in ta}
     for m, c in tb:
-        t = mono_mul(m, sb)
+        t = m + sb
         c = c if lcb == 1 else _quotient(c, lcb)
         old = out.get(t)
         if old is None:
@@ -555,7 +587,7 @@ def _s_polynomial(a: Divisor, b: Divisor, l: Monomial) -> Polynomial:
             out[t] = old - c
         else:
             del out[t]
-    return Polynomial.wrap(out)
+    return out
 
 
 @dataclass
@@ -569,59 +601,46 @@ class GroebnerResult:
         return any(p.is_constant() and not p.is_zero() for p in self.basis)
 
 
-# Pending S-pairs (i, j), i < j, with the lcm of the two leading
+# Pending S-pairs (i, j), i < j, with the packed lcm of the two leading
 # monomials.
-Pairs = dict[tuple[int, int], Monomial]
+Pairs = dict[tuple[int, int], int]
 
 
 def _update_pairs(
     pairs: Pairs,
     queue: list[tuple[int, int, int]],
-    lms: list[Monomial],
+    lms: list[int],
     masks: list[int],
     t: int,
     deadline: float | None,
+    packing: _Packing,
 ) -> bool:
-    """Pair update with the standard pruning criteria on adding element t:
-    the chain criterion drops old pairs from pairs, and each new pair
-    (i, t) kept goes into pairs and, as (degree, i, t), onto the heap
-    queue.  False once the deadline, read every 64 new pairs, has passed;
-    pairs and queue are then unchanged."""
+    """Pair update with the standard pruning criteria on adding element t,
+    over packed leading monomials: the chain criterion drops old pairs
+    from pairs, and each new pair (i, t) kept goes into pairs and, as
+    (degree, i, t), onto the heap queue.  False once the deadline, read
+    every 64 new pairs, has passed; pairs and queue are then unchanged."""
     lt, mt = lms[t], masks[t]
+    guard, shift, lcm = packing.guard, packing.shift, packing.lcm
     # the lcm of pair (i, t) has the variables masks[i] | mt, and it is a
     # plain product where those are disjoint
-    exps_t = dict(lt)
-    fresh: list[Monomial] = []
-    for i in range(t):
-        if masks[i] & mt:
-            out = exps_t.copy()
-            for v, e in lms[i]:
-                if out.get(v, 0) < e:
-                    out[v] = e
-            fresh.append(tuple(sorted(out.items())))
-        else:
-            fresh.append(tuple(sorted(lms[i] + lt)))
+    fresh = [lcm(lms[i], lt) if masks[i] & mt else lms[i] + lt for i in range(t)]
     # drop new pairs whose lcm is a proper multiple of another new pair's
     # lcm.  Only kept lcms of lower degree are tried, since one of equal
     # degree divides only by being equal.
-    kept: list[tuple[Monomial, int]] = []  # ascending in degree
-    lower: list[tuple[Monomial, int]] = []  # those below the current degree
+    kept: list[tuple[int, int]] = []  # ascending in degree
+    lower: list[tuple[int, int]] = []  # those below the current degree
     degree = -1
-    first: dict[Monomial, int] = {}  # the first kept i of each lcm
-    for d, i in sorted((mono_degree(l), i) for i, l in enumerate(fresh)):
+    first: dict[int, int] = {}  # the first kept i of each lcm
+    for d, i in sorted((l >> shift, i) for i, l in enumerate(fresh)):
         if not i & 63 and deadline is not None and time.monotonic() > deadline:
             return False
         if d != degree:
             lower, degree = kept[:], d
         l, lmask = fresh[i], masks[i] | mt
-        outside = ~lmask
-        exps = None
+        outside, above = ~lmask, l | guard
         for lj, jmask in lower:
-            if jmask & outside:
-                continue
-            if exps is None:
-                exps = dict(l)
-            if all(exps[v] >= e for v, e in lj):
+            if not jmask & outside and above - lj & guard == guard:
                 break
         else:
             kept.append((l, lmask))
@@ -631,7 +650,7 @@ def _update_pairs(
         (i, j)
         for (i, j), l in pairs.items()
         if not mt & ~(masks[i] | masks[j])
-        and mono_divides(lt, l)
+        and (l | guard) - lt & guard == guard
         and fresh[i] != l
         and fresh[j] != l
     ]
@@ -642,7 +661,7 @@ def _update_pairs(
     for l, i in first.items():
         if masks[i] & mt:
             pairs[i, t] = l
-            heappush(queue, (mono_degree(l), i, t))
+            heappush(queue, (l >> shift, i, t))
     return True
 
 
@@ -661,8 +680,8 @@ def groebner_basis(
     basis with status "complete".  If a reduction produces a nonzero
     constant the ideal is the whole ring and the basis is [1].  An
     optional trace list receives one event tuple per S-pair processed.
-    The time budget is checked every 1024 inputs made monic, 64 new pairs
-    and 1024 reduced terms, and before each insertion, S-pair and
+    The time budget is checked every 1024 inputs made monic, 64 new
+    pairs and 1024 reduced terms, and before each insertion, S-pair and
     interreduction step.  A run stopped while making inputs monic returns
     those made so far; one stopped while inserting them returns them all.
     A NaN time budget, which no clock passes, raises ValueError.
@@ -672,131 +691,149 @@ def groebner_basis(
     t0 = time.monotonic()
     deadline = None if time_budget is None else t0 + time_budget
     stats = {"pairs_processed": 0, "zero_reductions": 0, "max_degree_seen": 0}
+    trace = [] if trace is None else trace
 
-    def out(status, basis):
-        result = GroebnerResult(status, _fractions(basis), stats)
+    def out(status, basis: list[Polynomial]):
+        result = GroebnerResult(status, basis, stats)
         stats["elapsed"] = time.monotonic() - t0
         return result
 
-    def exhausted(reason: str, basis):
+    def exhausted(reason: str, basis: list[Polynomial]):
         stats["reason"] = reason
         return out("budget_exhausted", basis)
 
     def out_of_time() -> bool:
         return deadline is not None and time.monotonic() > deadline
 
-    # each input and each remainder has its leading monomial found once;
-    # as the order is graded, its degree is the polynomial's
-    g: list[tuple[Polynomial, Monomial]] = []
+    # the nonzero inputs made monic, with their leading monomials, their
+    # variables and their degree, which is that of their leading
+    # monomials as the order is graded
+    inputs: list[tuple[dict, Monomial]] = []
+    variables: set[int] = set()
     for count, p in enumerate(polys, 1):
         if not count & 1023 and out_of_time():
-            return exhausted("time", [q for q, _ in g])
+            return exhausted("time", _fractions([q for q, _ in inputs], None))
         if p.is_zero():
             continue
         if p.is_constant():
-            if trace is not None:
-                trace.append(("input_constant", str(p.constant_value())))
+            trace.append(("input_constant", str(p.constant_value())))
             return out("complete", [Polynomial.constant(1)])
         lm = p.leading_monomial()
-        g.append((_monic_ints(p, lm), lm))
+        inputs.append((_monic({m: _scalar(c) for m, c in p.terms.items()}, lm), lm))
+        variables |= p.variables()
         stats["max_degree_seen"] = max(stats["max_degree_seen"], mono_degree(lm))
+    degree = stats["max_degree_seen"]
 
-    # basis[k] is prepared once as divisors[k] and filed in index; lms
-    # and masks repeat its leading monomial and variable mask for the pair
-    # update.  queue holds (degree, i, j) for every pair put in pairs,
-    # including those the chain criterion has dropped since: those are
-    # skipped when popped, which is exact as no pair is put in twice.
-    basis: list[Polynomial] = []
-    divisors: list[Divisor] = []
-    index: Index = {}
-    lms: list[Monomial] = []
-    masks: list[int] = []
-    pairs: Pairs = {}
-    queue: list[tuple[int, int, int]] = []
+    def run(packing: _Packing) -> GroebnerResult | None:
+        """The run on monomials packed this way; None if an S-pair's lcm
+        reaches the guard bits."""
 
-    def insert(p: Polynomial, lm: Monomial) -> bool:
-        d = _prepare(p, lm)
-        k = len(basis)
-        basis.append(p)
-        divisors.append(d)
-        _file(index, k, d)
-        lms.append(lm)
-        masks.append(d[3])
-        return _update_pairs(pairs, queue, lms, masks, k, deadline)
+        def stop(reason: str, basis: list[dict]):
+            return exhausted(reason, _fractions(basis, packing))
 
-    for p, lm in g:
-        if out_of_time() or not insert(p, lm):
-            return exhausted("time", [p for p, _ in g])
+        # basis[k] is prepared once as divisors[k] and filed in index; lms
+        # and masks repeat its leading monomial and variable mask for the
+        # pair update.  queue holds (degree, i, j) for every pair put in
+        # pairs, including those the chain criterion has dropped since:
+        # those are skipped when popped, which is exact as no pair is put
+        # in twice.
+        basis: list[dict] = []
+        divisors: list[Divisor] = []
+        index: Index = {}
+        lms: list[int] = []
+        masks: list[int] = []
+        pairs: Pairs = {}
+        queue: list[tuple[int, int, int]] = []
+        pack, shift = packing.pack, packing.shift
+        limit = 1 << packing.width - 1
 
-    truncated = False
-    while queue:
-        _, i, j = heappop(queue)
-        l = pairs.pop((i, j), None)
-        if l is None:
-            continue
-        if out_of_time():
-            return exhausted("time", basis)
-        if len(basis) > max_basis_size:
-            return exhausted("basis_size", basis)
-        stats["pairs_processed"] += 1
-        s = _s_polynomial(divisors[i], divisors[j], l)
-        r = _reduce(s, index, deadline)
-        if r is None:
-            return exhausted("time", basis)
-        if r.is_zero():
-            stats["zero_reductions"] += 1
-            if trace is not None:
+        def insert(p: dict, lm: int) -> bool:
+            d = _prepare(p, lm, packing)
+            k = len(basis)
+            basis.append(p)
+            divisors.append(d)
+            _file(index, k, d)
+            lms.append(lm)
+            masks.append(d[3])
+            return _update_pairs(pairs, queue, lms, masks, k, deadline, packing)
+
+        for p, lm in inputs:
+            if out_of_time() or not insert({pack(m): c for m, c in p.items()}, pack(lm)):
+                return exhausted("time", _fractions([q for q, _ in inputs], None))
+
+        truncated = False
+        while queue:
+            _, i, j = heappop(queue)
+            l = pairs.pop((i, j), None)
+            if l is None:
+                continue
+            if out_of_time():
+                return stop("time", basis)
+            if len(basis) > max_basis_size:
+                return stop("basis_size", basis)
+            if l >> shift >= limit:
+                return None
+            stats["pairs_processed"] += 1
+            s = _s_polynomial(divisors[i], divisors[j], l)
+            r = _reduce(s, index, packing, deadline)
+            if r is None:
+                return stop("time", basis)
+            if not r:
+                stats["zero_reductions"] += 1
                 trace.append(("spair", i, j, "zero"))
-            continue
-        if r.is_constant():
-            if trace is not None:
-                trace.append(("spair", i, j, "constant", str(r.constant_value())))
-            return out("complete", [Polynomial.constant(1)])
-        lm = r.leading_monomial()
-        d = mono_degree(lm)
-        stats["max_degree_seen"] = max(stats["max_degree_seen"], d)
-        if max_degree is not None and d > max_degree:
-            truncated = True
-            if trace is not None:
+                continue
+            lm = max(r)
+            if not lm:
+                trace.append(("spair", i, j, "constant", str(r[0])))
+                return out("complete", [Polynomial.constant(1)])
+            d = lm >> shift
+            stats["max_degree_seen"] = max(stats["max_degree_seen"], d)
+            if max_degree is not None and d > max_degree:
+                truncated = True
                 trace.append(("spair", i, j, "degree_capped", d))
-            continue
-        if not insert(_monic_ints(r, lm), lm):
-            return exhausted("time", basis)
-        if trace is not None:
+                continue
+            if not insert(_monic(r, lm), lm):
+                return stop("time", basis)
             trace.append(("spair", i, j, "new", len(basis) - 1))
 
-    if truncated:
-        return exhausted("degree", basis)
+        if truncated:
+            return stop("degree", basis)
 
-    # interreduce: drop elements with redundant leading monomials, then
-    # fully reduce each survivor against the others
-    live = []
-    for k, lm in enumerate(lms):
-        if out_of_time():
-            return exhausted("time", basis)
-        mk = masks[k]
-        if not any(
-            k2 != k
-            and not masks[k2] & ~mk
-            and mono_divides(lms[k2], lm)
-            and (lms[k2] != lm or k2 < k)
-            for k2 in range(len(lms))
-        ):
-            live.append(k)
-    # Each survivor's leading term is divisible by no other survivor, and
-    # its own leading monomial divides no smaller term, so its tail is
-    # reduced against all survivors and its leading term put back first.
-    index = _index((k, divisors[k]) for k in live)
-    reduced = []
-    for k in live:
-        tail, lm, lc, _ = divisors[k]
-        if out_of_time():
-            return exhausted("time", basis)
-        r = _reduce(Polynomial.wrap(dict(tail)), index, deadline)
-        if r is None:
-            return exhausted("time", basis)
-        reduced.append(_monic_ints(Polynomial.wrap({lm: lc, **r.terms}), lm))
-    reduced.sort(key=lambda p: mono_key(p.leading_monomial()))
-    if any(p.is_constant() for p in reduced):
-        reduced = [Polynomial.constant(1)]
-    return out("complete", reduced)
+        # interreduce: drop elements with redundant leading monomials, then
+        # fully reduce each survivor against the others
+        live = []
+        for k, lm in enumerate(lms):
+            if out_of_time():
+                return stop("time", basis)
+            mk = masks[k]
+            if not any(
+                k2 != k
+                and not masks[k2] & ~mk
+                and packing.divides(lms[k2], lm)
+                and (lms[k2] != lm or k2 < k)
+                for k2 in range(len(lms))
+            ):
+                live.append(k)
+        # Each survivor's leading term is divisible by no other survivor,
+        # and its own leading monomial divides no smaller term, so its
+        # tail is reduced against all survivors and its leading term (of
+        # coefficient 1) put back first.
+        index = _index((k, divisors[k]) for k in live)
+        reduced = []
+        for k in live:
+            tail, lm, lc, _ = divisors[k]
+            if out_of_time():
+                return stop("time", basis)
+            r = _reduce(dict(tail), index, packing, deadline)
+            if r is None:
+                return stop("time", basis)
+            reduced.append((lm, {lm: lc, **r}))
+        reduced.sort(key=itemgetter(0))
+        return out("complete", _fractions([p for _, p in reduced], packing))
+
+    packing, mark = _Packing(variables, degree), len(trace)
+    while (result := run(packing)) is None:
+        packing = _Packing(variables, degree, 2 * packing.width)
+        stats.update(pairs_processed=0, zero_reductions=0, max_degree_seen=degree)
+        del trace[mark:]
+    return result

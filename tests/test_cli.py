@@ -304,6 +304,18 @@ def test_catalog_dump_with_params(capsys):
     assert code == 1  # outside the recorded domain alpha <= 3/4
 
 
+def test_catalog_dump_refuses_a_repeated_parameter(capsys):
+    # a second value would silently win; it is refused like an unknown name
+    for key in ("n3/A1", "g13"):
+        code, out, err = run(
+            capsys, "catalog", "dump", key, "--param", "alpha=1", "--param", " alpha=2"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --param alpha given more than once\n"
+    code, out, err = run(capsys, "catalog", "dump", "n3/A1", "--param", "alpha=1")
+    assert code == 0 and out
+
+
 def test_catalog_dump_g13_has_no_product(capsys):
     code, out, err = run(capsys, "catalog", "dump", "g13")
     assert code == 0

@@ -18,12 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lralg.catalog import (
+    catalog_entry,
     catalog_get,
+    catalog_list,
     counterexample_g13,
     lie_n3,
     lie_n3_plus_line,
     lie_n4,
     lie_r2,
+    sample_params,
 )
 from lralg.constraints import (
     STRUCTURAL_RULES,
@@ -923,6 +926,12 @@ CERTIFY_TRACES = [
         "a13fed84139c8c0a7b03e95893e4d181a83faf34cf2f813be1be3e366afaa95f",
         595, 525, 6,
     ),
+    (
+        lie_r2,
+        True,
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+        0, 0, 2,
+    ),
 ]
 
 
@@ -942,6 +951,38 @@ def test_certify_traces_are_pinned(base, reduced, digest, pairs, zeros, degree):
         "zero_reductions": zeros,
         "max_degree_seen": degree,
     }
+
+
+def certify_summary(system):
+    """(trace digest, pairs, zero reductions, max degree) of
+    buchberger_certify on a system that stays open under the solve
+    defaults."""
+    res = buchberger_certify(system, max_basis_size=2000, time_budget=600.0)
+    assert res.status == "solutions_may_exist"
+    stats = res.groebner.stats
+    digest = hashlib.sha256(repr(res.trace).encode()).hexdigest()
+    return digest, stats["pairs_processed"], stats["zero_reductions"], stats["max_degree_seen"]
+
+
+def test_catalog_samples_certify_as_pinned():
+    """The reduced system of each of the 86 catalog samples is one of
+    those of r2, n3, n4 and n3+line, and its run takes the pinned pairs
+    in the pinned order."""
+    pins = {base: tuple(pin) for base, reduced, *pin in CERTIFY_TRACES if reduced}
+    bases = {"r2": lie_r2, "n3": lie_n3, "n4": lie_n4, "n3_r": lie_n3_plus_line}
+    runs: dict[str, tuple] = {}
+    count = 0
+    for key in catalog_list():
+        base = bases[key.split("/")[0]]
+        for params in sample_params(catalog_entry(key)):
+            g = catalog_get(key, params).g
+            residual = structural_reduce(generate_lr_system(g)).residual
+            text = format_system(g.dim, residual)
+            if text not in runs:
+                runs[text] = certify_summary(residual)
+            assert runs[text] == pins[base], key
+            count += 1
+    assert (count, len(runs)) == (86, 4)
 
 
 def test_certify_toy_contradiction():

@@ -852,6 +852,44 @@ def test_long_blank_runs_read_in_linear_time():
     assert time.perf_counter() - start < 2.0
 
 
+# Lines outside the canonical spacing, which the scanner walk reads: the
+# terms closed up, and hand-spaced with runs of blanks and tabs.  40,000
+# terms in all take a fraction of a second.
+OPEN_TERMS = "x[1][1][1]*x[1][2][1]-2*x[2][1][1]^2+1/2*x[2][2][1]-"
+SPACED_TERMS = "x[1][1][1]  *\tx[1][2][1]   -  2 *  x[2][1][1] ^ 2  +\t1/2 * x[2][2][1] - "
+HAND_SPACED_LINES = [OPEN_TERMS * 5000 + "1", SPACED_TERMS * 5000 + "1"]
+
+
+def test_closed_up_and_hand_spaced_lines_read_in_linear_time():
+    start = time.perf_counter()
+    for line in HAND_SPACED_LINES:
+        assert parse_system_text(f"dim 2\n{line}\n").polys[0].terms
+    assert time.perf_counter() - start < 2.0
+
+
+def test_the_walk_passes_the_blanks_after_each_token_once(monkeypatch):
+    # a token is a variable, a number or one of - + * / ^; the scanner
+    # skips the blanks after it as it passes it, and once at the start
+    token = re.compile(r"x\[\d+\]\[\d+\]\[\d+\]|\d+|[-+*/^]")
+    skips = []
+    skip = fileformat._Scanner.skip
+
+    def counted(self, pos):
+        skips.append(pos)
+        skip(self, pos)
+
+    monkeypatch.setattr(fileformat._Scanner, "skip", counted)
+    var_re = fileformat._term_patterns()[0]
+    raw = format_system(3, generate_lr_system(lie_n3()).polys).splitlines()[1:]
+    lines = [OPEN_TERMS * 3 + "1", SPACED_TERMS * 3 + "1"]
+    lines += [line.replace(" * ", "*").replace(" - ", "-") for line in raw]
+    lines += [line.replace(" * ", " \t* ").replace(" - ", "  -  ") for line in raw]
+    for line in lines:
+        skips.clear()
+        fileformat._parse_poly_line(line, 1, 3, var_re, {})
+        assert len(skips) == 1 + len(token.findall(line)), line
+
+
 @st.composite
 def extensions(draw):
     """A random abelian extension, or a datum with arbitrary phi and

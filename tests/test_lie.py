@@ -34,12 +34,19 @@ from lralg.lie import (
     lie_from_table,
     lower_central_series,
     quotient_by_ideal,
-    second_derived_is_zero,
     upper_central_series,
 )
 from lralg.lie import _residual_matrix, _run_series
 from lralg.linalg import Matrix, Subspace, nullspace, unit_vector, vec_add, vec_scale
 
+
+def second_derived_is_zero(g: LieAlgebra) -> bool:
+    """[[g, g], [g, g]] = 0 by two brackets of subspaces: the oracle of
+    the derived series' two-step test."""
+    full = Subspace.full(g.dim)
+    d1 = bracket_subspaces(g, full, full)
+    d2 = bracket_subspaces(g, d1, d1)
+    return d2.dim == 0
 
 def e(dim, k, c=1):
     return tuple(QQ(c) if t == k - 1 else QQ(0) for t in range(dim))

@@ -18,15 +18,13 @@ from lralg.linalg import (
     kernel,
     matrix_is_nilpotent,
     nullspace,
-    pivot_columns,
     qq,
     rref,
-    subspace_intersection,
-    subspace_sum,
     unit_vector,
     vec_add,
     vec_scale,
     vector,
+    zero_vector,
 )
 from lralg.poly import Polynomial
 
@@ -34,6 +32,39 @@ rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
 )
 
+
+# Subspace helpers with no caller in the package, kept as test oracles.
+
+
+def pivot_columns(reduced: Matrix) -> tuple[int, ...]:
+    """Pivot column indices of a matrix already in RREF."""
+    pivots = []
+    for row in reduced.entries:
+        for j, x in enumerate(row):
+            if x != 0:
+                pivots.append(j)
+                break
+    return tuple(pivots)
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    return Subspace.from_sparse(a.ambient_dim, a.rows + b.rows)
+
+
+def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
+    """Intersection via the kernel of the stacked coefficient problem."""
+    if a.dim == 0 or b.dim == 0:
+        return Subspace.zero(a.ambient_dim)
+    # columns: coefficients on a-basis then b-basis; rows: ambient coordinates
+    cols = [v for v in a.basis_vectors()] + [vec_scale(-1, v) for v in b.basis_vectors()]
+    ker = nullspace(Matrix.from_columns(cols))
+    vecs = []
+    for coeff in ker.basis_vectors():
+        v = zero_vector(a.ambient_dim)
+        for c, bv in zip(coeff[: a.dim], a.basis_vectors()):
+            v = vec_add(v, vec_scale(c, bv))
+        vecs.append(v)
+    return Subspace.from_vectors(a.ambient_dim, vecs)
 
 def random_matrix(rng, rows, cols, span=6):
     return Matrix(

@@ -13,27 +13,24 @@ from functools import cmp_to_key
 from heapq import heappop
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lralg.catalog import counterexample_g13
 from lralg.constraints import generate_lr_system
+from lralg import poly
 from lralg.poly import (
     MissingAssignment,
     PolyError,
     Polynomial,
     groebner_basis,
     mono_degree,
-    mono_div,
-    mono_divides,
-    mono_lcm,
     mono_key,
-    mono_mask,
     mono_mul,
     reduce_full,
     s_polynomial,
 )
-from lralg.poly import _heap_key as heap_key
+from lralg.poly import _Packing as Packing
 from lralg.poly import _update_pairs as update_pairs
 
 x, y, z = (Polynomial.variable(v) for v in (0, 1, 2))
@@ -42,6 +39,43 @@ one = Polynomial.constant(1)
 
 def mono(*pairs):
     return tuple(sorted(pairs))
+
+
+# Tuple-monomial operations, the oracles of the engine's packed ones.
+
+
+def mono_divides(a, b) -> bool:
+    """Does a divide b?"""
+    db = dict(b)
+    return all(db.get(v, 0) >= e for v, e in a)
+
+
+def mono_div(a, b):
+    """a / b; caller guarantees divisibility."""
+    out = dict(a)
+    for v, e in b:
+        r = out[v] - e
+        if r:
+            out[v] = r
+        else:
+            del out[v]
+    return tuple(sorted(out.items()))
+
+
+def mono_lcm(a, b):
+    out = dict(a)
+    for v, e in b:
+        if out.get(v, 0) < e:
+            out[v] = e
+    return tuple(sorted(out.items()))
+
+
+def mono_mask(m) -> int:
+    """Bit v is set for each variable v of m."""
+    mask = 0
+    for v, _ in m:
+        mask |= 1 << v
+    return mask
 
 
 def mono_compare(a, b) -> int:
@@ -140,7 +174,117 @@ def test_native_keys_match_the_pairwise_order(a, b):
     want = oracle_compare(a, b)
     assert sign(mono_key(a), mono_key(b)) == want
     assert mono_compare(a, b) == want
-    assert sign(heap_key(a), heap_key(b)) == -want
+
+
+@st.composite
+def limit_monomials(draw):
+    """Monomials in variables 0-5 of degree below 128, the guard bit of
+    8-bit fields, so that one exponent may sit at the field's limit."""
+    room, m = draw(st.integers(0, 127)), {}
+    for v in draw(st.lists(st.integers(0, 5), unique=True, max_size=6)):
+        e = draw(st.integers(0, room))
+        if e:
+            m[v], room = e, room - e
+    return tuple(sorted(m.items()))
+
+
+@settings(max_examples=500, deadline=None)
+@given(limit_monomials(), limit_monomials())
+@example(((0, 127),), ((5, 127),))
+@example(((5, 127),), ((0, 1), (5, 126)))
+@example(((0, 64), (5, 63)), ((0, 63), (5, 64)))
+@example(((2, 127),), ((2, 127),))
+@example((), ((3, 127),))
+def test_packed_monomials_agree_with_tuples(a, b):
+    packing = Packing(range(6), 127)
+    assert packing.width == 8
+    pa, pb = packing.pack(a), packing.pack(b)
+    assert packing.unpack(pa) == a
+    # the order, compared as ints, is mono_key's
+    assert sign(pa, pb) == sign(mono_key(a), mono_key(b))
+    assert pa + pb == packing.pack(mono_mul(a, b))
+    assert packing.divides(pa, pb) == mono_divides(a, b)
+    if mono_divides(a, b):
+        assert pb - pa == packing.pack(mono_div(b, a))
+    assert packing.lcm(pa, pb) == packing.pack(mono_lcm(a, b))
+    assert pa >> packing.shift == mono_degree(a)
+    ma, mb = packing.mask(pa), packing.mask(pb)
+    assert (ma == mb) == (mono_mask(a) == mono_mask(b))
+    assert (ma & mb == 0) == (mono_mask(a) & mono_mask(b) == 0)
+    assert (ma & ~mb == 0) == (mono_mask(a) & ~mono_mask(b) == 0)
+
+
+def packing_widths(wider=0):
+    """A _Packing that records each width it runs at, and with wider
+    given, starts at that width."""
+    widths = []
+
+    class Recorded(Packing):
+        def __init__(self, variables, degree, width=8):
+            super().__init__(variables, degree, max(width, wider))
+            widths.append(self.width)
+
+    return Recorded, widths
+
+
+def certify_run(polys, wider=0):
+    """groebner_basis under a basis-size cap, with its trace, and the
+    field widths it ran at.  The runs take milliseconds; the time budget
+    only stops one that has gone wrong."""
+    recorded, widths = packing_widths(wider)
+    trace = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_Packing", recorded)
+        r = groebner_basis(polys, max_basis_size=12, time_budget=10.0, trace=trace)
+    stats = {k: v for k, v in r.stats.items() if k != "elapsed"}
+    return (r.status, r.basis, stats, trace), widths
+
+
+@st.composite
+def widening_systems(draw):
+    """Two or three binomials in x0, x1, x2 of degree 60 to 127 whose
+    leading monomials share x0, so that an S-pair's lcm may reach 128,
+    the guard bit of 8-bit fields."""
+    polys = []
+    for k in range(draw(st.integers(2, 3))):
+        d = draw(st.integers(60, 127))
+        a = draw(st.integers(1, d))
+        lead = Polynomial({((0, a), (1 + k % 2, d - a)) if d > a else ((0, a),): QQ(1)})
+        v = draw(st.integers(0, 2))
+        tail = Polynomial({((v, draw(st.integers(0, 3))),) if v else (): QQ(1)})
+        polys.append(lead + tail.scale(draw(st.sampled_from([-2, -1, 1, 3]))))
+    return polys
+
+
+@settings(max_examples=150, deadline=None)
+@given(widening_systems())
+def test_widening_restart_matches_a_wide_run(polys):
+    narrow, widths = certify_run(polys)
+    wide, wide_widths = certify_run(polys, wider=64)
+    assert wide_widths == [64]
+    assert widths[0] == 8 and all(b == 2 * a for a, b in zip(widths, widths[1:]))
+    assert narrow == wide
+
+
+def test_an_lcm_at_the_guard_bit_restarts_the_run():
+    # x0^100 * x1 and x0 * x1^100 have degree 101, below the 128 of
+    # 8-bit fields; their lcm x0^100 * x1^100 has degree 200.  The pair
+    # of x3 * x4 - 1 and x3 * x5 - 1, of degree 3, is taken before it,
+    # so the first run has traced and counted a pair when it stops.
+    v = [Polynomial.variable(k) for k in range(6)]
+    polys = [
+        Polynomial({((0, 100), (1, 1)): QQ(1), ((2, 1),): QQ(-1)}),
+        Polynomial({((0, 1), (1, 100)): QQ(1), ((2, 1),): QQ(-2)}),
+        v[3] * v[4] - one,
+        v[3] * v[5] - one,
+    ]
+    narrow, widths = certify_run(polys)
+    assert widths == [8, 16]
+    assert narrow == certify_run(polys, wider=16)[0]
+    status, basis, stats, trace = narrow
+    assert status == "complete" and stats["pairs_processed"] >= 2
+    pairs = [event[1:3] for event in trace]
+    assert pairs[0] == (2, 3) and (0, 1) in pairs
 
 
 def test_order_is_multiplicative():
@@ -501,12 +645,14 @@ def test_time_budget_covers_input_preparation():
 
 
 def test_pair_update_stops_at_its_deadline():
-    lms = [((v, 1), (v + 1, 1)) for v in range(200)]
-    masks = [mono_mask(m) for m in lms]
+    packing = Packing(range(201), 2)
+    lms = [packing.pack(((v, 1), (v + 1, 1))) for v in range(200)]
+    masks = [packing.mask(m) for m in lms]
 
     def update(deadline):
         pairs, queue = {}, []
-        return update_pairs(pairs, queue, lms, masks, 199, deadline), pairs, queue
+        done = update_pairs(pairs, queue, lms, masks, 199, deadline, packing)
+        return done, pairs, queue
 
     full = update(None)
     assert full[0] and full[1]
@@ -569,16 +715,20 @@ pair_monomials = st.lists(
 def test_pair_update_matches_the_rebuilding_oracle(pool, steps):
     """Each step adds a leading monomial from a small pool, so that some
     repeat, and then takes up to three pending pairs the way the engine
-    does: the queue must give the pair of least (degree, i, j)."""
-    lms, masks = [], []
+    does: the queue must give the pair of least (degree, i, j).  The
+    engine runs on the packed pool, the oracle on its tuples."""
+    packing = Packing(range(6), 9)
+    lms, masks, packed, packed_masks = [], [], [], []
     pairs, queue, want = {}, [], {}
     for pick, takes in steps:
         lms.append(pool[pick % len(pool)])
         masks.append(mono_mask(lms[-1]))
+        packed.append(packing.pack(lms[-1]))
+        packed_masks.append(packing.mask(packed[-1]))
         t = len(lms) - 1
         want = oracle_update_pairs(want, lms, masks, t, None)
-        assert update_pairs(pairs, queue, lms, masks, t, None)
-        assert pairs == {ij: l for ij, (_, l) in want.items()}
+        assert update_pairs(pairs, queue, packed, packed_masks, t, None, packing)
+        assert pairs == {ij: packing.pack(l) for ij, (_, l) in want.items()}
         assert {(i, j) for _, i, j in queue} >= set(pairs)
         for _ in range(min(takes, len(want))):
             ij = min(want, key=lambda ij: (want[ij][0], ij))
@@ -587,7 +737,7 @@ def test_pair_update_matches_the_rebuilding_oracle(pool, steps):
             while (i, j) not in pairs:
                 d, i, j = heappop(queue)
             assert (i, j) == ij
-            assert mono_degree(pairs.pop(ij)) == d
+            assert mono_degree(packing.unpack(pairs.pop(ij))) == d
 
 
 def power(v, e):
