@@ -360,21 +360,21 @@ def _cmd_constraints(args) -> int:
         payload["eliminated"] = red.eliminated_count
         payload["contradiction"] = red.contradiction
         polys = red.residual
-    body = format_system(g.dim, polys)
-    payload["polys"] = body.splitlines()[1:]
-    text = "\n".join(header) + "\n" + body
+    # the header and the body are written one after the other, and the
+    # body's lines listed only for --json, so the raw g13 body (19 MB)
+    # is held once
+    head, body = "\n".join(header) + "\n", format_system(g.dim, polys)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if not args.json:
-            print(f"wrote {args.output}")
-        else:
-            _emit_json(payload)
-        return 0
+            fh.write(head)
+            fh.write(body)
+    elif not args.json:
+        print(head, body, sep="", end="")
     if args.json:
+        payload["polys"] = body.splitlines()[1:]
         _emit_json(payload)
-    else:
-        print(text, end="")
+    elif args.output:
+        print(f"wrote {args.output}")
     return 0
 
 

@@ -23,9 +23,11 @@ Polynomial system files:
 One polynomial per line over the product unknowns x[i][j][k] (the
 coefficient of e_j in e_i . e_k, all indices 1-based), written largest
 term first in the graded order.  The dimension is at most 64.  Files
-are written in one canonical spacing, which is read fastest; any other
-line is read by the same scanner as algebra and extension entries, so
-every spacing the grammar allows is read, with the same errors.
+are written in one canonical spacing, which is read fastest: the line
+is split into tokens, and each distinct sign, coefficient and factor
+is checked once per file, as it is first seen.  Any other line is read
+by the same scanner as algebra and extension entries, so every spacing
+the grammar allows is read, with the same errors.
 
 Extension files:
 
@@ -389,43 +391,30 @@ def format_algebra(
 # polynomial system files
 
 
-# The canonical spacing, as format_system writes it: terms joined by
-# ' + ' or ' - ' with a leading '-' on the first, a coefficient p or p/q
-# then ' * ', and at most two factors joined by ' * '.
-_CANON_COEFF = r"[0-9]+(?:/[0-9]+)?"
-_CANON_FACTOR = r"x\[[0-9]+\]\[[0-9]+\]\[[0-9]+\](?:\^[0-9]+)?"
-_CANON_TERM = (
-    rf"(?:{_CANON_COEFF}"
-    rf"|(?:{_CANON_COEFF} \* )?{_CANON_FACTOR}(?: \* {_CANON_FACTOR})?)"
-)
-
-
 @cache
-def _term_patterns() -> tuple[re.Pattern, re.Pattern]:
-    """The variable pattern x[i][j][k] and the canonical line pattern,
+def _term_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    """The walk's variable pattern x[i][j][k], and the canonical reader's
+    coefficient p or p/q and factor x[i][j][k]^e in ASCII digits,
     compiled on the first system parse, so that importing lralg compiles
-    neither."""
+    none of them."""
     return (
         re.compile(r"x\[\s*(\d+)\s*\]\[\s*(\d+)\s*\]\[\s*(\d+)\s*\]"),
-        re.compile(rf"-?{_CANON_TERM}(?: [-+] {_CANON_TERM})*"),
+        re.compile(r"[0-9]+(?:/[0-9]+)?"),
+        re.compile(r"x\[([0-9]+)\]\[([0-9]+)\]\[([0-9]+)\](?:\^([0-9]+))?"),
     )
 
 
-_ONE, _MINUS_ONE = QQ(1), QQ(-1)
-
-# A parse keeps one (variable, exponent) pair per distinct canonical
-# factor text, checked when it is first read.
-FactorCache = dict[str, tuple[int, int]]
+_ONE = QQ(1)
 
 
 def _parse_poly_line(
-    body: str, line_no: int, dim: int, var_re: re.Pattern, cache: FactorCache
+    body: str, line_no: int, dim: int, var_re: re.Pattern, cache: dict
 ) -> Polynomial:
     """Sum of terms [sign] (rational | factor) ([*] factor)..., read by
     the scanner of algebra and extension entries.  A factor is x[i][j][k]
-    with indices in 1..dim and an optional positive exponent ^e.  Each
-    variable text read is kept in the canonical reader's cache, as a
-    factor of exponent 1."""
+    with indices in 1..dim and an optional positive exponent ^e.  cache
+    maps each variable text read to its (variable, 1) pair, so that a
+    text repeated over the file is checked once."""
     sc = _Scanner(body, line_no)
 
     def factor(exps: dict[int, int]):
@@ -475,20 +464,21 @@ def _parse_poly_line(
 
 
 class _Unread(Exception):
-    """A line in the canonical spacing that the walk must read."""
+    """A token of a line that the canonical reader leaves to the walk."""
 
 
-def _head_value(head: str) -> QQ:
-    """The coefficient of a canonical term from its sign and written
-    coefficient: '-' is -1, '+3/4' is 3/4.  A zero coefficient or
+def _head_value(head: str | tuple[str, str]) -> QQ:
+    """The coefficient of a canonical term from its sign token alone or
+    with its written coefficient: '-' is -1, ('+', '3/4') is 3/4.  The
+    sign is checked to be '+' or '-' and the coefficient to be p or p/q,
+    since QQ() reads more ('1e3', ' 3', '3_0').  A zero coefficient or
     denominator is left to the walk, which drops the term or reports
     the error."""
-    if head == "+":
-        return _ONE
-    if head == "-":
-        return _MINUS_ONE
+    sign, text = (head, "1") if isinstance(head, str) else head
+    if sign not in ("+", "-") or _term_patterns()[1].fullmatch(text) is None:
+        raise _Unread
     try:
-        value = QQ(head)
+        value = QQ(sign + text)
     except ZeroDivisionError:
         raise _Unread from None
     if not value:
@@ -496,56 +486,61 @@ def _head_value(head: str) -> QQ:
     return value
 
 
-def _read_factor(text: str, dim: int, cache: FactorCache) -> tuple[int, int]:
-    """The pair of a canonical factor not yet in the cache; _Unread when
-    an index is outside 1..dim or the exponent is zero."""
-    i, j, k, *e = map(int, _DIGITS.findall(text))
-    exp = e[0] if e else 1
+def _read_factor(dim: int, text: str) -> tuple[int, int]:
+    """The (variable, exponent) pair of a factor text, from the groups of
+    the canonical factor pattern; _Unread when the text does not match
+    it, an index is outside 1..dim or the exponent is zero."""
+    m = _term_patterns()[2].fullmatch(text)
+    if m is None:
+        raise _Unread
+    i, j, k, exp = (int(g or 1) for g in m.groups())
     if not (0 < i <= dim and 0 < j <= dim and 0 < k <= dim and exp > 0):
         raise _Unread
-    pair = cache[text] = (x_index(dim, i - 1, j - 1, k - 1), exp)
-    return pair
+    return x_index(dim, i - 1, j - 1, k - 1), exp
 
 
-def _read_canonical(
-    body: str, dim: int, cache: FactorCache, heads: _Cache, line_re: re.Pattern
-) -> Polynomial | None:
-    """The polynomial of a line in the canonical spacing, read with one
-    match of the whole line and a split into its terms; None when the
-    line is not in that spacing, a check fails, a variable repeats in a
-    term or a monomial repeats in the line.  The walk then reads it, so
-    the language and every error stay the walk's.  heads maps a term's
-    sign and written coefficient to its value (a _Cache of _head_value)."""
-    if line_re.fullmatch(body) is None:
-        return None
-    # Once ' * ' is closed up, the blanks left are those around the
-    # signs, so the tokens alternate sign and term.
+def _read_canonical(body: str, factors: _Cache, heads: _Cache) -> Polynomial | None:
+    """The polynomial of a line in the canonical spacing, with ' * ' or
+    '*' between the parts of a term, read by splitting it into tokens
+    that alternate sign and term; None when that is not its shape (an
+    empty token, a sign with no term after it, more than two factors),
+    a check fails, a variable repeats in a term or a monomial repeats in
+    the line.  The walk then reads it, so the language and every error
+    stay the walk's.  Each distinct token is checked once, as it enters
+    its cache: heads maps a sign, or a sign and written coefficient, to
+    its value (a _Cache of _head_value), and factors a factor text to
+    its pair (a _Cache of _read_factor)."""
     tokens = body.replace(" * ", "*").split(" ")
     first = tokens[0]
-    tokens[:1] = ("-", first[1:]) if first[0] == "-" else ("+", first)
-    monos, coeffs = [], []
+    tokens[:1] = ("-", first[1:]) if first[:1] == "-" else ("+", first)
+    if "" in tokens:
+        return None
+    terms: dict = {}
     pairs = iter(tokens)
     try:
         for sign, term in zip(pairs, pairs):
-            factors = term.split("*")
-            coeffs.append(heads[sign if term[0] == "x" else sign + factors.pop(0)])
-            if not factors:
-                monos.append(MONO_ONE)
-                continue
-            f = factors[0]
-            a = cache.get(f) or _read_factor(f, dim, cache)
-            if len(factors) == 1:
-                monos.append((a,))
-                continue
-            f = factors[1]
-            b = cache.get(f) or _read_factor(f, dim, cache)
-            if a[0] == b[0]:
+            parts = term.split("*")
+            if term[0] == "x":
+                coeff = heads[sign]
+            else:
+                # only the first part may be a coefficient: a later
+                # one fails the factor check
+                coeff = heads[sign, parts.pop(0)]
+                if not parts:
+                    terms[MONO_ONE] = coeff
+                    continue
+            if len(parts) == 2:
+                a, b = factors[parts[0]], factors[parts[1]]
+                if a[0] == b[0]:
+                    return None
+                terms[(a, b) if a[0] < b[0] else (b, a)] = coeff
+            elif len(parts) == 1:
+                terms[(factors[parts[0]],)] = coeff
+            else:
                 return None
-            monos.append((a, b) if a[0] < b[0] else (b, a))
     except _Unread:
         return None
-    terms = dict(zip(monos, coeffs))
-    return Polynomial.wrap(terms) if len(terms) == len(monos) else None
+    return Polynomial.wrap(terms) if 2 * len(terms) == len(tokens) else None
 
 
 @dataclass
@@ -565,16 +560,19 @@ def parse_system_text(text: str) -> SystemFile:
 def _parse_system_lines(chunks: Iterable[str]) -> SystemFile:
     dim: int | None = None
     polys: list[Polynomial] = []
-    cache: FactorCache = {}
+    # the walk keeps its variable texts apart: they may hold blanks and
+    # non-ASCII digits, which the canonical reader checks for itself
+    cache: dict = {}
     heads = _Cache(_head_value)
-    var_re, line_re = _term_patterns()
+    var_re = _term_patterns()[0]
     for line_no, body in _content_lines(chunks):
         if _first_word(body) == "dim":
             dim = _size_line(body, line_no, "dim", dim, MAX_SYSTEM_DIM)
+            factors = _Cache(partial(_read_factor, dim))
         elif dim is None:
             raise ParseError(line_no, 1, "dim must come before polynomials")
         else:
-            p = _read_canonical(body, dim, cache, heads, line_re)
+            p = _read_canonical(body, factors, heads)
             if p is None:
                 p = _parse_poly_line(body, line_no, dim, var_re, cache)
             polys.append(p)
@@ -586,12 +584,13 @@ def _parse_system_lines(chunks: Iterable[str]) -> SystemFile:
 def parse_system_file(path) -> SystemFile:
     """Reads the file a line at a time, so neither its whole text nor a
     list of its lines is held beside the polynomials, with the cyclic
-    collector paused.  A line in the canonical spacing is read with one
-    match of the whole line; any other line, and any line on which a
-    check fails, by the scanner walk, which gives every error its line
-    and column.  A file that fails is read again whole, so it fails
-    as its text does: a decoding error anywhere in it comes before a
-    parse error, at its byte offset."""
+    collector paused.  A line in the canonical spacing is split into its
+    tokens, each distinct token checked once over the file; any other
+    line, and any line on which a check fails, is read by the scanner
+    walk, which gives every error its line and column.  A file that
+    fails is read again whole, so it fails as its text does: a decoding
+    error anywhere in it comes before a parse error, at its byte
+    offset."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return _parse_system_lines(fh)

@@ -15,7 +15,13 @@ import pytest
 
 from lralg.catalog import catalog_entry, catalog_list, sample_params
 from lralg.cli import main
-from lralg.fileformat import parse_algebra_text, format_algebra
+from lralg.constraints import generate_lr_system, structural_reduce
+from lralg.fileformat import (
+    format_algebra,
+    format_system,
+    parse_algebra_file,
+    parse_algebra_text,
+)
 from test_fileformat import run_lralg_briefly
 
 
@@ -531,6 +537,44 @@ def test_constraints_reduce_flags_contradiction(tmp_path, capsys):
     assert len(marker) == 1
     eliminated = int(marker[0].split()[2])
     assert eliminated > 1000
+
+
+@pytest.mark.parametrize("reduce", [False, True], ids=["raw", "reduced"])
+def test_constraints_output_is_the_header_then_format_system(tmp_path, capsys, reduce):
+    """stdout and the -o file hold the same text, the comment header and
+    then format_system of the raw or reduced n4 system, and --json lists
+    that text's polynomial lines, with -o or without."""
+    path = dump_to(tmp_path, capsys, "n4.alg", "n4/A2")
+    g = parse_algebra_file(path).to_lie()
+    system = generate_lr_system(g)
+    header = [
+        "# product constraints for n4_A2",
+        f"# {system.nvars} variables, {len(system.polys)} generated constraints",
+    ]
+    flags, polys = [], system.polys
+    if reduce:
+        red = structural_reduce(system)
+        assert not red.contradiction
+        header.append(
+            f"# reduced: {red.eliminated_count} variables eliminated,"
+            f" {len(red.residual)} residual constraints"
+        )
+        flags, polys = ["--reduce"], red.residual
+    body = format_system(g.dim, polys)
+    text = "\n".join(header) + "\n" + body
+
+    assert run(capsys, "constraints", path, *flags) == (0, text, "")
+    out_file = tmp_path / "n4.sys"
+    code, out, err = run(capsys, "constraints", path, *flags, "-o", str(out_file))
+    assert (code, out) == (0, f"wrote {out_file}\n")
+    assert out_file.read_bytes() == text.encode()
+    listed = body.splitlines()[1:]
+    code, out, err = run(capsys, "constraints", path, *flags, "--json")
+    assert (code, json.loads(out)["polys"]) == (0, listed)
+    out_file.unlink()
+    code, out, err = run(capsys, "constraints", path, *flags, "-o", str(out_file), "--json")
+    assert (code, json.loads(out)["polys"]) == (0, listed)
+    assert out_file.read_bytes() == text.encode()
 
 
 def test_solve_inconsistent_toy(tmp_path, capsys):

@@ -389,13 +389,22 @@ def run_lralg_briefly(*args) -> subprocess.CompletedProcess:
 
 
 def test_import_compiles_no_system_line_pattern():
-    """The system-line patterns are compiled on the first system parse,
-    so importing lralg stays cheap for runs that read no system file."""
+    """The system-line patterns (the walk's variable, the canonical
+    reader's coefficient and factor) are compiled on the first system
+    parse, so importing lralg stays cheap for runs that read no system
+    file."""
     code = (
         "import lralg\n"
-        "assert lralg.fileformat._term_patterns.cache_info().currsize == 0\n"
+        "ff = lralg.fileformat\n"
+        "assert ff._term_patterns.cache_info().currsize == 0\n"
         "lralg.parse_system_text('dim 1\\nx[1][1][1]\\n')\n"
-        "assert lralg.fileformat._term_patterns.cache_info().currsize == 1\n"
+        "assert ff._term_patterns.cache_info().currsize == 1\n"
+        "var, coeff, factor = ff._term_patterns()\n"
+        "assert var.match('x[ 1 ][2][3]').groups() == ('1', '2', '3')\n"
+        "assert coeff.fullmatch('3/4') and coeff.fullmatch('12')\n"
+        "assert not any(map(coeff.fullmatch, ['1e3', '1.5', '3_0', ' 3', '\\u0663']))\n"
+        "assert factor.fullmatch('x[1][2][3]^2').groups() == ('1', '2', '3', '2')\n"
+        "assert not factor.fullmatch('x[ 1 ][2][3]')\n"
     )
     done = run_python("-c", code, timeout=30)
     assert done.returncode == 0, done.stderr
@@ -501,9 +510,10 @@ def test_raw_systems_parse_back(lie):
 def test_written_systems_take_the_canonical_reader(monkeypatch):
     """Every line format_system writes for the raw and reduced systems of
     r2, n3, n4 and n3+line, and for the reduced g13 system, is read by
-    the canonical reader: with the scanner walk made to fail, each system
-    still parses back.  A writer change that sent lines to the walk would
-    slow the raw g13 read without changing any result."""
+    the canonical reader, as written and with every ' * ' closed up to
+    '*': with the scanner walk made to fail, each system still parses
+    back.  A writer change that sent lines to the walk would slow the
+    raw g13 read without changing any result."""
     systems = []
     for lie in (lie_r2, lie_n3, lie_n4, lie_n3_plus_line):
         g = lie()
@@ -517,7 +527,10 @@ def test_written_systems_take_the_canonical_reader(monkeypatch):
 
     monkeypatch.setattr(fileformat, "_parse_poly_line", walk)
     for dim, polys in systems:
-        assert parse_system_text(format_system(dim, polys)).polys == polys
+        text = format_system(dim, polys)
+        assert parse_system_text(text).polys == polys
+        # the closed-up factor form is read by the same reader
+        assert parse_system_text(text.replace(" * ", "*")).polys == polys
 
 
 def oracle_to_string(p: Polynomial, namer) -> str:
@@ -788,6 +801,14 @@ def mutated_lines(draw):
     return line
 
 
+def outcome(parse):
+    """What parse() returns, or the line, column and message it raises."""
+    try:
+        return parse()
+    except ParseError as err:
+        return (err.line, err.column, str(err))
+
+
 @settings(max_examples=1500, deadline=None)
 @given(mutated_lines(), st.sampled_from([2, 3, 13]))
 @example("x[1][1][1] - 3 / 0 * x[1][2][1]", 2)
@@ -810,13 +831,16 @@ def mutated_lines(draw):
 @example("x[1][1][1] * x[1][1][1]", 2)
 @example("x[1][1][1] - x[1][1][1]", 2)
 @example("x[1][1][1] - 0 * x[1][2][1]", 2)
+# lines whose tokens split like a canonical line's, read otherwise by the walk
+@example("*x[2][7][4] - x[4][7][2]", 13)
+@example("x[1][2][3] -  * x[3][2][1]", 13)
+@example("x[2][12][3]  - - x[3][12][2]", 13)
+# coefficient texts that QQ() reads and the walk does not
+@example("1e3 * x[1][1][1]", 2)
+@example("1.5", 2)
+@example("3_0 * x[1][1][1]", 2)
+@example(" 3", 2)
 def test_term_pattern_agrees_with_the_scanner(line, dim):
-    def outcome(parse):
-        try:
-            return parse()
-        except ParseError as err:
-            return (err.line, err.column, str(err))
-
     got = outcome(lambda: parse_system_text(f"dim {dim}\n{line}\n").polys)
     try:
         want = outcome(lambda: [oracle_poly_line(line, 2, dim)] if line.strip() else [])
@@ -826,6 +850,58 @@ def test_term_pattern_agrees_with_the_scanner(line, dim):
         # a position instead
         assert "\u00b2" in line and isinstance(got, tuple)
         return
+    assert got == want
+
+
+# What a mutation of a written line inserts or deletes: the blanks, the
+# signs and operators, the ASCII digits, and a digit that int() reads.
+SYSTEM_MUTATION_CHARS = " \t+-*^0123456789\u0663"
+
+
+@st.composite
+def mutated_systems(draw):
+    """(dim, lines) of a system file: random polynomials as format_system
+    writes them, with ' * ' closed up or not, after one to three
+    insertions or deletions of SYSTEM_MUTATION_CHARS on one line.
+    Coefficients are 1, -1 and p/q, terms have up to three factors with
+    exponents up to 3, and constants occur."""
+    n = draw(st.integers(2, 4))
+    mono = st.dictionaries(st.integers(0, n**3 - 1), st.integers(1, 3), max_size=3)
+    mono = mono.map(lambda m: tuple(sorted(m.items())))
+    poly = st.dictionaries(mono, COEFFS, max_size=4).map(Polynomial)
+    text = format_system(n, draw(st.lists(poly, min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        text = text.replace(" * ", "*")
+    lines = text.splitlines()
+    at = draw(st.integers(1, len(lines) - 1))
+    line = lines[at]
+    for _ in range(draw(st.integers(1, 3))):
+        ours = [i for i, ch in enumerate(line) if ch in SYSTEM_MUTATION_CHARS]
+        if ours and draw(st.booleans()):
+            i = draw(st.sampled_from(ours))
+            line = line[:i] + line[i + 1 :]
+        else:
+            i = draw(st.integers(0, len(line)))
+            line = line[:i] + draw(st.sampled_from(SYSTEM_MUTATION_CHARS)) + line[i:]
+    lines[at] = line
+    return n, lines
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_systems())
+def test_mutated_written_systems_read_as_the_walk_does(case):
+    """The canonical reader returns a polynomial only where the walk
+    returns the same one; on any other line the walk's polynomial or its
+    error comes out."""
+    dim, lines = case
+    got = outcome(lambda: parse_system_text("\n".join(lines) + "\n").polys)
+    want = outcome(
+        lambda: [
+            oracle_poly_line(line, line_no, dim)
+            for line_no, line in enumerate(lines[1:], start=2)
+            if line.strip()
+        ]
+    )
     assert got == want
 
 
