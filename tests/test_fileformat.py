@@ -860,16 +860,13 @@ SYSTEM_MUTATION_CHARS = " \t+-*^0123456789\u0663"
 
 @st.composite
 def mutated_systems(draw):
-    """(dim, lines) of a system file: random polynomials as format_system
-    writes them, with ' * ' closed up or not, after one to three
-    insertions or deletions of SYSTEM_MUTATION_CHARS on one line.
-    Coefficients are 1, -1 and p/q, terms have up to three factors with
-    exponents up to 3, and constants occur."""
-    n = draw(st.integers(2, 4))
-    mono = st.dictionaries(st.integers(0, n**3 - 1), st.integers(1, 3), max_size=3)
-    mono = mono.map(lambda m: tuple(sorted(m.items())))
-    poly = st.dictionaries(mono, COEFFS, max_size=4).map(Polynomial)
-    text = format_system(n, draw(st.lists(poly, min_size=1, max_size=3)))
+    """(dim, lines) of a system file: a nonempty written_systems() case
+    (coefficients 1, -1 and p/q, up to three factors with exponents,
+    constants) as format_system writes it, with ' * ' closed up or not,
+    after one to three insertions or deletions of SYSTEM_MUTATION_CHARS
+    on one polynomial line."""
+    n, polys = draw(written_systems().filter(lambda case: case[1]))
+    text = format_system(n, polys)
     if draw(st.booleans()):
         text = text.replace(" * ", "*")
     lines = text.splitlines()
