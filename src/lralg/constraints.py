@@ -40,7 +40,15 @@ stay alive and form no reference cycles, so the full collections their
 allocations trigger walk the whole growing system and free nothing; on
 g13 they took about a quarter of the two stages' wall time.  Reference
 counting still frees everything they drop, and the collector's state is
-restored on return.
+restored on return.  What they leave alive then goes straight to the
+oldest generation, unless the caller has frozen objects: the young
+sweep that would walk it on return frees nothing either, and on g13 it
+made up about a quarter of the two stages' wall time.
+
+The linear rows of a round reach the eliminator as ints wherever their
+values are integral, sorted, and each distinct row once: on g13, 20,066
+of the 31,735 round-1 rows repeat the row before them, and a repeat
+only reduces to zero.
 """
 
 import gc
@@ -132,13 +140,24 @@ class ConstraintSystem:
 @contextmanager
 def _gc_paused():
     """Run the body with the cyclic garbage collector off, then restore
-    the collector's previous state, also when the body raises."""
+    the collector's previous state, also when the body raises.
+
+    When the collector was on and the caller has frozen nothing, the
+    objects the body left alive go straight to the oldest generation
+    (gc.freeze then gc.unfreeze, two list splices): the young sweep that
+    would otherwise walk them on return frees nothing, since they form
+    no cycles.  The next full collection walks them once, as it would
+    have.  Objects the caller froze stay frozen: with a nonzero freeze
+    count the generations are left alone."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
         if was_enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 
@@ -365,14 +384,16 @@ def _identity_rows(g: LieAlgebra) -> list[tuple[str, Polynomial]]:
 
 
 def _linear_parts(p: Polynomial):
-    """(coeffs, const) when p has degree <= 1, else None."""
+    """(coeffs, const) when p has degree <= 1, else None.  Each value is
+    an int where it is integral and a Fraction elsewhere (linalg._scalar),
+    the form Eliminator.add works in."""
     coeffs = {}
-    const = QQ(0)
+    const = 0
     for m, c in p.terms.items():
         if m == ():
-            const = c
+            const = _scalar(c)
         elif len(m) == 1 and m[0][1] == 1:
-            coeffs[m[0][0]] = c
+            coeffs[m[0][0]] = _scalar(c)
         else:
             return None
     return coeffs, const
@@ -421,7 +442,8 @@ def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
     the generic product.  Each holds in every LR-algebra, so the reduced
     system has exactly the same solution set as the generated one.
 
-    Each round feeds the pending linear rows to one Eliminator, then
+    Each round feeds the pending linear rows to one Eliminator, sorted
+    and each distinct row once (a repeat reduces to zero), then
     substitutes its affine forms into the nonlinear constraints with
     Polynomial.substitute; the results of degree at most 1 are the next
     round's rows.  ``eliminated`` maps each eliminated variable to its
@@ -449,10 +471,14 @@ def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
         rounds += 1
         # length, then the sorted (variable, coefficient) pairs, laid flat
         pending.sort(key=lambda rc: (len(rc[0]), *chain(*sorted(rc[0].items()))))
-        for coeffs, const in pending:
-            elim.add(coeffs, const)
-            if elim.contradiction:
-                break
+        # equal rows are adjacent now, and a repeat reduces to zero
+        last = None
+        for row in pending:
+            if row != last:
+                last = row
+                elim.add(*row)
+                if elim.contradiction:
+                    break
         pending = []
         eliminated = {
             v: Polynomial.linear(ec, ek) for v, (ec, ek) in elim.finalize().items()

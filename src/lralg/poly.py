@@ -684,10 +684,18 @@ def groebner_basis(
     pairs and 1024 reduced terms, and before each insertion, S-pair and
     interreduction step.  A run stopped while making inputs monic returns
     those made so far; one stopped while inserting them returns them all.
-    A NaN time budget, which no clock passes, raises ValueError.
+    A NaN time budget, which no clock passes, and a negative budget of
+    any kind raise ValueError; a budget of zero is allowed.
     """
     if time_budget is not None and math.isnan(time_budget):
         raise ValueError("time budget is NaN")
+    for name, budget in (
+        ("time budget", time_budget),
+        ("basis size cap", max_basis_size),
+        ("degree cap", max_degree),
+    ):
+        if budget is not None and budget < 0:
+            raise ValueError(f"{name} is negative: {budget}")
     t0 = time.monotonic()
     deadline = None if time_budget is None else t0 + time_budget
     stats = {"pairs_processed": 0, "zero_reductions": 0, "max_degree_seen": 0}

@@ -643,6 +643,22 @@ def test_solve_refuses_a_nan_time_budget(tmp_path, capsys):
     assert err == "error: time budget is NaN\n"
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--time-budget", "time budget is negative: -1.0"),
+        ("--max-basis", "basis size cap is negative: -1"),
+        ("--max-degree", "degree cap is negative: -1"),
+    ],
+)
+def test_solve_refuses_a_negative_budget(tmp_path, capsys, flag, message):
+    path = tmp_path / "s.txt"
+    path.write_text("dim 1\nx[1][1][1]^2 - 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "solve", str(path), flag, "-1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # iso
 

@@ -42,7 +42,7 @@ from lralg.constraints import (
     structural_reduce,
 )
 from lralg import constraints
-from lralg.constraints import _identity_rows, x_index
+from lralg.constraints import _identity_rows, _linear_parts, x_index
 from lralg.constructions import free3_lie, free3_lr, free4_two_gen_lie, free_two_step_lie
 from lralg.extensions import extension_lie_algebra, random_abelian_extension
 from lralg import fileformat
@@ -737,40 +737,63 @@ def test_pending_rows_are_taken_in_the_order_of_their_sorted_pairs():
     eliminated map depends on the order of the rows.  On a one-dimensional
     abelian algebra, which adds no identity rows, the rows of a system must
     be taken sorted by length and then by their sorted (variable,
-    coefficient) pairs, as a list."""
+    coefficient) pairs, as a list.  A round takes each distinct row once,
+    which is exact: the same system with some rows repeated, each copy
+    after its original, reduces to the same map and contradiction."""
     rng = random.Random(11)
     coefficient = [QQ(c, d) for c in (-2, -1, 1, 2) for d in (1, 2)]
-    contradictions = 0
+    contradictions = repeats = 0
     for _ in range(300):
         rows = []
         for _ in range(rng.randint(2, 7)):
             support = rng.sample(range(4), rng.randint(1, 3))
             coeffs = {v: rng.choice(coefficient) for v in support}
             rows.append((coeffs, QQ(rng.randint(-1, 1))))
-        system = ConstraintSystem(
-            abelian_lie(1),
-            [Polynomial.linear(coeffs, const) for coeffs, const in rows],
-            ["hand_built"] * len(rows),
-        )
-        red = structural_reduce(system)
+        repeated = list(rows)
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randrange(len(rows))
+            at = repeated.index(rows[k]) + 1
+            repeated.insert(rng.randint(at, len(repeated)), rows[k])
         elim = Eliminator()
-        rows.sort(key=lambda rc: (len(rc[0]), sorted(rc[0].items())))
-        for coeffs, const in rows:
+        for coeffs, const in sorted(rows, key=lambda rc: (len(rc[0]), sorted(rc[0].items()))):
             elim.add(coeffs, const)
             if elim.contradiction:
                 break
         want = {v: Polynomial.linear(ec, ek) for v, (ec, ek) in elim.finalize().items()}
-        assert red.contradiction is elim.contradiction
-        assert red.eliminated == want
+        for given in (rows, repeated):
+            system = ConstraintSystem(
+                abelian_lie(1),
+                [Polynomial.linear(coeffs, const) for coeffs, const in given],
+                ["hand_built"] * len(given),
+            )
+            red = structural_reduce(system)
+            assert red.contradiction is elim.contradiction
+            assert red.eliminated == want
         contradictions += elim.contradiction
+        repeats += len(repeated) - len(rows)
     assert contradictions > 100
+    assert repeats > 500
+
+
+@pytest.mark.parametrize("base", [lie_n3_half, lie_r3_two_thirds], ids=["n3_half", "r3_two_thirds"])
+def test_linear_parts_hold_integral_values_as_ints(base):
+    """The round-1 rows reach the Eliminator in its own form: an int for
+    each integral value, a Fraction for each other one."""
+    g = base()
+    polys = generate_lr_system(g).polys + [p for _, p in _identity_rows(g)]
+    rows = [lp for p in polys if (lp := _linear_parts(p)) is not None]
+    values = [c for coeffs, const in rows for c in (*coeffs.values(), const)]
+    assert all(type(c) is (int if c.denominator == 1 else QQ) for c in values)
+    assert {type(c) for c in values} == {int, QQ}
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
 def test_builders_pause_gc_and_restore_its_state(monkeypatch, tmp_path, enabled):
     """generate_lr_system, structural_reduce and the system parsers run
     with the cyclic collector off and leave it as they found it, also
-    when they raise."""
+    when they raise.  With the collector on, what they return is in the
+    oldest generation, unless the caller froze objects: those stay
+    frozen."""
     seen = []
 
     def probe_rows(g):
@@ -788,11 +811,15 @@ def test_builders_pause_gc_and_restore_its_state(monkeypatch, tmp_path, enabled)
         read.append(gc.isenabled())
         return read_canonical(*args)
 
-    was_enabled = gc.isenabled()
+    was_enabled, was_frozen = gc.isenabled(), gc.get_freeze_count()
     try:
         (gc.enable if enabled else gc.disable)()
         system = generate_lr_system(lie_n3())
         assert gc.isenabled() is enabled
+        if enabled:
+            oldest = {id(o) for o in gc.get_objects(2)}
+            young = {id(o) for o in gc.get_objects(0)}
+            assert all(id(p) in oldest and id(p) not in young for p in system.polys)
         text = format_system(3, system.polys)
         path, bad = tmp_path / "n3.sys", tmp_path / "bad.sys"
         path.write_text(text, encoding="utf-8")
@@ -818,8 +845,18 @@ def test_builders_pause_gc_and_restore_its_state(monkeypatch, tmp_path, enabled)
         with pytest.raises(RuntimeError, match="boom"):
             generate_lr_system(lie_n3())
         assert gc.isenabled() is enabled
+        # each builder has run once above, so none frees a frozen object now
+        monkeypatch.undo()
+        gc.freeze()
+        frozen = gc.get_freeze_count()
+        generate_lr_system(lie_n3())
+        structural_reduce(system)
+        parse_system_text(text)
+        assert gc.get_freeze_count() == frozen
     finally:
         (gc.enable if was_enabled else gc.disable)()
+        if not was_frozen:
+            gc.unfreeze()
     assert seen == [False, False, False]
     # every polynomial line of every parse is read with it off
     assert len(read) > 4 * len(system.polys) and not any(read)

@@ -440,7 +440,8 @@ def test_nilpotent_examples():
 class FractionEliminator:
     """The Eliminator as it was before it kept integral scalars as ints:
     every coefficient a Fraction, each pivot expression divided out in
-    Fractions.  The oracle for the int-scalar one."""
+    Fractions.  The oracle for the int-scalar one; rows given with int
+    scalars are read as Fractions."""
 
     def __init__(self):
         self.pivots = {}
@@ -450,7 +451,8 @@ class FractionEliminator:
     def add(self, coeffs, const):
         if self.contradiction:
             return
-        coeffs = dict(coeffs)
+        coeffs = {v: QQ(c) for v, c in coeffs.items()}
+        const = QQ(const)
         while True:
             hit = None
             for v in coeffs:

@@ -607,6 +607,26 @@ def test_nan_time_budget_is_refused():
         groebner_basis([x * y - one], time_budget=float("nan"))
 
 
+@pytest.mark.parametrize(
+    "key, negative, name, reason",
+    [
+        ("time_budget", -1.0, "time budget", "time"),
+        ("time_budget", float("-inf"), "time budget", "time"),
+        ("max_basis_size", -1, "basis size cap", "basis_size"),
+        ("max_degree", -1, "degree cap", "degree"),
+    ],
+    ids=["time", "time_-inf", "basis", "degree"],
+)
+def test_negative_budgets_are_refused(key, negative, name, reason):
+    # -1 reads as "no limit" to many tools, but as a budget it would
+    # exhaust every run at its first check; zero stays a valid budget
+    hard = [x + y + z, x * y + y * z + z * x, x * y * z - one]
+    with pytest.raises(ValueError, match=f"^{name} is negative"):
+        groebner_basis(hard, **{key: negative})
+    r = groebner_basis(hard, **{key: 0})
+    assert (r.status, r.stats["reason"]) == ("budget_exhausted", reason)
+
+
 def test_exhausted_basis_is_monic():
     # a stopped run returns the monic inputs and remainders found so far
     gens = [2 * x + y + z, 3 * x * y + y * z + z * x, x * y * z - one]

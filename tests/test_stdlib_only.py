@@ -29,3 +29,14 @@ def test_package_imports_only_stdlib_and_itself():
             if root != "lralg" and root not in sys.stdlib_module_names:
                 foreign.setdefault(path.name, []).append(root)
     assert foreign == {}
+
+
+def test_only_constraints_imports_gc():
+    """The collector policy lives in constraints._gc_paused; every other
+    module that builds large systems goes through it."""
+    importers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "gc" in imported_roots(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert importers == ["constraints.py"]
