@@ -35,26 +35,21 @@ engine and reports inconsistency, possible solvability, or budget
 exhaustion.
 
 Generation and structural reduction run with the cyclic garbage
-collector paused.  They allocate tens of thousands of term dicts that
-stay alive and form no reference cycles, so the full collections their
-allocations trigger walk the whole growing system and free nothing; on
-g13 they took about a quarter of the two stages' wall time.  Reference
-counting still frees everything they drop, and the collector's state is
-restored on return.  What they leave alive then goes straight to the
-oldest generation, unless the caller has frozen objects: the young
-sweep that would walk it on return frees nothing either, and on g13 it
-made up about a quarter of the two stages' wall time.
+collector paused (_gc_paused).  They allocate tens of thousands of term
+dicts that stay alive and form no reference cycles, so the collections
+their allocations trigger walk the growing system and free nothing; on
+g13 they took about a quarter of the two stages' wall time.
 
 The linear rows of a round reach the eliminator as ints wherever their
 values are integral, sorted, and each distinct row once: on g13, 20,066
 of the 31,735 round-1 rows repeat the row before them, and a repeat
-only reduces to zero.
+only reduces to zero.  The identity rows are built in that form.
 """
 
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, permutations, product as iproduct
 from typing import Mapping
 
@@ -64,7 +59,6 @@ from .lie import _sparsify, sparse_add, sparse_sub
 from .linalg import QQ, Eliminator, Matrix, Subspace, _scalar, qq
 from .lr import (
     LRAlgebra,
-    ad_product_residual,
     center_kills_derived_residual,
     compat_residual,
     derivation_residual,
@@ -176,10 +170,9 @@ def _ints(v: SparseVec) -> SparseVec:
     return {k: _scalar(v[k]) for k in sorted(v)}
 
 
-def _row(fractions: dict, c) -> Polynomial:
-    """c, a polynomial or a rational, with each coefficient replaced by
-    the one Fraction `fractions` keeps for its value."""
-    terms = c.terms if isinstance(c, Polynomial) else {(): c}
+def _row(fractions: dict, terms: dict) -> Polynomial:
+    """The polynomial of these terms, each coefficient replaced by the one
+    Fraction `fractions` keeps for its value."""
     get, put = fractions.get, fractions.setdefault
     return Polynomial.wrap({m: get(x) or put(x, QQ(x)) for m, x in terms.items()})
 
@@ -205,7 +198,7 @@ def generate_lr_system(g: LieAlgebra) -> ConstraintSystem:
     for i in range(n):
         for j in range(i + 1, n):
             res = compat_residual(table, brackets, i, j)
-            polys.extend(_row(fractions, res[k]) for k in sorted(res))
+            polys.extend(_row(fractions, res[k].terms) for k in sorted(res))
     tags = ["compatibility"] * len(polys)
 
     # entry (a, m) of the left and the right multiplication by e_i
@@ -292,52 +285,64 @@ STRUCTURAL_RULES = (
 )
 
 
-def _identity_rows(g: LieAlgebra) -> list[tuple[str, Polynomial]]:
-    """Tagged linear rows: the lemma suite's identities that are linear in
-    the product, evaluated on the generic product.
+def _identity_rows(g: LieAlgebra) -> list[tuple[str, tuple[dict, int]]]:
+    """Tagged linear rows, (coeffs, const) in _linear_parts' form: the
+    lemma suite's identities that are linear in the product, evaluated on
+    the generic product, one row per nonzero residual component.
 
-    Every residual component is then an affine form in the unknowns, and
-    each nonzero one becomes a row.  The identities run on int scalars
-    wherever a value is integral (basis vectors, unknowns, structure
-    constants); each row's coefficients then become the one Fraction
-    this call keeps for their value.
-    """
+    Entry (r, c) of L_s is x[s][r][c] and of R_s x[c][r][s], and both
+    sides evaluate to the same terms in the same order, so `swap` carries
+    a left row to its right one.  The derivation rows of L_i are those of
+    L_0 moved by i * n^2; a bracket-product row is summed term by term as
+    lr.ad_product_residual sums it, its constant [[e_i, e_j], e_b]_a
+    first.  A test holds every row to the residuals."""
     n = g.dim
+    nn = n * n
     prod = partial(bilinear_sparse, _generic_product(n))
     brackets = {key: _ints(v) for key, v in g.table.items()}
     brak = partial(bilinear_sparse, brackets)
     sides = (("left", prod), ("right", opposite(prod)))
     basis = [{i: 1} for i in range(n)]
-    rows: list[tuple[str, Polynomial]] = []
-    row = partial(_row, {})
+    rows: list[tuple[str, tuple[dict, int]]] = []
 
     def emit(tag: str, residual) -> None:
-        rows.extend((tag, row(residual[a])) for a in sorted(residual))
+        rows.extend((tag, _linear_parts(residual[a])) for a in sorted(residual))
 
+    def both(left: str, right: str, cells: list, sign: int) -> None:
+        rows.extend((left, cell) for cell in cells)
+        rows.extend((right, ({swap[v]: sign * c for v, c in r.items()}, k)) for r, k in cells)
+
+    swap = [x_index(n, c, r, s) for s in range(n) for r in range(n) for c in range(n)]
+    residuals = (derivation_residual(brak, prod, basis[0], basis[j], basis[k])
+                 for j in range(n) for k in range(j + 1, n))
+    derivations = [[_linear_parts(res[a])[0] for a in sorted(res)] for res in residuals]
     for i in range(n):
-        for j in range(n):
-            for k in range(j + 1, n):
-                for side, act in sides:
-                    emit(
-                        f"{side}_derivation",
-                        derivation_residual(brak, act, basis[i], basis[j], basis[k]),
-                    )
+        for block in derivations:
+            cells = [({i * nn + v: c for v, c in coeffs.items()}, 0) for coeffs in block]
+            both("left_derivation", "right_derivation", cells, 1)
 
+    # ad[i][a]: (p * n, [e_i, e_p]_a) if nonzero, p ascending; br[i][b]: [e_i, e_b]
+    ad = [[[(p * n, c) for p in range(n) if (c := brackets.get((i, p), {}).get(a))]
+           for a in range(n)] for i in range(n)]
+    br = [[brackets.get((i, b), {}).items() for b in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            for (side, act), sign in zip(sides, (1, -1)):
-                # rows run over matrix entries (a, b): column b is the
-                # residual at e_b, entry a its component
-                cols = [
-                    ad_product_residual(brak, act, sign, basis[i], basis[j], basis[b])
-                    for b in range(n)
-                ]
-                rows.extend(
-                    (f"bracket_product_rule_{side}", row(col[a]))
-                    for a in range(n)
-                    for col in cols
-                    if a in col
-                )
+            lhs = [brak(brak(basis[i], basis[j]), basis[b]) for b in range(n)]
+            # lhs - rhs on the left and lhs + rhs on the right, at entry (a, b)
+            # of rhs = [ad_i, L_j] + [L_i, ad_j]
+            cells = []
+            for a, b in iproduct(range(n), repeat=2):
+                row: dict = {}
+                for at, sign, terms in ((j * nn + b, -1, ad[i][a]), (j * nn + a * n, 1, br[i][b]),
+                                        (i * nn + a * n, -1, br[j][b]), (i * nn + b, 1, ad[j][a])):
+                    for v, c in terms:
+                        v += at
+                        row[v] = _scalar(row.get(v, 0) + sign * c)
+                        if not row[v]:
+                            del row[v]
+                if row or a in lhs[b]:
+                    cells.append((row, _scalar(lhs[b].get(a, 0))))
+            both("bracket_product_rule_left", "bracket_product_rule_right", cells, -1)
 
     lcs = lower_central_series(g)
     ucs = upper_central_series(g)
@@ -402,7 +407,7 @@ def _linear_parts(p: Polynomial):
 @dataclass
 class ReducedSystem:
     system: ConstraintSystem
-    added: list[tuple[str, Polynomial]]
+    identity_rows: list[tuple[str, tuple[dict, int]]]
     eliminated: dict[int, Polynomial]
     residual: list[Polynomial]
     contradiction: bool
@@ -415,10 +420,20 @@ class ReducedSystem:
     def forced_zero(self) -> list[int]:
         return sorted(v for v, e in self.eliminated.items() if e.is_zero())
 
+    @cached_property
+    def added(self) -> list[tuple[str, Polynomial]]:
+        """The identity rows as tagged polynomials, built when first read,
+        constant first and each value the one Fraction kept for it."""
+        row = partial(_row, {})
+        return [
+            (tag, row(({(): k} if k else {}) | {((v, 1),): c for v, c in r.items()}))
+            for tag, (r, k) in self.identity_rows
+        ]
+
     def free_variables(self) -> list[int]:
         used = self.system.used_variables()
-        for tag, p in self.added:
-            used |= p.variables()
+        for _, (coeffs, _) in self.identity_rows:
+            used.update(coeffs)
         return sorted(used - set(self.eliminated))
 
     def expand(self, free_assignment: Mapping[int, QQ]) -> dict[int, QQ]:
@@ -438,7 +453,7 @@ def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
     """Add tagged linear consequences of the axioms, eliminate, iterate.
 
     The added rows are the lemma suite's identities that are linear in
-    the product (lr.derivation_residual and its neighbours), evaluated on
+    the product (lr.derivation_residual and its neighbours), int rows on
     the generic product.  Each holds in every LR-algebra, so the reduced
     system has exactly the same solution set as the generated one.
 
@@ -450,7 +465,7 @@ def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
     form in the free ones, so ``p.substitute(red.eliminated)`` applies the
     reduction to any polynomial p.
     """
-    added = _identity_rows(system.g)
+    rows = _identity_rows(system.g)
 
     elim = Eliminator()
     nonlinear: list[Polynomial] = []
@@ -461,8 +476,7 @@ def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
             nonlinear.append(p)
         else:
             pending.append(lp)
-    for tag, p in added:
-        pending.append(_linear_parts(p))
+    pending.extend(row for _, row in rows)
 
     rounds = 0
     eliminated: dict[int, Polynomial] = {}
@@ -505,10 +519,10 @@ def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
     stats = {
         "rounds": rounds,
         "eliminated": len(eliminated),
-        "added_rows": len(added),
+        "added_rows": len(rows),
         "residual": len(residual),
     }
-    return ReducedSystem(system, added, eliminated, residual, elim.contradiction, stats)
+    return ReducedSystem(system, rows, eliminated, residual, elim.contradiction, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -159,8 +159,12 @@ class _Scanner:
         m = _DIGITS.match(self.text, self.pos)
         if m is None:
             self.fail("expected a number")
+        try:
+            value = int(m.group())
+        except ValueError:  # more digits than int() converts
+            self.fail("number has too many digits")
         self.skip(m.end())
-        return int(m.group())
+        return value
 
     def rational(self) -> QQ:
         start = self.pos
@@ -503,13 +507,14 @@ def _read_canonical(body: str, factors: _Cache, heads: _Cache) -> Polynomial | N
     """The polynomial of a line in the canonical spacing, with ' * ' or
     '*' between the parts of a term, read by splitting it into tokens
     that alternate sign and term; None when that is not its shape (an
-    empty token, a sign with no term after it, more than two factors),
-    a check fails, a variable repeats in a term or a monomial repeats in
-    the line.  The walk then reads it, so the language and every error
-    stay the walk's.  Each distinct token is checked once, as it enters
-    its cache: heads maps a sign, or a sign and written coefficient, to
-    its value (a _Cache of _head_value), and factors a factor text to
-    its pair (a _Cache of _read_factor)."""
+    empty token, a sign with no term after it, more than two factors), a
+    check fails, a number has more digits than int() converts, a
+    variable repeats in a term or a monomial repeats in the line.  The
+    walk then reads it, so the language and every error stay the walk's.
+    Each distinct token is checked once, as it enters its cache: heads
+    maps a sign, or a sign and written coefficient, to its value (a
+    _Cache of _head_value), and factors a factor text to its pair (a
+    _Cache of _read_factor)."""
     tokens = body.replace(" * ", "*").split(" ")
     first = tokens[0]
     tokens[:1] = ("-", first[1:]) if first[:1] == "-" else ("+", first)
@@ -538,7 +543,7 @@ def _read_canonical(body: str, factors: _Cache, heads: _Cache) -> Polynomial | N
                 terms[(factors[parts[0]],)] = coeff
             else:
                 return None
-    except _Unread:
+    except (_Unread, ValueError):
         return None
     return Polynomial.wrap(terms) if 2 * len(terms) == len(tokens) else None
 

@@ -679,7 +679,8 @@ def groebner_basis(
     degree cap, or the time budget is hit; otherwise returns a reduced
     basis with status "complete".  If a reduction produces a nonzero
     constant the ideal is the whole ring and the basis is [1].  An
-    optional trace list receives one event tuple per S-pair processed.
+    optional trace list receives one event tuple per S-pair processed; a
+    constant is kept as its Fraction, which may be too long for str().
     The time budget is checked every 1024 inputs made monic, 64 new
     pairs and 1024 reduced terms, and before each insertion, S-pair and
     interreduction step.  A run stopped while making inputs monic returns
@@ -724,7 +725,7 @@ def groebner_basis(
         if p.is_zero():
             continue
         if p.is_constant():
-            trace.append(("input_constant", str(p.constant_value())))
+            trace.append(("input_constant", p.constant_value()))
             return out("complete", [Polynomial.constant(1)])
         lm = p.leading_monomial()
         inputs.append((_monic({m: _scalar(c) for m, c in p.terms.items()}, lm), lm))
@@ -792,7 +793,7 @@ def groebner_basis(
                 continue
             lm = max(r)
             if not lm:
-                trace.append(("spair", i, j, "constant", str(r[0])))
+                trace.append(("spair", i, j, "constant", QQ(r[0])))
                 return out("complete", [Polynomial.constant(1)])
             d = lm >> shift
             stats["max_degree_seen"] = max(stats["max_degree_seen"], d)

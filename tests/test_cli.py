@@ -592,6 +592,16 @@ def test_solve_inconsistent_toy(tmp_path, capsys):
     assert payload["trace_length"] >= 1
 
 
+def test_solve_certifies_with_a_constant_too_long_for_str(tmp_path, capsys):
+    """A 4,000-digit coefficient, which int() still converts, makes the
+    run end in a constant with more digits than str() converts."""
+    path = tmp_path / "long.txt"
+    big = "9" * 4000
+    path.write_text(f"dim 1\nx[1][1][1]*x[1][1][1] + {big}*x[1][1][1]\nx[1][1][1]^3 - 1\n")
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out.splitlines()[0], err) == (0, "inconsistent", "")
+
+
 def test_solve_consistent_and_budget(tmp_path, capsys):
     r2 = dump_to(tmp_path, capsys, "r2.alg", "r2/A2")
     red = tmp_path / "red.txt"

@@ -665,6 +665,24 @@ def oracle_identity_rows(g):
     return rows
 
 
+def assert_identity_rows_match_oracle(g, added):
+    """_identity_rows(g), and added, its tagged polynomials, equal the
+    oracle's rows in tag and order, and term for term in value, type and
+    order: an int row holds what _linear_parts reads off the oracle's row,
+    a polynomial the oracle's own terms."""
+    rows, want = _identity_rows(g), oracle_identity_rows(g)
+    assert [t for t, _ in rows] == [t for t, _ in added] == [t for t, _ in want]
+
+    def typed(items):
+        return [(k, c, type(c)) for k, c in items]
+
+    for (_, (coeffs, const)), (_, p), (_, q) in zip(rows, added, want):
+        want_coeffs, want_const = _linear_parts(q)
+        assert typed(coeffs.items()) == typed(want_coeffs.items())
+        assert (const, type(const)) == (want_const, type(want_const))
+        assert typed(p.terms.items()) == typed(q.terms.items())
+
+
 def reduction_digest(red):
     """sha256 of the eliminated map by variable, the residual in order and
     the contradiction flag."""
@@ -722,14 +740,77 @@ def test_identity_rows_match_the_fraction_oracle(
     base, eliminated, rounds, contradiction, digest
 ):
     g = base()
-    got, want = _identity_rows(g), oracle_identity_rows(g)
-    assert [t for t, _ in got] == [t for t, _ in want]
-    for (_, p), (_, q) in zip(got, want):
-        assert list(p.terms.items()) == list(q.terms.items())
     red = structural_reduce(generate_lr_system(g))
+    assert_identity_rows_match_oracle(g, red.added)
     assert (red.eliminated_count, red.stats["rounds"]) == (eliminated, rounds)
     assert red.contradiction is contradiction
     assert reduction_digest(red) == digest
+
+
+def rescaled(g, scales):
+    """g in the basis scales[i] e_i, whose structure constants
+    scales[i] scales[j] / scales[k] c_ij^k are Fractions in general."""
+    n = g.dim
+    entries = [
+        (i + 1, j + 1, [scales[i] * scales[j] / scales[k] * v.get(k, 0) for k in range(n)])
+        for (i, j), v in g.table.items()
+        if i < j
+    ]
+    return lie_from_table(n, entries)
+
+
+SCALES = st.lists(
+    st.sampled_from([QQ(1), QQ(-1), QQ(2), QQ(1, 2), QQ(-3, 4), QQ(5, 3)]), min_size=6, max_size=6
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 3), st.none() | SCALES)
+def test_identity_rows_match_the_oracle_on_drawn_algebras(seed, a_dim, b_dim, scales):
+    """Seeded abelian extensions, as they are or in a rescaled basis with
+    Fraction structure constants."""
+    d, _ = random_abelian_extension(random.Random(seed), a_dim, b_dim)
+    g = extension_lie_algebra(d)
+    if scales is not None:
+        g = rescaled(g, scales)
+    assert_identity_rows_match_oracle(g, structural_reduce(generate_lr_system(g)).added)
+
+
+# len and sha256 of the repr of structural_reduce(generate_lr_system(g))
+# .free_variables()
+FREE_VARIABLES = [
+    (lie_r2, 3, "058bc3b0adcbc8538932f4a6009e19c4ffd2fa8e993cfcd87030a0d6b2d4e6b3"),
+    (lie_n3, 9, "b2cb6ca8271fece631da7e07c873f9599a972191b455205961ee460e75520de7"),
+    (lie_n4, 10, "015112a79bf49001fe58fb2cb266666b2340960dff68a835d0dc2ccea9d563b8"),
+    (lie_n3_plus_line, 18, "48b6637d1bc6301b4c3ea040e3834191480f1168d9614bd767d77cc23a9e2fac"),
+    (counterexample_g13, 58, "208a462445a3939c759fdc8e3a8ca95b34ee5f47a739256030dbdfe856caa791"),
+]
+
+
+@pytest.mark.parametrize("base, count, digest", FREE_VARIABLES, ids=["r2", "n3", "n4", "n3r", "g13"])
+def test_free_variables_are_pinned(base, count, digest):
+    free = structural_reduce(generate_lr_system(base())).free_variables()
+    assert len(free) == count
+    assert hashlib.sha256(repr(free).encode()).hexdigest() == digest
+
+
+def test_added_rows_are_built_only_when_read(monkeypatch):
+    """On g13, structural_reduce turns no identity row into a Fraction
+    polynomial; reading added does, once for each row, and only the
+    first time."""
+    system = generate_lr_system(counterexample_g13())
+    row, built = constraints._row, []
+
+    def counted_row(fractions, terms):
+        built.append(terms)
+        return row(fractions, terms)
+
+    monkeypatch.setattr(constraints, "_row", counted_row)
+    red = structural_reduce(system)
+    assert built == [] and "added" not in vars(red)
+    added = red.added
+    assert len(built) == len(added) == red.stats["added_rows"] == 30721
+    assert red.added is added and len(built) == 30721
 
 
 def test_pending_rows_are_taken_in_the_order_of_their_sorted_pairs():
@@ -780,8 +861,9 @@ def test_linear_parts_hold_integral_values_as_ints(base):
     """The round-1 rows reach the Eliminator in its own form: an int for
     each integral value, a Fraction for each other one."""
     g = base()
-    polys = generate_lr_system(g).polys + [p for _, p in _identity_rows(g)]
+    polys = generate_lr_system(g).polys
     rows = [lp for p in polys if (lp := _linear_parts(p)) is not None]
+    rows += [lp for _, lp in _identity_rows(g)]
     values = [c for coeffs, const in rows for c in (*coeffs.values(), const)]
     assert all(type(c) is (int if c.denominator == 1 else QQ) for c in values)
     assert {type(c) for c in values} == {int, QQ}
@@ -1029,7 +1111,7 @@ def test_certify_toy_contradiction():
     assert res.status == "inconsistent"
     assert res.certified_unsolvable
     assert res.trace
-    assert res.trace[-1][-1] == "1"
+    assert res.trace[-1][-1] == 1
 
 
 def test_certify_catalog_systems_stay_open():

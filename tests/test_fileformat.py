@@ -286,7 +286,9 @@ def test_extension_matrix_shape_errors():
 # and header rules, and each case below was accepted, or rejected without
 # a position, by one of them while another format rejected it at a line
 # and column.  A digit is what int() accepts, so a superscript is none,
-# and a header line is dispatched on its whole first word.
+# and a header line is dispatched on its whole first word.  A number with
+# more digits than int() converts (LONG) is an error at its position.
+LONG = "7" * 5000
 GRAMMAR_CASES = [
     # (format, text, line, column, message)
     ("algebra", "algebra x\ndim 3\n[1,2] = e3\ndim 2\n", 4, 1, "duplicate dim line"),
@@ -324,6 +326,24 @@ GRAMMAR_CASES = [
     ("extension", "extension e\nkernel 1\nbase 65\n", 3, 6, "base size 65 is above the cap of 64"),
     ("extension", "extension\nkernel 1\nbase 1\n", 1, 10, "missing extension name"),
     ("algebra", "algebra a\nalgebra b\ndim 2\n", 2, 1, "duplicate algebra line"),
+    ("system", f"dim 1\nx[1][1][1] + {LONG}\n", 2, 14, "number has too many digits"),
+    (
+        "system",
+        f"dim 1\nx[1][1][1]*x[1][1][1] - {LONG}*x[1][1][1]\n",
+        2,
+        25,
+        "number has too many digits",
+    ),
+    ("system", f"dim 1\nx[1][1][1]^{LONG}\n", 2, 12, "number has too many digits"),
+    ("algebra", f"algebra x\ndim 2\n[1,2] = {LONG}*e1\n", 3, 9, "number has too many digits"),
+    ("algebra", f"algebra x\ndim {LONG}\n", 2, 5, "number has too many digits"),
+    (
+        "extension",
+        f"extension e\nkernel 1\nbase 1\nphi 1 = [-{LONG}]\n",
+        4,
+        11,
+        "number has too many digits",
+    ),
     (
         "extension",
         "extension e\nkernel 1\nbase 1\nextension f\n",

@@ -579,7 +579,7 @@ def test_int_eliminator_matches_fraction_oracle_on_g13_rows():
     rows = [
         lp for p in generate_lr_system(g).polys if (lp := _linear_parts(p)) is not None
     ]
-    rows += [_linear_parts(p) for _, p in _identity_rows(g)]
+    rows += [lp for _, lp in _identity_rows(g)]
     rows.sort(key=lambda rc: (len(rc[0]), *chain(*sorted(rc[0].items()))))
     elim, oracle = Eliminator(), FractionEliminator()
     feed(elim, rows)

@@ -568,10 +568,23 @@ integral_polys = st.dictionaries(
 ).map(Polynomial)
 
 
+def long_constant_generators():
+    """Generators whose run ends, after 21 pairs, in a constant whose
+    numerator and denominator have more digits than str() converts."""
+    x0, x1, x2 = x, y, z
+    return [
+        x1 * x1 * x2 + x0 * x1 - 2 * x1 * x1 + one,
+        3 * x0 * x0 * x2 * x2 - x0 * x0 * x2 + x0 * x1 * x1 + x2,
+        x0 * x2 * x2 - x0 + 2 * one,
+        x0 * x0 * x1 * x1,
+    ]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.tuples(integral_polys, nonzero_rationals), min_size=1, max_size=4)
 )
+@example([(p, QQ(1)) for p in long_constant_generators()])
 def test_reduced_basis_is_unchanged_by_scaling_generators(gens):
     # the reduced basis of an ideal is unique: generators with integral
     # coefficients, which the engine holds as ints, and their rational
@@ -790,7 +803,18 @@ def test_groebner_trace_records_events():
     r = groebner_basis([x * x, x - one], trace=trace)
     assert r.is_unit_ideal
     assert trace, "expected at least one recorded event"
-    assert trace[-1][-1] == "1"
+    assert trace[-1][-1] == 1
+    # a constant is recorded as its value, which may be too long for str()
+    trace = []
+    r = groebner_basis(long_constant_generators(), trace=trace)
+    assert (r.status, r.basis) == ("complete", [one])
+    assert r.stats["pairs_processed"] == len(trace) == 21
+    *_, event, value = trace[-1]
+    assert event == "constant" and type(value) is QQ and value
+    assert abs(value.numerator) > 10**4300 and value.denominator > 10**4300
+    trace = []
+    groebner_basis([x, 2 * one], trace=trace)
+    assert trace == [("input_constant", 2)]
 
 
 def test_ideal_membership():
