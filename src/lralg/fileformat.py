@@ -90,6 +90,15 @@ class MissingSection(ValueError):
 _DIGITS = re.compile(r"\d+")
 
 
+def _number(m: re.Match, group: int, line_no: int) -> int:
+    """The digits of group `group` of m as an int, or a ParseError at the
+    first of them when there are more than int() converts."""
+    try:
+        return int(m.group(group))
+    except ValueError:
+        raise ParseError(line_no, m.start(group) + 1, "number has too many digits") from None
+
+
 def _content_lines(chunks: Iterable[str]):
     """(line number, body) of each line with content left once its
     comment is cut.  A chunk is a whole text or one line of an open
@@ -159,10 +168,7 @@ class _Scanner:
         m = _DIGITS.match(self.text, self.pos)
         if m is None:
             self.fail("expected a number")
-        try:
-            value = int(m.group())
-        except ValueError:  # more digits than int() converts
-            self.fail("number has too many digits")
+        value = _number(m, 0, self.line_no)
         self.skip(m.end())
         return value
 
@@ -285,7 +291,7 @@ class _Table:
     def read(self, m: re.Match, body: str, line_no: int, size: int, vec_size: int):
         """Add the entry line matched by m: indices in 1..size, pointing
         at the first index when one is not, then the vector."""
-        i, j = int(m.group(1)), int(m.group(2))
+        i, j = _number(m, 1, line_no), _number(m, 2, line_no)
         if not (1 <= i <= size and 1 <= j <= size):
             raise ParseError(line_no, m.start(1) + 1, f"index out of range 1..{size}")
         sc = _Scanner(body, line_no, m.end())
@@ -428,7 +434,7 @@ def _parse_poly_line(
             sc.fail("malformed variable, expected x[i][j][k]")
         pair = cache.get(m.group())
         if pair is None:
-            i, j, k = map(int, m.groups())
+            i, j, k = (_number(m, g, line_no) for g in (1, 2, 3))
             for idx in (i, j, k):
                 if not 1 <= idx <= dim:
                     sc.fail(f"variable index {idx} out of range 1..{dim}")
@@ -663,7 +669,7 @@ def parse_extension_text(text: str):
                 raise ParseError(
                     line_no, 1, "kernel and base sizes must come before phi"
                 )
-            i = int(m.group(1))
+            i = _number(m, 1, line_no)
             if not (1 <= i <= b_dim):
                 at = m.start(1) + 1
                 raise ParseError(line_no, at, f"phi index out of range 1..{b_dim}")

@@ -12,6 +12,7 @@ import gc
 import hashlib
 import random
 from fractions import Fraction as QQ
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -867,6 +868,221 @@ def test_linear_parts_hold_integral_values_as_ints(base):
     values = [c for coeffs, const in rows for c in (*coeffs.values(), const)]
     assert all(type(c) is (int if c.denominator == 1 else QQ) for c in values)
     assert {type(c) for c in values} == {int, QQ}
+
+
+# ---------------------------------------------------------------------------
+# the first round over the substituted operators
+
+
+def oracle_reduce(system):
+    """structural_reduce as it was before the commute rows took the
+    operator route: every row goes through _linear_parts, and every
+    nonlinear row through Polynomial.substitute in every round.  Returns
+    the eliminated map, the residual, the contradiction flag and the
+    stats."""
+    rows = _identity_rows(system.g)
+    elim = Eliminator()
+    nonlinear, pending = [], []
+    for p in system.polys:
+        lp = _linear_parts(p)
+        if lp is None:
+            nonlinear.append(p)
+        else:
+            pending.append(lp)
+    pending.extend(row for _, row in rows)
+    rounds, eliminated, seen = 0, {}, set()
+    while pending:
+        rounds += 1
+        pending.sort(key=lambda rc: (len(rc[0]), *chain(*sorted(rc[0].items()))))
+        last = None
+        for row in pending:
+            if row != last:
+                last = row
+                elim.add(*row)
+                if elim.contradiction:
+                    break
+        pending = []
+        eliminated = {v: Polynomial.linear(ec, ek) for v, (ec, ek) in elim.finalize().items()}
+        if elim.contradiction:
+            break
+        next_nonlinear = []
+        for p in nonlinear:
+            r = p.substitute(eliminated)
+            if r.is_zero():
+                continue
+            lp = _linear_parts(r)
+            if lp is None:
+                if r not in seen:
+                    seen.add(r)
+                    next_nonlinear.append(r)
+            else:
+                pending.append(lp)
+        nonlinear = next_nonlinear
+    residual = list(nonlinear)
+    if elim.contradiction:
+        residual.insert(0, Polynomial.constant(1))
+    stats = {"rounds": rounds, "eliminated": len(eliminated), "added_rows": len(rows),
+             "residual": len(residual)}
+    return eliminated, residual, elim.contradiction, stats
+
+
+def typed_terms(p):
+    """The terms of p in dict order, each with its coefficient's type."""
+    return [(m, c, type(c)) for m, c in p.terms.items()]
+
+
+def assert_reduces_as_oracle(system):
+    """structural_reduce(system) equals oracle_reduce(system): the residual
+    in order, term for term and in dict order, with coefficient types,
+    the eliminated map likewise, the stats and the contradiction flag."""
+    red = structural_reduce(system)
+    eliminated, residual, contradiction, stats = oracle_reduce(system)
+    assert list(map(typed_terms, red.residual)) == list(map(typed_terms, residual))
+    assert {v: typed_terms(e) for v, e in red.eliminated.items()} == {
+        v: typed_terms(e) for v, e in eliminated.items()
+    }
+    assert (red.stats, red.contradiction) == (stats, contradiction)
+    return red
+
+
+OPERATOR_ROUTE_ALGEBRAS = {
+    "r2": lie_r2,
+    "n3": lie_n3,
+    "n4": lie_n4,
+    "n3r": lie_n3_plus_line,
+    "g13": counterexample_g13,
+    "sl2": lie_sl2,
+    "d_h3": lie_d_h3,
+    "free3_3": lambda: free3_lie(3),
+    "free4_2gen": free4_two_gen_lie,
+    "n3_half": lie_n3_half,
+    "r3_two_thirds": lie_r3_two_thirds,
+}
+
+
+@pytest.mark.parametrize("base", OPERATOR_ROUTE_ALGEBRAS.values(), ids=OPERATOR_ROUTE_ALGEBRAS)
+def test_operator_round_reduces_as_substitution(base):
+    assert_reduces_as_oracle(generate_lr_system(base()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 3), st.none() | SCALES)
+def test_operator_round_reduces_as_substitution_on_drawn_algebras(seed, a_dim, b_dim, scales):
+    """Seeded abelian extensions, as they are or in a rescaled basis with
+    Fraction structure constants."""
+    d, _ = random_abelian_extension(random.Random(seed), a_dim, b_dim)
+    g = extension_lie_algebra(d)
+    if scales is not None:
+        g = rescaled(g, scales)
+    assert_reduces_as_oracle(generate_lr_system(g))
+
+
+@st.composite
+def operator_images(draw):
+    """A dimension n in 1..3 and images for the n^3 unknowns: each one is
+    kept, or sent to 0 or to a form over a few kept unknowns, with a
+    constant or not, coefficients +-1 and +-1/2, so that products often
+    cancel."""
+    n = draw(st.integers(1, 3))
+    free = draw(st.lists(st.integers(0, n**3 - 1), min_size=1, max_size=3, unique=True))
+    coefficient = st.sampled_from([QQ(1), QQ(-1), QQ(1, 2), QQ(-1, 2)])
+    eliminated = {}
+    for v in range(n**3):
+        kind = draw(st.sampled_from(["stay", "zero", "form"]))
+        if v in free or kind == "stay":
+            continue
+        coeffs = draw(st.dictionaries(st.sampled_from(free), coefficient, max_size=3))
+        const = draw(st.just(QQ(0)) | coefficient)
+        eliminated[v] = Polynomial.linear(coeffs, const) if kind == "form" else Polynomial.zero()
+    return n, eliminated
+
+
+def substituted_commute_rows(n, eliminated):
+    """The nonzero results of Polynomial.substitute on the commute rows
+    of an n-dimensional system, in order."""
+    commute = generate_lr_system(abelian_lie(n)).polys[n * n * (n - 1) // 2:]
+    return [r for p in commute if (r := p.substitute(eliminated))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(operator_images())
+def test_commute_images_are_the_substituted_rows(drawn):
+    n, eliminated = drawn
+    got = list(constraints._commute_images(n, eliminated))
+    want = substituted_commute_rows(n, eliminated)
+    assert list(map(typed_terms, got)) == list(map(typed_terms, want))
+
+
+def test_commute_images_keep_the_order_of_a_cancelled_term():
+    """On L_0 L_1 - L_1 L_0 at (a, b) = (1, 1), dimension 2, the products
+    at m = 0 give x0^2 + x0*x4, and the left-out pair at m == a == b
+    would cancel x0^2 and put it back after x0*x4."""
+    x = Polynomial.variable
+    eliminated = {
+        2: x(0), 5: x(0) + x(4), 6: Polynomial.zero(), 3: -x(0), 7: x(0),
+    }
+    got = list(constraints._commute_images(2, eliminated))
+    want = substituted_commute_rows(2, eliminated)
+    assert list(map(typed_terms, got)) == list(map(typed_terms, want))
+    square, mixed = ((0, 2),), ((0, 1), (4, 1))
+    assert any(list(p.terms) == [square, mixed] for p in got)
+
+
+def test_rows_that_are_not_the_generators_take_substitution():
+    """Only rows of polys that are still the generator's own commute rows,
+    at their places, take the operator route.  A replaced row, appended
+    rows that force a second round, changed tags, and a system built by
+    hand from the same rows reduce as the oracle does."""
+    system = generate_lr_system(lie_n4())
+    plain = assert_reduces_as_oracle(system)
+    assert plain.stats["rounds"] == 1
+    x = Polynomial.variable
+    w = min(plain.residual[0].variables())
+    zero = plain.forced_zero()[0]
+
+    replaced = generate_lr_system(lie_n4())
+    k = len(replaced.polys) - 100
+    assert replaced.polys[k].substitute(plain.eliminated).is_zero()
+    replaced.polys[k] = x(w) * x(w)
+    red = assert_reduces_as_oracle(replaced)
+    assert x(w) * x(w) in red.residual
+
+    # the first row becomes x_w in round 1, so round 2 substitutes
+    # x_w = 0 into the rest, the second row among them
+    u, v = [f for f in plain.free_variables() if f != w][:2]
+    appended = generate_lr_system(lie_n4())
+    appended.polys += [x(zero) * x(w) + x(w), x(u) * x(v) + x(u) * x(w)]
+    appended.tags += ["hand_built"] * 2
+    red = assert_reduces_as_oracle(appended)
+    assert red.stats["rounds"] == 2 and red.eliminated[w].is_zero()
+    assert x(u) * x(v) in red.residual
+
+    retagged = generate_lr_system(lie_n4())
+    retagged.tags = ["hand_built"] * len(retagged.tags)
+    assert reduction_digest(assert_reduces_as_oracle(retagged)) == reduction_digest(plain)
+
+    copied = ConstraintSystem(system.g, list(system.polys), list(system.tags))
+    assert reduction_digest(assert_reduces_as_oracle(copied)) == reduction_digest(plain)
+
+
+def test_g13_first_round_substitutes_nothing(monkeypatch):
+    """On g13 no commute row goes through Polynomial.substitute: round 1
+    takes the operator route and round 2 ends in the contradiction.  The
+    same rows in a hand-built system are each substituted once."""
+    system = generate_lr_system(counterexample_g13())
+    substitute, calls = Polynomial.substitute, []
+
+    def counted_substitute(p, subs):
+        calls.append(p)
+        return substitute(p, subs)
+
+    monkeypatch.setattr(Polynomial, "substitute", counted_substitute)
+    red = structural_reduce(system)
+    assert calls == []
+    assert (red.stats["rounds"], red.contradiction) == (2, True)
+    copied = ConstraintSystem(system.g, list(system.polys), list(system.tags))
+    assert reduction_digest(structural_reduce(copied)) == reduction_digest(red)
+    assert len(calls) == 2 * 78 * 13 * 13 == len(system._commute)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])

@@ -337,6 +337,9 @@ GRAMMAR_CASES = [
     ("system", f"dim 1\nx[1][1][1]^{LONG}\n", 2, 12, "number has too many digits"),
     ("algebra", f"algebra x\ndim 2\n[1,2] = {LONG}*e1\n", 3, 9, "number has too many digits"),
     ("algebra", f"algebra x\ndim {LONG}\n", 2, 5, "number has too many digits"),
+    ("system", f"dim 2\nx[1][{LONG}][1] + 1\n", 2, 6, "number has too many digits"),
+    ("algebra", f"algebra x\ndim 2\n[ 2, {LONG}] = e1\n", 3, 6, "number has too many digits"),
+    ("extension", f"extension e\nkernel 1\nbase 1\nphi {LONG} = [1]\n", 4, 5, "number has too many digits"),
     (
         "extension",
         f"extension e\nkernel 1\nbase 1\nphi 1 = [-{LONG}]\n",
