@@ -29,11 +29,13 @@ generic product whose coordinates are the unknowns, one tagged row per
 nonzero residual component.  It then runs sparse Gaussian elimination,
 substitutes the eliminated forms into the nonlinear rows with
 Polynomial.substitute, and iterates while new linear rows keep
-appearing.  The reduced system is equisolvable with the original one.
-In the first round the generator's own commute rows take a shorter
-route to the same polynomials: the round's images become the entries
-of L_i and R_i, and each commutator entry is summed over the pairs of
-nonzero entries only (_commute_images), since most unknowns go to 0.
+appearing.  Every row is kept in every round, so the reduced system
+has exactly the solution set of the original one.  In the first round
+the generator's own left commute rows are cut to their live products,
+those with no factor sent to 0, before they are substituted
+(_commute_images), since most unknowns go to 0; the right commute rows
+need nothing, since compatibility and the derivation rows make each
+one's image its left twin's.
 Certification feeds the residual polynomials to the budgeted Groebner
 engine and reports inconsistency, possible solvability, or budget
 exhaustion.
@@ -54,7 +56,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, islice, permutations, product as iproduct
+from itertools import chain, permutations, product as iproduct
 from operator import is_
 from typing import Iterator, Mapping
 
@@ -73,7 +75,6 @@ from .lr import (
     opposite,
 )
 from .poly import (
-    MONO_ONE,
     GroebnerResult,
     MissingAssignment,
     Polynomial,
@@ -116,10 +117,10 @@ class ConstraintSystem:
     g: LieAlgebra
     polys: list[Polynomial]
     tags: list[str]
-    # the commute rows generate_lr_system built, in its order; a row of
-    # polys that is still one of these objects, at its place, is reduced
-    # through the operators in structural_reduce's first round
-    _commute: tuple = field(default=(), init=False, repr=False, compare=False)
+    # the rows generate_lr_system built, in its order; while polys begins
+    # with these very objects, structural_reduce's first round cuts the
+    # left commute rows to their live products and drops the right ones
+    _generated: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @property
     def nvars(self) -> int:
@@ -235,7 +236,7 @@ def generate_lr_system(g: LieAlgebra) -> ConstraintSystem:
                         polys.append(Polynomial.wrap(row))
                         tags.append(tag)
     system = ConstraintSystem(g, polys, tags)
-    system._commute = tuple(islice(polys, n * n * (n - 1) // 2, None))
+    system._generated = tuple(polys)
     return system
 
 
@@ -461,56 +462,34 @@ class ReducedSystem:
 
 
 def _commute_images(n: int, eliminated: dict[int, Polynomial]) -> Iterator[Polynomial]:
-    """The nonzero results of row.substitute(eliminated) over the commute
-    rows of generate_lr_system for dimension n, in their order, without
-    visiting a product that has a factor sent to 0.
+    """row.substitute(eliminated) over the left commute rows of
+    generate_lr_system for dimension n, in their order, each row first
+    cut to its live products; a row with none is left out.
 
-    Entry (a, m) of L_i is the image of x[i][a][m] and of R_i that of
-    x[m][a][i]; a free unknown is its own image, and only nonzero entries
-    are kept.  Entry (a, b) of O_i O_j - O_j O_i is then summed over the
-    pairs of nonzero entries, m == a == b left out, in the row's own term
-    order (m ascending, the + product before the - one).  Each product is
-    expanded as substitute expands it, c * P(lo) * P(hi) with lo < hi its
-    variables, and added in with the same cancellation, so the
-    polynomials equal substitute's term for term and in dict order, each
-    coefficient a Fraction."""
+    Only the entries (a, m) of L_i, x[i][a][m], not sent to 0 are walked.
+    The live products of row (i, j, a, b), those with no factor sent to 0,
+    are gathered in the row's own term order (m ascending, the + product
+    before the - one, m == a == b left out).  substitute drops a product
+    with a factor sent to 0 unexpanded, so the cut row's image is the
+    whole row's, term for term and in dict order."""
     plus, minus = QQ(1), QQ(-1)
     zero = {v for v, e in eliminated.items() if not e}
-
-    def image(v: int) -> Polynomial:
-        return eliminated[v] if v in eliminated else Polynomial.variable(v)
-
-    # row(i, a): the variables of row a of L_i, x[i][a][m], then of R_i,
-    # x[m][a][i], by m
-    for row in (lambda i, a: range((i * n + a) * n, (i * n + a + 1) * n),
-                lambda i, a: range(a * n + i, n ** 3, n * n)):
-        # ops[i][a]: (m, variable) of each nonzero entry (a, m) of L_i or R_i
-        ops = [
-            [[(m, v) for m, v in enumerate(row(i, a)) if v not in zero] for a in range(n)]
-            for i in range(n)
-        ]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for a in range(n):
-                    cells: dict[int, list] = {}
-                    for sign, (o1, o2) in enumerate(((ops[i], ops[j]), (ops[j], ops[i]))):
-                        for m, v1 in o1[a]:
-                            for b, v2 in o2[m]:
-                                if not m == a == b:
-                                    cells.setdefault(b, []).append((m, sign, v1, v2))
-                    for b in sorted(cells):
-                        out: dict = {}
-                        for m, sign, v1, v2 in sorted(cells[b]):
-                            lo, hi = (v1, v2) if v1 < v2 else (v2, v1)
-                            t = Polynomial({MONO_ONE: minus if sign else plus})
-                            for mono, x in (t * image(lo) * image(hi)).terms.items():
-                                x = out[mono] + x if mono in out else x
-                                if x:
-                                    out[mono] = x
-                                else:
-                                    out.pop(mono, None)
-                        if out:
-                            yield Polynomial.wrap(out)
+    # live[i][a]: (m, variable) of each entry (a, m) of L_i not sent to 0
+    live = [[[(m, v) for m in range(n) if (v := x_index(n, i, a, m)) not in zero]
+             for a in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for a in range(n):
+                cells: dict[int, list] = {}
+                for sign, (o1, o2) in enumerate(((live[i], live[j]), (live[j], live[i]))):
+                    for m, v1 in o1[a]:
+                        for b, v2 in o2[m]:
+                            if not m == a == b:
+                                cells.setdefault(b, []).append((m, sign, min(v1, v2), max(v1, v2)))
+                for b in sorted(cells):
+                    row = {((lo, 1), (hi, 1)): minus if sign else plus
+                           for _, sign, lo, hi in sorted(cells[b])}
+                    yield Polynomial.wrap(row).substitute(eliminated)
 
 
 @_gc_paused()
@@ -519,61 +498,47 @@ def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
 
     The added rows are the lemma suite's identities that are linear in
     the product (lr.derivation_residual and its neighbours), int rows on
-    the generic product.  Each holds in every LR-algebra, so the reduced
-    system has exactly the same solution set as the generated one.
+    the generic product.  Each holds in every LR-algebra, and every row
+    is kept in every round, so the reduced system has exactly the same
+    solution set as the generated one.
 
     Each round feeds the pending linear rows to one Eliminator, sorted
     and each distinct row once (a repeat reduces to zero), then
     substitutes its affine forms into the nonlinear constraints with
     Polynomial.substitute; the results of degree at most 1 are the next
-    round's rows.  ``eliminated`` maps each eliminated variable to its
+    round's rows, and a nonlinear result that repeats one of the same
+    round is dropped.  ``eliminated`` maps each eliminated variable to its
     form in the free ones, so ``p.substitute(red.eliminated)`` applies the
     reduction to any polynomial p.
 
-    The one exception is the first round over the commute rows of
-    generate_lr_system, when polys still holds all of them, the very
-    objects it built, at their places (an identity check over the block).
-    Those rows are quadratic by construction, so they skip the degree
-    test of the split, and _commute_images computes their substituted
-    forms from the operators L_i and R_i with the round's images as
-    entries.  On g13, where 2,036 of the 2,139 eliminated unknowns go to
-    0, that forms the 208 products of nonzero entries where substitution
-    visited 681,408 monomials, and it yields the same 54 polynomials in
-    the same order, so the reduction is unchanged.  Every other row, and
-    every later round, goes through Polynomial.substitute.
+    When polys still begins with all the rows generate_lr_system built,
+    the very objects, the first round cuts the left commute rows to their
+    live products before substituting them (_commute_images): on g13,
+    where 2,036 of the 2,139 eliminated unknowns go to 0, that keeps 104
+    of their 340,704 products.  The right commute rows need nothing.
+    With R_y = L_y - ad_y (compatibility) and every L_x a derivation,
+    [D, ad_y] = ad_{Dy} gives [R_x, R_y] = [L_x, L_y] modulo the round's
+    linear rows, so each right row's image is its left twin's, which the
+    round already has.
     """
     rows = _identity_rows(system.g)
-
-    # polys[lo:hi] are the generator's commute rows, or else lo == hi
-    polys, commute, n = system.polys, system._commute, system.g.dim
-    lo = n * n * (n - 1) // 2
-    hi = lo + len(commute)
-    if not (len(commute) == 2 * n * lo and len(polys) >= hi
-            and all(map(is_, islice(polys, lo, hi), commute))):
-        lo = hi = len(polys)
+    polys, generated, n = system.polys, system._generated, system.g.dim
+    own = 0 < len(generated) <= len(polys) and all(map(is_, polys, generated))
 
     elim = Eliminator()
     nonlinear: list[Polynomial] = []
     pending: list[tuple[dict, QQ]] = []
-
-    def split(ps) -> None:
-        for p in ps:
-            lp = _linear_parts(p)
-            if lp is None:
-                nonlinear.append(p)
-            else:
-                pending.append(lp)
-
-    split(polys[:lo])
-    start = len(nonlinear)
-    nonlinear.extend(polys[lo:hi])
-    end = len(nonlinear)
-    split(polys[hi:])
+    # the generator's commute rows follow its n*C(n,2) compatibility rows
+    for p in chain(polys[:n * n * (n - 1) // 2], polys[len(generated):]) if own else polys:
+        lp = _linear_parts(p)
+        if lp is None:
+            nonlinear.append(p)
+        else:
+            pending.append(lp)
     pending.extend(row for _, row in rows)
 
     rounds = 0
     eliminated: dict[int, Polynomial] = {}
-    seen: set = set()
     while pending:
         rounds += 1
         # length, then the sorted (variable, coefficient) pairs, laid flat
@@ -593,12 +558,10 @@ def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
         if elim.contradiction:
             break
         images = chain(
-            (p.substitute(eliminated) for p in nonlinear[:start]),
-            _commute_images(n, eliminated) if end > start else (),
-            (p.substitute(eliminated) for p in nonlinear[end:]),
+            _commute_images(n, eliminated) if own and rounds == 1 else (),
+            (p.substitute(eliminated) for p in nonlinear),
         )
-        # later rounds substitute into every row
-        start = end = 0
+        seen: set = set()
         next_nonlinear: list[Polynomial] = []
         for r in images:
             if r.is_zero():

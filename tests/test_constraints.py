@@ -10,6 +10,7 @@ annihilate them.
 
 import gc
 import hashlib
+import math
 import random
 from fractions import Fraction as QQ
 from itertools import chain
@@ -875,11 +876,12 @@ def test_linear_parts_hold_integral_values_as_ints(base):
 
 
 def oracle_reduce(system):
-    """structural_reduce as it was before the commute rows took the
-    operator route: every row goes through _linear_parts, and every
-    nonlinear row through Polynomial.substitute in every round.  Returns
-    the eliminated map, the residual, the contradiction flag and the
-    stats."""
+    """structural_reduce without its first-round shortcut: every row goes
+    through _linear_parts, and every nonlinear row, the left and the right
+    commute rows alike, through Polynomial.substitute in every round.  A
+    nonlinear image is dropped only when it repeats one of the same round.
+    Returns the eliminated map, the residual, the contradiction flag and
+    the stats."""
     rows = _identity_rows(system.g)
     elim = Eliminator()
     nonlinear, pending = [], []
@@ -890,7 +892,7 @@ def oracle_reduce(system):
         else:
             pending.append(lp)
     pending.extend(row for _, row in rows)
-    rounds, eliminated, seen = 0, {}, set()
+    rounds, eliminated = 0, {}
     while pending:
         rounds += 1
         pending.sort(key=lambda rc: (len(rc[0]), *chain(*sorted(rc[0].items()))))
@@ -905,7 +907,7 @@ def oracle_reduce(system):
         eliminated = {v: Polynomial.linear(ec, ek) for v, (ec, ek) in elim.finalize().items()}
         if elim.contradiction:
             break
-        next_nonlinear = []
+        seen, next_nonlinear = set(), []
         for p in nonlinear:
             r = p.substitute(eliminated)
             if r.is_zero():
@@ -945,6 +947,17 @@ def assert_reduces_as_oracle(system):
     return red
 
 
+def n4_with_two_rows():
+    """n4's generated system with x1*x0 + x0 and x4*x5 appended: round 1
+    sends x1 to 0, so round 2 sends x0 to 0 and leaves x4*x5 and one more
+    of round 1's nonlinear images as they were."""
+    system = generate_lr_system(lie_n4())
+    x = Polynomial.variable
+    system.polys += [x(1) * x(0) + x(0), x(4) * x(5)]
+    system.tags += ["hand_built"] * 2
+    return system
+
+
 OPERATOR_ROUTE_ALGEBRAS = {
     "r2": lie_r2,
     "n3": lie_n3,
@@ -957,12 +970,17 @@ OPERATOR_ROUTE_ALGEBRAS = {
     "free4_2gen": free4_two_gen_lie,
     "n3_half": lie_n3_half,
     "r3_two_thirds": lie_r3_two_thirds,
+    "free_two_step_3": lambda: free_two_step_lie(3),
+    "n4_two_rows": n4_with_two_rows,
 }
 
 
 @pytest.mark.parametrize("base", OPERATOR_ROUTE_ALGEBRAS.values(), ids=OPERATOR_ROUTE_ALGEBRAS)
 def test_operator_round_reduces_as_substitution(base):
-    assert_reduces_as_oracle(generate_lr_system(base()))
+    """The oracle substitutes the right commute rows that structural_reduce
+    leaves out, so it checks that each one's image is its left twin's."""
+    built = base()
+    assert_reduces_as_oracle(built if isinstance(built, ConstraintSystem) else generate_lr_system(built))
 
 
 @settings(max_examples=30, deadline=None)
@@ -998,17 +1016,23 @@ def operator_images(draw):
 
 
 def substituted_commute_rows(n, eliminated):
-    """The nonzero results of Polynomial.substitute on the commute rows
-    of an n-dimensional system, in order."""
-    commute = generate_lr_system(abelian_lie(n)).polys[n * n * (n - 1) // 2:]
-    return [r for p in commute if (r := p.substitute(eliminated))]
+    """The nonzero results of Polynomial.substitute on the left commute
+    rows of an n-dimensional system, in order."""
+    pairs = n * (n - 1) // 2
+    left = generate_lr_system(abelian_lie(n)).polys[n * pairs:n * pairs + n * n * pairs]
+    return [r for p in left if (r := p.substitute(eliminated))]
+
+
+def commute_images(n, eliminated):
+    """The nonzero images _commute_images yields, in order."""
+    return [r for r in constraints._commute_images(n, eliminated) if r]
 
 
 @settings(max_examples=300, deadline=None)
 @given(operator_images())
 def test_commute_images_are_the_substituted_rows(drawn):
     n, eliminated = drawn
-    got = list(constraints._commute_images(n, eliminated))
+    got = commute_images(n, eliminated)
     want = substituted_commute_rows(n, eliminated)
     assert list(map(typed_terms, got)) == list(map(typed_terms, want))
 
@@ -1021,7 +1045,7 @@ def test_commute_images_keep_the_order_of_a_cancelled_term():
     eliminated = {
         2: x(0), 5: x(0) + x(4), 6: Polynomial.zero(), 3: -x(0), 7: x(0),
     }
-    got = list(constraints._commute_images(2, eliminated))
+    got = commute_images(2, eliminated)
     want = substituted_commute_rows(2, eliminated)
     assert list(map(typed_terms, got)) == list(map(typed_terms, want))
     square, mixed = ((0, 2),), ((0, 1), (4, 1))
@@ -1029,8 +1053,8 @@ def test_commute_images_keep_the_order_of_a_cancelled_term():
 
 
 def test_rows_that_are_not_the_generators_take_substitution():
-    """Only rows of polys that are still the generator's own commute rows,
-    at their places, take the operator route.  A replaced row, appended
+    """Only when polys still begins with the generator's own rows do the
+    left commute rows take the cut route.  A replaced row, appended
     rows that force a second round, changed tags, and a system built by
     hand from the same rows reduce as the oracle does."""
     system = generate_lr_system(lie_n4())
@@ -1065,10 +1089,11 @@ def test_rows_that_are_not_the_generators_take_substitution():
     assert reduction_digest(assert_reduces_as_oracle(copied)) == reduction_digest(plain)
 
 
-def test_g13_first_round_substitutes_nothing(monkeypatch):
-    """On g13 no commute row goes through Polynomial.substitute: round 1
-    takes the operator route and round 2 ends in the contradiction.  The
-    same rows in a hand-built system are each substituted once."""
+def test_g13_first_round_substitutes_only_cut_rows(monkeypatch):
+    """On g13 round 1 substitutes only the left commute rows cut to their
+    live products, 47 rows of 104 products, none of them a raw commute
+    row, and round 2 ends in the contradiction.  The same rows in a
+    hand-built system are each substituted whole, to the same digest."""
     system = generate_lr_system(counterexample_g13())
     substitute, calls = Polynomial.substitute, []
 
@@ -1078,11 +1103,76 @@ def test_g13_first_round_substitutes_nothing(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "substitute", counted_substitute)
     red = structural_reduce(system)
-    assert calls == []
+    raw = {id(p) for p in system.polys}
+    assert not any(id(p) in raw for p in calls)
+    assert (len(calls), sum(len(p.terms) for p in calls)) == (47, 104)
     assert (red.stats["rounds"], red.contradiction) == (2, True)
+    calls.clear()
     copied = ConstraintSystem(system.g, list(system.polys), list(system.tags))
     assert reduction_digest(structural_reduce(copied)) == reduction_digest(red)
-    assert len(calls) == 2 * 78 * 13 * 13 == len(system._commute)
+    assert list(map(id, calls)) == list(map(id, system.polys[13 * 78:]))
+    assert len(calls) == 2 * 78 * 13 * 13
+
+
+# ---------------------------------------------------------------------------
+# the reduced system has the input's solutions
+
+
+def check_reduction(system, red):
+    """Three checks that red reduces system without losing a row: every
+    input row, substituted, reduces to 0 modulo a Groebner basis of the
+    residual; every residual row lies in the ideal of the input rows and
+    each x_v - form_v of red.eliminated; the residual's basis is [1]
+    exactly when the input's is, and it is whenever red.contradiction
+    holds (a residual may be inconsistent through its nonlinear rows
+    alone, which structural_reduce leaves to Buchberger)."""
+    residual = groebner_basis(red.residual)
+    assert residual.status == "complete"
+    assert not [p for p in system.polys if reduce_full(p.substitute(red.eliminated), residual.basis)]
+    forms = [Polynomial.variable(v) - e for v, e in red.eliminated.items()]
+    inputs = groebner_basis(system.polys + forms)
+    assert inputs.status == "complete"
+    assert not [r for r in red.residual if reduce_full(r, inputs.basis)]
+    unit = groebner_basis(system.polys).is_unit_ideal
+    assert residual.is_unit_ideal == unit and red.contradiction <= unit
+
+
+def test_n4_with_two_rows_keeps_every_row():
+    """The two nonlinear images that round 2 leaves as they were stay in
+    the residual beside the two it changed, and the residual implies
+    every input row."""
+    system = n4_with_two_rows()
+    red = structural_reduce(system)
+    assert (red.stats["rounds"], red.stats["eliminated"], len(red.residual)) == (2, 55, 4)
+    assert Polynomial.variable(4) * Polynomial.variable(5) in red.residual
+    check_reduction(system, red)
+
+
+@st.composite
+def appended_rows(draw):
+    """r2, n3 or n4 with 1 to 3 rows appended: x_u * x_v + x_w, which a
+    later round substitutes into when x_u goes to 0, or two terms of
+    degree at most 2 with small coefficients."""
+    base = draw(st.sampled_from([lie_r2, lie_n3, lie_n4]))
+    system = generate_lr_system(base())
+    x = Polynomial.variable
+    var = st.integers(0, system.nvars - 1)
+    monomial = st.lists(var, max_size=2).map(lambda vs: math.prod(map(x, vs), start=Polynomial.constant(1)))
+    coefficient = st.sampled_from([QQ(1), QQ(-1), QQ(2), QQ(1, 2)])
+    chained = st.tuples(var, var, var).map(lambda uvw: x(uvw[0]) * x(uvw[1]) + x(uvw[2]))
+    sparse = st.lists(st.tuples(coefficient, monomial), min_size=1, max_size=2).map(
+        lambda terms: sum((c * m for c, m in terms), Polynomial.zero())
+    )
+    rows = draw(st.lists(chained | sparse, min_size=1, max_size=3))
+    system.polys += rows
+    system.tags += ["hand_built"] * len(rows)
+    return system
+
+
+@settings(max_examples=50, deadline=None)
+@given(appended_rows())
+def test_reduction_keeps_the_solution_set(system):
+    check_reduction(system, structural_reduce(system))
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
