@@ -29,13 +29,16 @@ generic product whose coordinates are the unknowns, one tagged row per
 nonzero residual component.  It then runs sparse Gaussian elimination,
 substitutes the eliminated forms into the nonlinear rows with
 Polynomial.substitute, and iterates while new linear rows keep
-appearing.  Every row is kept in every round, so the reduced system
-has exactly the solution set of the original one.  In the first round
-the generator's own left commute rows are cut to their live products,
-those with no factor sent to 0, before they are substituted
-(_commute_images), since most unknowns go to 0; the right commute rows
-need nothing, since compatibility and the derivation rows make each
-one's image its left twin's.
+appearing.  Every row is kept in every round, and the added rows hold on
+every LR-structure, so the reduced system has the solutions of the
+input rows that are LR-structures on g; for a generated system, with or
+without appended rows, that is exactly its solution set.  In the first
+round only the generator's own left commute rows with a live cell, a
+product of two entries not sent to 0, are substituted
+(_live_left_rows), since most unknowns go to 0 and every other left row
+substitutes to 0; the right commute rows need nothing, since
+compatibility and the derivation rows make each one's image its left
+twin's.
 Certification feeds the residual polynomials to the budgeted Groebner
 engine and reports inconsistency, possible solvability, or budget
 exhaustion.
@@ -56,9 +59,9 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, permutations, product as iproduct
+from itertools import chain, combinations, permutations, product as iproduct
 from operator import is_
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .lie import LieAlgebra, SparseVec, bilinear_sparse, center as lie_center
 from .lie import derived_series, lower_central_series, upper_central_series
@@ -118,8 +121,8 @@ class ConstraintSystem:
     polys: list[Polynomial]
     tags: list[str]
     # the rows generate_lr_system built, in its order; while polys begins
-    # with these very objects, structural_reduce's first round cuts the
-    # left commute rows to their live products and drops the right ones
+    # with these very objects, structural_reduce's first round substitutes
+    # only the left commute rows with a live cell and drops the right ones
     _generated: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @property
@@ -461,35 +464,27 @@ class ReducedSystem:
         return full
 
 
-def _commute_images(n: int, eliminated: dict[int, Polynomial]) -> Iterator[Polynomial]:
-    """row.substitute(eliminated) over the left commute rows of
-    generate_lr_system for dimension n, in their order, each row first
-    cut to its live products; a row with none is left out.
+def _live_left_rows(polys: list[Polynomial], n: int,
+                    eliminated: dict[int, Polynomial]) -> list[Polynomial]:
+    """The left commute rows of generate_lr_system in polys, in raw order,
+    that hold a product of two entries not sent to 0.
 
-    Only the entries (a, m) of L_i, x[i][a][m], not sent to 0 are walked.
-    The live products of row (i, j, a, b), those with no factor sent to 0,
-    are gathered in the row's own term order (m ascending, the + product
-    before the - one, m == a == b left out).  substitute drops a product
-    with a factor sent to 0 unexpanded, so the cut row's image is the
-    whole row's, term for term and in dict order."""
-    plus, minus = QQ(1), QQ(-1)
+    Only the entries (a, m) of L_i, x[i][a][m], not sent to 0 are walked;
+    cell (a, b) of pair (i, j) is live when some m, other than m == a == b,
+    pairs a live (a, m) of one operator with a live (m, b) of the other.
+    Every left row left out has a factor sent to 0 in each of its
+    products, so it substitutes to 0."""
     zero = {v for v, e in eliminated.items() if not e}
-    # live[i][a]: (m, variable) of each entry (a, m) of L_i not sent to 0
-    live = [[[(m, v) for m in range(n) if (v := x_index(n, i, a, m)) not in zero]
+    # live[i][a]: the columns m of the entries (a, m) of L_i not sent to 0
+    live = [[[m for m in range(n) if x_index(n, i, a, m) not in zero]
              for a in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for a in range(n):
-                cells: dict[int, list] = {}
-                for sign, (o1, o2) in enumerate(((live[i], live[j]), (live[j], live[i]))):
-                    for m, v1 in o1[a]:
-                        for b, v2 in o2[m]:
-                            if not m == a == b:
-                                cells.setdefault(b, []).append((m, sign, min(v1, v2), max(v1, v2)))
-                for b in sorted(cells):
-                    row = {((lo, 1), (hi, 1)): minus if sign else plus
-                           for _, sign, lo, hi in sorted(cells[b])}
-                    yield Polynomial.wrap(row).substitute(eliminated)
+    start, rows = n * n * (n - 1) // 2, []
+    for pair, (i, j) in enumerate(combinations(range(n), 2)):
+        for a in range(n):
+            cells = {b for o1, o2 in ((live[i], live[j]), (live[j], live[i]))
+                     for m in o1[a] for b in o2[m] if not m == a == b}
+            rows.extend(polys[start + (pair * n + a) * n + b] for b in sorted(cells))
+    return rows
 
 
 @_gc_paused()
@@ -498,9 +493,14 @@ def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
 
     The added rows are the lemma suite's identities that are linear in
     the product (lr.derivation_residual and its neighbours), int rows on
-    the generic product.  Each holds in every LR-algebra, and every row
-    is kept in every round, so the reduced system has exactly the same
-    solution set as the generated one.
+    the generic product.  Each holds on every LR-structure on g, and every
+    row is kept in every round, so the reduced system has the solutions of
+    the input rows that are LR-structures on g, and each of its solutions
+    solves the input rows.  When the input contains g's LR axioms, a
+    generated system with or without appended rows, that is exactly its
+    solution set.  A hand-built system gains the added rows as
+    consequences: two hand-built rows on n3 reduce with 18 unknowns
+    eliminated.
 
     Each round feeds the pending linear rows to one Eliminator, sorted
     and each distinct row once (a repeat reduces to zero), then
@@ -512,10 +512,11 @@ def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
     reduction to any polynomial p.
 
     When polys still begins with all the rows generate_lr_system built,
-    the very objects, the first round cuts the left commute rows to their
-    live products before substituting them (_commute_images): on g13,
-    where 2,036 of the 2,139 eliminated unknowns go to 0, that keeps 104
-    of their 340,704 products.  The right commute rows need nothing.
+    the very objects, round 1 puts in front of the nonlinear rows only
+    the generator's left commute rows with a live cell (_live_left_rows):
+    every other left row substitutes to 0, and on g13, where 2,036 of the
+    2,139 eliminated unknowns go to 0, 47 of its 13,182 left rows remain.
+    The right commute rows need nothing.
     With R_y = L_y - ad_y (compatibility) and every L_x a derivation,
     [D, ad_y] = ad_{Dy} gives [R_x, R_y] = [L_x, L_y] modulo the round's
     linear rows, so each right row's image is its left twin's, which the
@@ -557,13 +558,11 @@ def structural_reduce(system: ConstraintSystem) -> ReducedSystem:
         }
         if elim.contradiction:
             break
-        images = chain(
-            _commute_images(n, eliminated) if own and rounds == 1 else (),
-            (p.substitute(eliminated) for p in nonlinear),
-        )
+        if own and rounds == 1:
+            nonlinear[:0] = _live_left_rows(polys, n, eliminated)
         seen: set = set()
         next_nonlinear: list[Polynomial] = []
-        for r in images:
+        for r in (p.substitute(eliminated) for p in nonlinear):
             if r.is_zero():
                 continue
             lp = _linear_parts(r)

@@ -16,7 +16,6 @@ from .linalg import (
     Vector,
     kernel,
     qq,
-    unit_vector,
     vec_is_zero,
 )
 
@@ -377,44 +376,34 @@ def upper_central_series(g: LieAlgebra) -> SeriesReport:
     return _run_series(center(g), lambda s: _centralizer_mod(g, s))
 
 
-def _residual_matrix(s: Subspace) -> Matrix:
-    """Matrix of w -> (w reduced by the RREF basis of s)."""
-    n = s.ambient_dim
-    ident = [list(unit_vector(n, i)) for i in range(n)]
-    for row, p in zip(s.basis.entries, s.pivots()):
-        for m in range(n):
-            ident[m][p] -= row[m]
-    return Matrix(ident)
-
-
 def quotient_by_ideal(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
     """Quotient Lie algebra and the projection matrix onto it.
 
     The quotient basis is the image of the standard basis vectors at the
-    non-pivot coordinates of the ideal's RREF basis.
+    non-pivot coordinates of the ideal's RREF basis; reduce_sparse leaves
+    a residual on those coordinates only, so it is the projection.
     """
     n = g.dim
     if ideal.ambient_dim != n:
         raise IndexOutOfRange("ideal lives in the wrong ambient space")
-    for v in ideal.basis_vectors():
+    for k, v in enumerate(ideal.rows):
         for i in range(n):
-            w = g.bracket(unit_vector(n, i), v)
-            if not ideal.contains(w):
-                raise NotAnIdeal(i, v)
-    residual = _residual_matrix(ideal)
+            if ideal.reduce_sparse(basis_action(g.table, i, v, True)):
+                raise NotAnIdeal(i, ideal.basis_vectors()[k])
     pivot_set = set(ideal.pivots())
     free = [j for j in range(n) if j not in pivot_set]
+    at = {f: a for a, f in enumerate(free)}
+
+    def project(w: SparseVec) -> SparseVec:
+        return {at[j]: c for j, c in sorted(ideal.reduce_sparse(w).items())}
+
     m = len(free)
-    proj_rows = [residual.entries[f] for f in free]
-    proj = Matrix(proj_rows) if proj_rows else Matrix.zero(0, n)
+    cols = [project({j: 1}) for j in range(n)]
+    proj = Matrix([[col.get(a, 0) for col in cols] for a in range(m)]) if m else Matrix.zero(0, n)
     table: dict[tuple[int, int], SparseVec] = {}
     for a in range(m):
         for b in range(a + 1, m):
-            w = g.bracket_basis(free[a], free[b])
-            if not w:
-                continue
-            img = proj.apply(_densify(n, w))
-            sv = _sparsify(img)
+            sv = project(g.bracket_basis(free[a], free[b]))
             if sv:
                 table[(a, b)] = sv
                 table[(b, a)] = {k: -c for k, c in sv.items()}

@@ -16,7 +16,7 @@ from fractions import Fraction as QQ
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lralg.catalog import (
@@ -51,6 +51,7 @@ from lralg import fileformat
 from lralg.fileformat import (
     ParseError,
     format_system,
+    parse_algebra_text,
     parse_system_file,
     parse_system_text,
 )
@@ -958,6 +959,31 @@ def n4_with_two_rows():
     return system
 
 
+G11B = """algebra g11b
+dim 11
+[1,2] = e7
+[1,5] = -e10
+[1,6] = -e11
+[2,3] = e5
+[2,4] = e6
+[2,5] = e11
+[2,6] = e9
+[2,7] = -e8
+[3,4] = e7
+[3,5] = e8 + e11
+[3,7] = e10
+[4,5] = e8
+[4,6] = -e11
+[4,7] = e11
+"""
+
+
+def lie_g11b():
+    """An 11-dimensional quotient of free3_lie(4), 2-step solvable with
+    lower central series 11, 7, 4, 0, that carries no LR-structure."""
+    return parse_algebra_text(G11B).to_lie()
+
+
 OPERATOR_ROUTE_ALGEBRAS = {
     "r2": lie_r2,
     "n3": lie_n3,
@@ -972,15 +998,22 @@ OPERATOR_ROUTE_ALGEBRAS = {
     "r3_two_thirds": lie_r3_two_thirds,
     "free_two_step_3": lambda: free_two_step_lie(3),
     "n4_two_rows": n4_with_two_rows,
+    "g11b": lie_g11b,
 }
 
 
 @pytest.mark.parametrize("base", OPERATOR_ROUTE_ALGEBRAS.values(), ids=OPERATOR_ROUTE_ALGEBRAS)
 def test_operator_round_reduces_as_substitution(base):
     """The oracle substitutes the right commute rows that structural_reduce
-    leaves out, so it checks that each one's image is its left twin's."""
+    leaves out, so it checks that each one's image is its left twin's.
+    g11b, like g13, is 2-step solvable and contradictory in round 2: its
+    13,915 rows over 1,331 unknowns lose 1,288 of them first."""
     built = base()
-    assert_reduces_as_oracle(built if isinstance(built, ConstraintSystem) else generate_lr_system(built))
+    system = built if isinstance(built, ConstraintSystem) else generate_lr_system(built)
+    red = assert_reduces_as_oracle(system)
+    if base is lie_g11b:
+        assert (len(system.polys), system.nvars) == (13_915, 1_331)
+        assert (red.stats["rounds"], red.eliminated_count, red.contradiction) == (2, 1_288, True)
 
 
 @settings(max_examples=30, deadline=None)
@@ -1015,46 +1048,40 @@ def operator_images(draw):
     return n, eliminated
 
 
-def substituted_commute_rows(n, eliminated):
-    """The nonzero results of Polynomial.substitute on the left commute
-    rows of an n-dimensional system, in order."""
-    pairs = n * (n - 1) // 2
-    left = generate_lr_system(abelian_lie(n)).polys[n * pairs:n * pairs + n * n * pairs]
-    return [r for p in left if (r := p.substitute(eliminated))]
+def is_live(p, eliminated):
+    """Does p hold a product with no factor sent to 0 by eliminated?"""
+    zero = {v for v, e in eliminated.items() if not e}
+    return any(zero.isdisjoint(v for v, _ in m) for m in p.terms)
 
 
-def commute_images(n, eliminated):
-    """The nonzero images _commute_images yields, in order."""
-    return [r for r in constraints._commute_images(n, eliminated) if r]
+X = Polynomial.variable
 
 
 @settings(max_examples=300, deadline=None)
 @given(operator_images())
-def test_commute_images_are_the_substituted_rows(drawn):
+@example((2, {2: X(0), 5: X(0) + X(4), 6: Polynomial.zero(), 3: -X(0), 7: X(0)}))
+def test_live_left_rows_leave_out_only_rows_that_vanish(drawn):
+    """_live_left_rows returns left commute rows of the system, the very
+    objects in raw order, each with a product of two entries not sent to
+    0, and every left row it leaves out has none and substitutes to 0.
+    In the example, entry (1, 1) of L_0 L_1 - L_1 L_0 in dimension 2 has
+    live products at m = 0 only, beside the left-out pair at m == a == b."""
     n, eliminated = drawn
-    got = commute_images(n, eliminated)
-    want = substituted_commute_rows(n, eliminated)
-    assert list(map(typed_terms, got)) == list(map(typed_terms, want))
-
-
-def test_commute_images_keep_the_order_of_a_cancelled_term():
-    """On L_0 L_1 - L_1 L_0 at (a, b) = (1, 1), dimension 2, the products
-    at m = 0 give x0^2 + x0*x4, and the left-out pair at m == a == b
-    would cancel x0^2 and put it back after x0*x4."""
-    x = Polynomial.variable
-    eliminated = {
-        2: x(0), 5: x(0) + x(4), 6: Polynomial.zero(), 3: -x(0), 7: x(0),
-    }
-    got = commute_images(2, eliminated)
-    want = substituted_commute_rows(2, eliminated)
-    assert list(map(typed_terms, got)) == list(map(typed_terms, want))
-    square, mixed = ((0, 2),), ((0, 1), (4, 1))
-    assert any(list(p.terms) == [square, mixed] for p in got)
+    polys = generate_lr_system(abelian_lie(n)).polys
+    pairs = n * (n - 1) // 2
+    left = polys[n * pairs:n * pairs + n * n * pairs]
+    at = {id(p): k for k, p in enumerate(left)}
+    got = [at[id(p)] for p in constraints._live_left_rows(polys, n, eliminated)]
+    assert got == sorted(set(got))
+    assert all(is_live(left[k], eliminated) for k in got)
+    kept = set(got)
+    out = [p for k, p in enumerate(left) if k not in kept]
+    assert not any(is_live(p, eliminated) or p.substitute(eliminated) for p in out)
 
 
 def test_rows_that_are_not_the_generators_take_substitution():
-    """Only when polys still begins with the generator's own rows do the
-    left commute rows take the cut route.  A replaced row, appended
+    """Only when polys still begins with the generator's own rows does
+    round 1 pick the live left commute rows alone.  A replaced row, appended
     rows that force a second round, changed tags, and a system built by
     hand from the same rows reduce as the oracle does."""
     system = generate_lr_system(lie_n4())
@@ -1089,11 +1116,11 @@ def test_rows_that_are_not_the_generators_take_substitution():
     assert reduction_digest(assert_reduces_as_oracle(copied)) == reduction_digest(plain)
 
 
-def test_g13_first_round_substitutes_only_cut_rows(monkeypatch):
-    """On g13 round 1 substitutes only the left commute rows cut to their
-    live products, 47 rows of 104 products, none of them a raw commute
-    row, and round 2 ends in the contradiction.  The same rows in a
-    hand-built system are each substituted whole, to the same digest."""
+def test_g13_first_round_substitutes_only_live_left_rows(monkeypatch):
+    """On g13 round 1 substitutes 47 of the generator's own left commute
+    rows, 1,222 products in all, and round 2 ends in the contradiction.
+    A hand-built copy substitutes all 26,364 raw commute rows, to the same
+    digest."""
     system = generate_lr_system(counterexample_g13())
     substitute, calls = Polynomial.substitute, []
 
@@ -1104,8 +1131,8 @@ def test_g13_first_round_substitutes_only_cut_rows(monkeypatch):
     monkeypatch.setattr(Polynomial, "substitute", counted_substitute)
     red = structural_reduce(system)
     raw = {id(p) for p in system.polys}
-    assert not any(id(p) in raw for p in calls)
-    assert (len(calls), sum(len(p.terms) for p in calls)) == (47, 104)
+    assert all(id(p) in raw for p in calls)
+    assert (len(calls), sum(len(p.terms) for p in calls)) == (47, 1_222)
     assert (red.stats["rounds"], red.contradiction) == (2, True)
     calls.clear()
     copied = ConstraintSystem(system.g, list(system.polys), list(system.tags))

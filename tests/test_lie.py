@@ -36,7 +36,7 @@ from lralg.lie import (
     quotient_by_ideal,
     upper_central_series,
 )
-from lralg.lie import _residual_matrix, _run_series
+from lralg.lie import _run_series
 from lralg.linalg import Matrix, Subspace, nullspace, unit_vector, vec_add, vec_scale
 
 
@@ -205,12 +205,22 @@ def series_algebras():
     return out
 
 
+def residual_matrix(s):
+    """Matrix of w -> (w reduced by the RREF basis of s)."""
+    n = s.ambient_dim
+    ident = [list(unit_vector(n, i)) for i in range(n)]
+    for row, p in zip(s.basis.entries, s.pivots()):
+        for m in range(n):
+            ident[m][p] -= row[m]
+    return Matrix(ident)
+
+
 def upper_central_series_direct(g):
     """Oracle: Z_{i+1} = {x : [e_j, x] in Z_i for all j}, the kernel of the
     dense matrices (w -> w mod Z_i) @ ad(e_j), from Z_0 = 0."""
 
     def step(s):
-        residual = _residual_matrix(s)
+        residual = residual_matrix(s)
         rows = [r for j in range(g.dim) for r in (residual @ g.ad_basis(j)).entries]
         return nullspace(Matrix(rows))
 
@@ -256,12 +266,42 @@ def test_quotient_by_the_whole_algebra_is_zero():
         assert proj.apply(tuple(QQ(k + 1, 2) for k in range(n))) == ()
 
 
+def central_sub_ideals(g, seed, count):
+    """count seeded ideals of g inside its center, each spanned by 1 to
+    dim Z - 1 random integer combinations of the center's basis."""
+    rng = random.Random(seed)
+    z = center(g)
+    out = []
+    for _ in range(count):
+        vectors = []
+        for _ in range(rng.randint(1, z.dim - 1)):
+            v = {}
+            for row in z.rows:
+                t = rng.randint(-2, 2)
+                for k, c in row.items():
+                    v[k] = v.get(k, 0) + t * c
+            vectors.append(v)
+        out.append(Subspace.from_sparse(g.dim, vectors))
+    return out
+
+
 def test_quotient_projection_is_a_homomorphism():
+    """The projection kills the ideal and carries the bracket to the
+    quotient's: by [g, g], whose quotient is abelian, and by ideals whose
+    quotient is not, g13 by its center, free3_lie(3) by gamma_3 and seeded
+    central sub-ideals of free3_lie(4)."""
     rng = random.Random(55)
-    for g in (lie_n4(), free3_lie(3), counterexample_g13()):
-        ideal = bracket_subspaces(g, Subspace.full(g.dim), Subspace.full(g.dim))
+    full = Subspace.full
+    cases = [(g, bracket_subspaces(g, full(g.dim), full(g.dim)), False)
+             for g in (lie_n4(), free3_lie(3), counterexample_g13())]
+    g13, f3, f4 = counterexample_g13(), free3_lie(3), free3_lie(4)
+    cases += [(g13, center(g13), True), (f3, lower_central_series(f3).term(3), True)]
+    cases += [(f4, ideal, True) for ideal in central_sub_ideals(f4, 3, 4)]
+    for g, ideal, bracketed in cases:
         q, proj = quotient_by_ideal(g, ideal)
         assert q.dim == g.dim - ideal.dim
+        assert bool(q.table) == bracketed
+        assert not any(any(proj.apply(v)) for v in ideal.basis_vectors())
         for _ in range(8):
             x, y = rand_vec(rng, g.dim), rand_vec(rng, g.dim)
             assert proj.apply(g.bracket(x, y)) == q.bracket(proj.apply(x), proj.apply(y))
