@@ -1079,6 +1079,45 @@ def test_live_left_rows_leave_out_only_rows_that_vanish(drawn):
     assert not any(is_live(p, eliminated) or p.substitute(eliminated) for p in out)
 
 
+def substituted_commute_rows(n, eliminated):
+    """The nonzero results of Polynomial.substitute on the left commute
+    rows of an n-dimensional system, in order."""
+    pairs = n * (n - 1) // 2
+    left = generate_lr_system(abelian_lie(n)).polys[n * pairs:n * pairs + n * n * pairs]
+    return [r for p in left if (r := p.substitute(eliminated))]
+
+
+def commute_images(n, eliminated):
+    """The nonzero images round 1 takes of the left commute rows: the rows
+    _live_left_rows picks, substituted, in order."""
+    polys = generate_lr_system(abelian_lie(n)).polys
+    return [r for p in constraints._live_left_rows(polys, n, eliminated)
+            if (r := p.substitute(eliminated))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(operator_images())
+def test_commute_images_are_the_substituted_rows(drawn):
+    n, eliminated = drawn
+    got = commute_images(n, eliminated)
+    want = substituted_commute_rows(n, eliminated)
+    assert list(map(typed_terms, got)) == list(map(typed_terms, want))
+
+
+def test_commute_images_keep_the_order_of_a_cancelled_term():
+    """On L_0 L_1 - L_1 L_0 at (a, b) = (1, 1), dimension 2, the products
+    at m = 0 give x0^2 + x0*x4, and the left-out pair at m == a == b
+    would cancel x0^2 and put it back after x0*x4."""
+    eliminated = {
+        2: X(0), 5: X(0) + X(4), 6: Polynomial.zero(), 3: -X(0), 7: X(0),
+    }
+    got = commute_images(2, eliminated)
+    want = substituted_commute_rows(2, eliminated)
+    assert list(map(typed_terms, got)) == list(map(typed_terms, want))
+    square, mixed = ((0, 2),), ((0, 1), (4, 1))
+    assert any(list(p.terms) == [square, mixed] for p in got)
+
+
 def test_rows_that_are_not_the_generators_take_substitution():
     """Only when polys still begins with the generator's own rows does
     round 1 pick the live left commute rows alone.  A replaced row, appended
