@@ -251,7 +251,7 @@ def assignment_from_lr(a: LRAlgebra) -> dict[int, QQ]:
         for k in range(n):
             prod = a.product_basis(i, k)
             for j in range(n):
-                out[x_index(n, i, j, k)] = prod.get(j, QQ(0))
+                out[x_index(n, i, j, k)] = QQ(prod.get(j, 0))
     return out
 
 

@@ -4,7 +4,7 @@ Four constructions:
 
 * filiform algebras in an adapted basis, where the bracket data reduces
   to one free row of coefficients and every further row is a shift of it;
-  the LR-structure is assembled from powers of two adjoint operators;
+  the LR-structure's left multiplications are adjoint words in e1, e2;
 * the halved adjoint product x.y = [x,y]/2 on any 2-step nilpotent
   algebra;
 * free 3-step nilpotent algebras on n generators with their canonical
@@ -111,17 +111,16 @@ def filiform_lie(spec: FiliformSpec) -> LieAlgebra:
 
 
 def filiform_lr(spec: FiliformSpec) -> LRAlgebra:
-    """LR-structure with L(e1) = 0 and L(ei) = ad(e1)^(i-2) ad(e2)."""
+    """LR-structure with L(e1) = 0 and L(ei) = ad(e1)^(i-2) ad(e2), whose
+    columns are built by repeated basis_action on [e2, ej] with e1."""
     g = filiform_lie(spec)
     n = g.dim
-    ad1 = g.ad_basis(0)
-    ad2 = g.ad_basis(1)
-    lmats = [Matrix.zero(n, n), ad2]
-    power = ad2
-    for _ in range(3, n + 1):
-        power = ad1 @ power
-        lmats.append(power)
-    return _lr_from_left_mults(g, lmats)
+    cols = [basis_action(g.table, 1, {j: 1}, True) for j in range(n)]
+    entries = []
+    for i in range(2, n + 1):
+        entries += [(i, j + 1, _densify(n, c)) for j, c in enumerate(cols) if c]
+        cols = [basis_action(g.table, 0, c, True) for c in cols]
+    return lr_from_table(g, entries)
 
 
 def _lr_from_left_mults(g: LieAlgebra, lmats: Sequence[Matrix]) -> LRAlgebra:

@@ -14,11 +14,13 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _scalar,
     kernel,
     qq,
     vec_is_zero,
 )
 
+# {k: nonzero c}; a table keeps each integral c as an int (linalg._scalar)
 SparseVec = dict[int, QQ]
 
 
@@ -55,14 +57,17 @@ class NotAnIdeal(LieError):
 
 
 def _densify(n: int, sparse: SparseVec) -> Vector:
+    """Dense and all Fractions, a table's ints included: every dense
+    vector, matrix and printed value holds Fractions."""
     v = [QQ(0)] * n
     for k, c in sparse.items():
-        v[k] = c
+        v[k] = QQ(c) if type(c) is int else c
     return tuple(v)
 
 
 def _sparsify(v: Vector) -> SparseVec:
-    return {k: c for k, c in enumerate(v) if c}
+    """The nonzero entries of `v`, each integral one as an int."""
+    return {k: _scalar(c) for k, c in enumerate(v) if c}
 
 
 def bilinear_sparse(
@@ -70,9 +75,9 @@ def bilinear_sparse(
 ) -> SparseVec:
     """The bilinear map with e_i * e_j = table[(i, j)], on sparse vectors.
 
-    Scalars may be rationals or polynomials (zero tests use truthiness),
-    so the same code serves brackets, concrete products and the generic
-    product whose coordinates are unknowns.
+    Scalars may be ints, Fractions (a table's int for each integral
+    constant) or polynomials (zero tests use truthiness), so the same code
+    serves brackets, concrete products and the generic product.
     """
     acc: SparseVec = {}
     for i, a in u.items():

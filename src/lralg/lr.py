@@ -36,7 +36,7 @@ from .lie import (
     upper_central_series,
     vector_operator,
 )
-from .linalg import QQ, Matrix, Subspace, Vector, kernel, operator_is_nilpotent
+from .linalg import Matrix, Subspace, Vector, kernel, operator_is_nilpotent
 from .poly import Polynomial
 
 
@@ -426,7 +426,7 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
     n = a.dim
     g = a.g
     checks = Checks(n)
-    basis = [{i: QQ(1)} for i in range(n)]
+    basis = [{i: 1} for i in range(n)]
     # the generic vector z: a residual's coefficient of t_k is its value at e_k
     z = {k: Polynomial.variable(k) for k in range(n)}
     prod = _through_generic(a.table, n, z)

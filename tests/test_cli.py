@@ -745,3 +745,35 @@ def test_series_and_lemma_reports_are_pinned(tmp_path, capsys):
     digest = hashlib.sha256("".join(chunks).encode()).hexdigest()
     assert len(chunks) == 2 * 94
     assert digest == SERIES_AND_LEMMAS_SHA256
+
+
+# The digest was taken before the structure tables kept int scalars.
+VERIFICATION_REPORTS_SHA256 = (
+    "92b076f921c0198dfef4aa2280475747bcd016d793afcab0e7d24afe9812fb59"
+)
+
+
+def test_verification_reports_are_pinned(tmp_path, capsys):
+    """check --lemmas on every catalog sample, catalog verify and two
+    constructions, as JSON: the reports of the verification path."""
+    runs = []
+    for key in catalog_list():
+        for k, params in enumerate(sample_params(catalog_entry(key))):
+            argv = ["catalog", "dump", key] + [f"--param={p}={v}" for p, v in params.items()]
+            code, out, err = run(capsys, *argv)
+            assert code == 0, (argv, err)
+            path = tmp_path / f"{key.replace('/', '_')}_{k}.alg"
+            path.write_text(out, encoding="utf-8")
+            runs.append(["check", str(path), "--lemmas", "--json"])
+    assert len(runs) == 86
+    runs += [
+        ["catalog", "verify", "--json"],
+        ["construct", "filiform", "7", "--coeffs", "1/2,-3,2", "--json"],
+        ["construct", "free3", "3", "--json"],
+    ]
+    chunks = []
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        chunks.append(f"{argv[0]} {code}\n{out}{err}".replace(str(tmp_path), "TMP"))
+    digest = hashlib.sha256("".join(chunks).encode()).hexdigest()
+    assert digest == VERIFICATION_REPORTS_SHA256

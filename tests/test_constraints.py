@@ -369,6 +369,9 @@ def test_assignment_from_lr_reads_the_tensor():
     assert asg[s.var_index(0, 2, 1)] == QQ(1, 2)
     assert asg[s.var_index(1, 2, 0)] == QQ(-1, 2)
     assert evaluate_candidate(s, asg) == []
+    # every value is a Fraction, where the table keeps an int too
+    asg = assignment_from_lr(catalog_get("n3/A4"))
+    assert all(type(c) is QQ for c in asg.values())
 
 
 KNOWN_SOLUTIONS = [

@@ -20,9 +20,10 @@ from lralg.constructions import (
     free_two_step_lie,
     halved_adjoint_lr,
 )
+from lralg.fileformat import format_algebra
 from lralg.lie import classify_solvability, is_two_step_solvable, lower_central_series
 from lralg.linalg import Matrix
-from lralg.lr import is_complete, lemma_suite, verify_axioms
+from lralg.lr import is_complete, lemma_suite, lr_from_table, verify_axioms
 
 
 def random_spec(rng, n):
@@ -82,16 +83,26 @@ def test_filiform_lr_axioms_and_right_mults():
 
 
 def test_filiform_left_mults_are_adjoint_words():
-    spec = FiliformSpec.from_free_row(6, [QQ(1), QQ(1, 2)])
-    a = filiform_lr(spec)
-    g = a.g
-    ad1, ad2 = g.ad_basis(0), g.ad_basis(1)
-    assert a.left_mult_basis(0).is_zero()
-    assert a.left_mult_basis(1) == ad2
-    word = ad2
-    for i in range(3, 7):
-        word = ad1 @ word
-        assert a.left_mult_basis(i - 1) == word
+    # the dense words ad(e1)^(i-2) ad(e2) are the oracle for the sparse build
+    rng = random.Random(31)
+    for k in range(30):
+        n = 4 + k % 6
+        a = filiform_lr(random_spec(rng, n))
+        g = a.g
+        ad1, ad2 = g.ad_basis(0), g.ad_basis(1)
+        words = [Matrix.zero(n, n), ad2]
+        for _ in range(3, n + 1):
+            words.append(ad1 @ words[-1])
+        for i, word in enumerate(words):
+            assert a.left_mult_basis(i) == word
+        entries = [
+            (i + 1, j + 1, word.column(j))
+            for i, word in enumerate(words)
+            for j in range(n)
+            if any(word.column(j))
+        ]
+        oracle = lr_from_table(g, entries, validate=False)
+        assert format_algebra("f", g, a) == format_algebra("f", g, oracle)
 
 
 def test_halved_adjoint_on_two_step_algebras():

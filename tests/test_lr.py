@@ -25,6 +25,7 @@ from lralg.catalog import (
 )
 from lralg.constructions import FiliformSpec, filiform_lr, free3_lr, free4_two_gen_lr
 from lralg.extensions import invertible_generator_lift, random_abelian_extension
+from lralg.fileformat import format_algebra, parse_algebra_text
 from lralg.lie import LieAlgebra, lie_from_table
 from lralg.lie import sparse_add as add
 from lralg.lr import (
@@ -533,3 +534,61 @@ def test_equality_and_tensor_round_trip():
         ],
     )
     assert rebuilt == a
+
+
+def scalar_rule_inputs():
+    """Lie algebras and LR-algebras from every source of structure tables:
+    catalog samples, seeded filiform rows, free3, lifts and a parsed file."""
+    rng = random.Random(38)
+    out = [
+        catalog_get(key, params)
+        for key in catalog_list()
+        for params in sample_params(catalog_entry(key))
+    ]
+    assert len(out) == 86
+    for k in range(60):
+        n = 4 + k % 6
+        row = [QQ(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n - 4)]
+        out.append(filiform_lr(FiliformSpec.from_free_row(n, row)))
+    out += [free3_lr(3), free3_lr(4)]
+    for k in range(20):
+        d, e = random_abelian_extension(rng, 1 + k % 4, 1 + (k // 4) % 4)
+        out.append(invertible_generator_lift(d, e))
+    out.append(parse_algebra_text(format_algebra("g13", counterexample_g13())).to_lie())
+    return out
+
+
+def test_tables_keep_ints_and_dense_values_keep_fractions():
+    # a table holds an int exactly for each integral constant; everything
+    # dense that is handed out holds Fractions only
+    def table_ok(table):
+        return all(
+            type(c) is (int if QQ(c).denominator == 1 else QQ)
+            for v in table.values()
+            for c in v.values()
+        )
+
+    def fractions_only(values):
+        values = list(values)
+        assert all(type(c) is QQ for c in values), values
+        return values
+
+    rng = random.Random(39)
+    for x in scalar_rule_inputs():
+        a, g = (x, x.g) if isinstance(x, LRAlgebra) else (None, x)
+        n = g.dim
+        assert table_ok(g.table)
+        u, v = (tuple(QQ(rng.randint(-2, 2)) for _ in range(n)) for _ in "uv")
+        fractions_only(g.bracket(u, v))
+        if a is None:
+            continue
+        assert table_ok(a.table)
+        fractions_only(c for row in a.product_tensor() for col in row for c in col)
+        fractions_only(a.product(u, v))
+        for i in range(n):
+            fractions_only(c for row in a.left_mult_basis(i).entries for c in row)
+        # no product at all: every nonzero bracket is a compat violation
+        broken = verify_axioms(LRAlgebra(g, {}))
+        assert broken.ok == (not g.table)
+        for viol in broken.violations:
+            assert any(fractions_only(viol.residual))
