@@ -26,7 +26,9 @@ from .lr import LRAlgebra, lr_from_table
 
 
 class UnknownName(KeyError):
-    pass
+    def __str__(self):
+        # KeyError's own str() is the quoted key alone
+        return f"unknown catalog key {self.args[0]!r}"
 
 
 class ParamOutOfDomain(ValueError):

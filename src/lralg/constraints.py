@@ -65,7 +65,7 @@ from typing import Mapping
 
 from .lie import LieAlgebra, SparseVec, bilinear_sparse, center as lie_center
 from .lie import derived_series, lower_central_series, upper_central_series
-from .lie import _sparsify, sparse_add, sparse_sub
+from .lie import _densify, sparse_add, sparse_sub
 from .linalg import QQ, Eliminator, Matrix, Subspace, _scalar, qq
 from .lr import (
     LRAlgebra,
@@ -663,31 +663,24 @@ def lr_fingerprint(a: LRAlgebra) -> dict:
             break
         cur = nxt
 
-    lmats = [a.left_mult_basis(i) for i in range(n)]
-    rmats = [a.right_mult_basis(i) for i in range(n)]
+    # L_i and R_i as n^2-vectors, entry (r, c) at c * n + r: column c of
+    # L_i is t[(i, c)] and of R_i it is t[(c, i)]
+    t = a.table
 
-    def ann_dim(mats):
-        rows = []
-        for jj in range(n):
-            for kk in range(n):
-                rows.append(tuple(mats[i].entries[jj][kk] for i in range(n)))
-        return Matrix(rows).rank()
+    def flat(i: int, left: bool) -> SparseVec:
+        cols = (t.get((i, c) if left else (c, i), {}) for c in range(n))
+        return {c * n + r: x for c, col in enumerate(cols) for r, x in col.items()}
 
-    def tr(m1: Matrix, m2: Matrix) -> QQ:
-        return sum(
-            (
-                m1.entries[r][c] * m2.entries[c][r]
-                for r in range(n)
-                for c in range(n)
-            ),
-            QQ(0),
-        )
+    def tr(o1: SparseVec, o2: SparseVec):
+        """tr(O O') = sum over r, c of O[r][c] O'[c][r]."""
+        return sum(x * o2.get(k % n * n + k // n, 0) for k, x in o1.items())
 
-    def form_rank(ms1, ms2) -> int:
-        return Matrix(
-            [[tr(ms1[i], ms2[j]) for j in range(n)] for i in range(n)]
-        ).rank()
+    def form_rank(ops1, ops2) -> int:
+        rows = ({j: tr(o1, o2) for j, o2 in enumerate(ops2)} for o1 in ops1)
+        return Subspace.from_sparse(n, rows).dim
 
+    lops = [flat(i, True) for i in range(n)]
+    rops = [flat(i, False) for i in range(n)]
     return {
         "dim": n,
         "complete": a.complete,
@@ -695,11 +688,11 @@ def lr_fingerprint(a: LRAlgebra) -> dict:
         "derived_dims": ds.dims(),
         "upper_central_dims": ucs.dims(),
         "product_span_dims": tuple(spans),
-        "left_annihilator_dim": n - ann_dim(lmats),
-        "right_annihilator_dim": n - ann_dim(rmats),
-        "trace_form_rank_ll": form_rank(lmats, lmats),
-        "trace_form_rank_rr": form_rank(rmats, rmats),
-        "trace_form_rank_lr": form_rank(lmats, rmats),
+        "left_annihilator_dim": n - Subspace.from_sparse(n * n, lops).dim,
+        "right_annihilator_dim": n - Subspace.from_sparse(n * n, rops).dim,
+        "trace_form_rank_ll": form_rank(lops, lops),
+        "trace_form_rank_rr": form_rank(rops, rops),
+        "trace_form_rank_lr": form_rank(lops, rops),
     }
 
 
@@ -720,17 +713,6 @@ def _iso_residual(
     for k, c in a1.product_basis(i, j).items():
         image = sparse_add(image, {r: x * c for r, x in cols[k].items()})
     return sparse_sub(image, bilinear_sparse(a2.table, cols[i], cols[j]))
-
-
-def _is_lr_isomorphism(a1: LRAlgebra, a2: LRAlgebra, t: Matrix) -> bool:
-    """Does T carry the first product to the second, T(x.y) = Tx . Ty?"""
-    n = a1.dim
-    if t.rank() < n:
-        return False
-    cols = [_sparsify(t.column(k)) for k in range(n)]
-    return not any(
-        _iso_residual(a1, a2, cols, i, j) for i in range(n) for j in range(n)
-    )
 
 
 def _det_poly(entries: list[list[Polynomial]]) -> Polynomial:
@@ -776,17 +758,14 @@ def iso_search(a1: LRAlgebra, a2: LRAlgebra) -> IsoResult:
             )
     n = a1.dim
 
-    # heuristic search over signed permutation matrices
+    # heuristic search over signed permutations: every one is invertible
     if n <= 4:
         for perm in permutations(range(n)):
-            for signs in iproduct((QQ(1), QQ(-1)), repeat=n):
-                t = Matrix(
-                    [
-                        [signs[j] if perm[j] == i else QQ(0) for j in range(n)]
-                        for i in range(n)
-                    ]
-                )
-                if _is_lr_isomorphism(a1, a2, t):
+            for signs in iproduct((1, -1), repeat=n):
+                cols = [{perm[k]: signs[k]} for k in range(n)]
+                pairs = iproduct(range(n), repeat=2)
+                if not any(_iso_residual(a1, a2, cols, i, j) for i, j in pairs):
+                    t = Matrix.from_columns([_densify(n, c) for c in cols])
                     return IsoResult("found", transform=t)
 
     if n > 4:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .lie import LieAlgebra, SparseVec, _densify, basis_action, sparse_sub
-from .linalg import QQ, Matrix, qq, unit_vector
+from .linalg import QQ, qq, unit_vector
 from .lr import LRAlgebra, lr_from_table
 
 
@@ -111,26 +111,28 @@ def filiform_lie(spec: FiliformSpec) -> LieAlgebra:
 
 
 def filiform_lr(spec: FiliformSpec) -> LRAlgebra:
-    """LR-structure with L(e1) = 0 and L(ei) = ad(e1)^(i-2) ad(e2), whose
-    columns are built by repeated basis_action on [e2, ej] with e1."""
-    g = filiform_lie(spec)
-    n = g.dim
-    cols = [basis_action(g.table, 1, {j: 1}, True) for j in range(n)]
-    entries = []
-    for i in range(2, n + 1):
-        entries += [(i, j + 1, _densify(n, c)) for j, c in enumerate(cols) if c]
-        cols = [basis_action(g.table, 0, c, True) for c in cols]
-    return lr_from_table(g, entries)
+    """LR-structure with L(e1) = 0 and L(ei) = ad(e1)^(i-2) ad(e2)."""
+    words = [()] + [(0,) * (i - 2) + (1,) for i in range(2, spec.n + 1)]
+    return _adjoint_word_lr(filiform_lie(spec), words)
 
 
-def _lr_from_left_mults(g: LieAlgebra, lmats: Sequence[Matrix]) -> LRAlgebra:
+def _adjoint_word_lr(g: LieAlgebra, words: Sequence[tuple[int, ...]]) -> LRAlgebra:
+    """LR-structure with L(e_i) the adjoint word words[i]: generator
+    indices (0-based) applied right to left, () for L(e_i) = 0.  Each
+    suffix's columns are computed once, by basis_action of its first
+    letter on the columns of the rest."""
     n = g.dim
+    cols = {(): [{j: 1} for j in range(n)]}
     entries = []
-    for i in range(n):
-        for j in range(n):
-            col = lmats[i].column(j)
-            if any(c != 0 for c in col):
-                entries.append((i + 1, j + 1, col))
+    for i, word in enumerate(words):
+        for k in reversed(range(len(word))):
+            if word[k:] not in cols:
+                rest = cols[word[k + 1 :]]
+                cols[word[k:]] = [basis_action(g.table, word[k], c, True) for c in rest]
+        if word:
+            entries += [
+                (i + 1, j + 1, _densify(n, c)) for j, c in enumerate(cols[word]) if c
+            ]
     return lr_from_table(g, entries)
 
 
@@ -300,9 +302,5 @@ def free4_two_gen_lr() -> LRAlgebra:
     """LR-structure on the free 4-step algebra from adjoint words:
     L(e1) = 0, L(e2) = ad e2, L(e3) = ad e1 ad e2, L(e4) = (ad e1)^2 ad e2,
     L(e5) = ad e2 ad e1 ad e2, L(e6) = L(e7) = L(e8) = 0."""
-    g = free4_two_gen_lie()
-    ad1 = g.ad_basis(0)
-    ad2 = g.ad_basis(1)
-    z = Matrix.zero(8, 8)
-    lmats = [z, ad2, ad1 @ ad2, ad1 @ ad1 @ ad2, ad2 @ ad1 @ ad2, z, z, z]
-    return _lr_from_left_mults(g, lmats)
+    words = [(), (1,), (0, 1), (0, 0, 1), (1, 0, 1), (), (), ()]
+    return _adjoint_word_lr(free4_two_gen_lie(), words)

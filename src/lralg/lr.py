@@ -488,11 +488,10 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
 
     # series terms are two-sided ideals
     ucs = upper_central_series(g)
-    depth = max(len(lcs.terms), len(ucs.terms))
-    for idx, s in enumerate(lcs.terms[: depth + 1]):
+    for idx, s in enumerate(lcs.terms):
         ok = is_two_sided_ideal(a, s)
         checks.flag("lower_series_two_sided_ideal", ("gamma", idx + 1), not ok)
-    for idx, s in enumerate(ucs.terms[:depth]):
+    for idx, s in enumerate(ucs.terms):
         ok = is_two_sided_ideal(a, s)
         checks.flag("upper_series_two_sided_ideal", ("Z", idx + 1), not ok)
 
@@ -507,6 +506,7 @@ def lemma_suite(a: LRAlgebra) -> VerificationReport:
 
     # graded containment: gamma_{i+1} . gamma_{j+1} inside gamma_{i+j+1}
     gamma = lcs.term
+    depth = max(len(lcs.terms), len(ucs.terms))
     for i in range(1, depth + 1):
         for j in range(1, depth + 1):
             target = gamma(i + j + 1)

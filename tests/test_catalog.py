@@ -53,8 +53,10 @@ def test_catalog_has_28_families():
 
 
 def test_unknown_key_raises():
-    with pytest.raises(UnknownName):
+    with pytest.raises(UnknownName) as info:
         catalog_entry("n5/A1")
+    assert isinstance(info.value, KeyError)
+    assert str(info.value) == "unknown catalog key 'n5/A1'"
     with pytest.raises(UnknownName):
         catalog_get("r2/A9")
 

@@ -13,7 +13,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction as QQ
-from itertools import chain
+from itertools import chain, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,7 +45,15 @@ from lralg.constraints import (
 )
 from lralg import constraints
 from lralg.constraints import _identity_rows, _linear_parts, x_index
-from lralg.constructions import free3_lie, free3_lr, free4_two_gen_lie, free_two_step_lie
+from lralg.constructions import (
+    FiliformSpec,
+    filiform_lr,
+    free3_lie,
+    free3_lr,
+    free4_two_gen_lie,
+    free4_two_gen_lr,
+    free_two_step_lie,
+)
 from lralg.extensions import extension_lie_algebra, random_abelian_extension
 from lralg import fileformat
 from lralg.fileformat import (
@@ -60,11 +68,12 @@ from lralg.lie import (
     abelian_lie,
     bilinear_sparse,
     center,
+    derived_series,
     lie_from_table,
     lower_central_series,
     upper_central_series,
 )
-from lralg.linalg import Eliminator
+from lralg.linalg import Eliminator, Matrix, Subspace
 from lralg.lr import (
     LRAlgebra,
     ad_product_residual,
@@ -72,6 +81,7 @@ from lralg.lr import (
     compat_residual,
     derivation_residual,
     grading_residual,
+    ideal_product,
     ideal_residual,
     lr1_residual,
     lr2_residual,
@@ -1560,3 +1570,135 @@ def test_iso_search_undecided_in_high_dimension():
     a = free3_lr(2)
     r = iso_search(a, a)
     assert r.status == "undecided"
+
+
+def dense_fingerprint(a: LRAlgebra) -> dict:
+    """lr_fingerprint written on dense L and R matrices, as it read them
+    before it read the sparse table: the oracle of the sparse one."""
+    g = a.g
+    n = a.dim
+    spans = []
+    cur = Subspace.full(n)
+    while True:
+        nxt = ideal_product(a, cur, cur)
+        spans.append(nxt.dim)
+        if nxt == cur or nxt.dim == 0:
+            break
+        cur = nxt
+
+    lmats = [a.left_mult_basis(i) for i in range(n)]
+    rmats = [a.right_mult_basis(i) for i in range(n)]
+
+    def ann_dim(mats):
+        rows = []
+        for jj in range(n):
+            for kk in range(n):
+                rows.append(tuple(mats[i].entries[jj][kk] for i in range(n)))
+        return Matrix(rows).rank()
+
+    def tr(m1: Matrix, m2: Matrix) -> QQ:
+        return sum(
+            (m1.entries[r][c] * m2.entries[c][r] for r in range(n) for c in range(n)),
+            QQ(0),
+        )
+
+    def form_rank(ms1, ms2) -> int:
+        return Matrix([[tr(ms1[i], ms2[j]) for j in range(n)] for i in range(n)]).rank()
+
+    return {
+        "dim": n,
+        "complete": a.complete,
+        "lower_central_dims": lower_central_series(g).dims(),
+        "derived_dims": derived_series(g).dims(),
+        "upper_central_dims": upper_central_series(g).dims(),
+        "product_span_dims": tuple(spans),
+        "left_annihilator_dim": n - ann_dim(lmats),
+        "right_annihilator_dim": n - ann_dim(rmats),
+        "trace_form_rank_ll": form_rank(lmats, lmats),
+        "trace_form_rank_rr": form_rank(rmats, rmats),
+        "trace_form_rank_lr": form_rank(lmats, rmats),
+    }
+
+
+def catalog_samples() -> list[tuple[str, LRAlgebra]]:
+    out = [
+        (key, catalog_get(key, params))
+        for key in catalog_list()
+        for params in sample_params(catalog_entry(key))
+    ]
+    assert len(out) == 86
+    return out
+
+
+def test_fingerprint_matches_the_dense_oracle():
+    rng = random.Random(39)
+    inputs = [a for _, a in catalog_samples()] + [free3_lr(2), free4_two_gen_lr()]
+    for k in range(24):
+        n = 4 + k % 8
+        row = [QQ(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n - 4)]
+        inputs.append(filiform_lr(FiliformSpec.from_free_row(n, row)))
+    for a in inputs:
+        assert lr_fingerprint(a) == dense_fingerprint(a)
+
+
+def dense_signed_permutation_search(a1: LRAlgebra, a2: LRAlgebra):
+    """The first signed permutation matrix T, permutations outside and
+    signs inside as iso_search tries them, with T(e_i.e_j) = Te_i.Te_j
+    for all i, j; None when there is none."""
+    n = a1.dim
+    units = [tuple(QQ(int(k == i)) for k in range(n)) for i in range(n)]
+    for perm in permutations(range(n)):
+        for signs in product((1, -1), repeat=n):
+            t = Matrix(
+                [[signs[j] if perm[j] == i else 0 for j in range(n)] for i in range(n)]
+            )
+            if all(
+                t.apply(a1.product(units[i], units[j]))
+                == a2.product(t.column(i), t.column(j))
+                for i in range(n)
+                for j in range(n)
+            ):
+                return t
+    return None
+
+
+def relabelled(a: LRAlgebra) -> LRAlgebra:
+    """a with its basis renamed cyclically, e_k as e_(k+1 mod n)."""
+    n = a.dim
+
+    def moved(table):
+        out = []
+        for (i, j), v in table.items():
+            vec = [QQ(0)] * n
+            for k, c in v.items():
+                vec[(k + 1) % n] = c
+            out.append(((i + 1) % n + 1, (j + 1) % n + 1, vec))
+        return out
+
+    return lr_from_table(lie_from_table(n, moved(a.g.table)), moved(a.table))
+
+
+def test_iso_search_matches_the_dense_search_oracle():
+    """Every self-pair, every sample against its cyclic relabelling, 150
+    seeded pairs on one base, and A6(0) against A7(0) on n3+line,
+    isomorphic over QQ but by no signed permutation: iso_search finds a
+    map exactly when the dense oracle does, and the same map."""
+    samples = catalog_samples()
+    by_base = {}
+    for key, a in samples:
+        by_base.setdefault(key.split("/")[0], []).append(a)
+    rng = random.Random(41)
+    pairs = [(a, a) for _, a in samples] + [(a, relabelled(a)) for _, a in samples]
+    for _ in range(150):
+        group = by_base[rng.choice(sorted(by_base))]
+        pairs.append((rng.choice(group), rng.choice(group)))
+    zero = {"alpha": 0}
+    pairs.append((catalog_get("n3_r/A6", zero), catalog_get("n3_r/A7", zero)))
+    seen = set()
+    for a1, a2 in pairs:
+        r = iso_search(a1, a2)
+        t = dense_signed_permutation_search(a1, a2)
+        assert (r.status == "found") == (t is not None)
+        assert r.transform == t
+        seen.add(r.status)
+    assert seen == {"found", "distinguished", "undecided"}

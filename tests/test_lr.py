@@ -23,7 +23,14 @@ from lralg.catalog import (
     lie_r2,
     sample_params,
 )
-from lralg.constructions import FiliformSpec, filiform_lr, free3_lr, free4_two_gen_lr
+from lralg.constructions import (
+    FiliformSpec,
+    filiform_lr,
+    free3_lr,
+    free4_two_gen_lr,
+    free_two_step_lie,
+    halved_adjoint_lr,
+)
 from lralg.extensions import invertible_generator_lift, random_abelian_extension
 from lralg.fileformat import format_algebra, parse_algebra_text
 from lralg.lie import LieAlgebra, lie_from_table
@@ -538,7 +545,8 @@ def test_equality_and_tensor_round_trip():
 
 def scalar_rule_inputs():
     """Lie algebras and LR-algebras from every source of structure tables:
-    catalog samples, seeded filiform rows, free3, lifts and a parsed file."""
+    catalog samples, seeded filiform rows, free3, free4, the halved
+    bracket, lifts and a parsed file."""
     rng = random.Random(38)
     out = [
         catalog_get(key, params)
@@ -550,7 +558,8 @@ def scalar_rule_inputs():
         n = 4 + k % 6
         row = [QQ(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n - 4)]
         out.append(filiform_lr(FiliformSpec.from_free_row(n, row)))
-    out += [free3_lr(3), free3_lr(4)]
+    out += [free3_lr(3), free3_lr(4), free4_two_gen_lr()]
+    out.append(halved_adjoint_lr(free_two_step_lie(3)))
     for k in range(20):
         d, e = random_abelian_extension(rng, 1 + k % 4, 1 + (k // 4) % 4)
         out.append(invertible_generator_lift(d, e))
